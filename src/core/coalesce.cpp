@@ -141,11 +141,15 @@ bool CoalescingLink::send_batch(std::span<const PacketPtr> packets) {
     if (buffer_.size() >= options_.max_packets() ||
         buffered_bytes_ >= options_.max_bytes() || options_.max_delay_ns() == 0) {
       ok = flush_locked(FlushReason::kSize) && ok;
-    } else if (gate_ != nullptr && gate_->available() == 0) {
-      // This packet holds the window's last credit: everything buffered must
-      // reach the receiver or it can never be consumed and granted against.
-      ok = flush_locked(FlushReason::kPressure) && ok;
     }
+  }
+  // Checked once per call, not per packet: FlowControlledLink hands a run
+  // over only once the run has drained the window, so every packet of it
+  // would see an empty window and leave as its own frame.  Each packet here
+  // already holds its credit; with the window empty, everything buffered
+  // must reach the receiver or it can never be consumed and granted against.
+  if (gate_ != nullptr && !buffer_.empty() && gate_->available() == 0) {
+    ok = flush_locked(FlushReason::kPressure) && ok;
   }
   bool newly_armed = false;
   if (!buffer_.empty() && deadline_ns_ == 0) {

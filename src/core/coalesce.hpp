@@ -10,9 +10,10 @@
 //  * deadline  — the oldest buffered packet has waited max_delay (a
 //                BatchFlusher thread services deadlines, since back-end
 //                application threads have no event loop of their own);
-//  * pressure  — the channel's credit window is exhausted: anything still
-//                buffered must reach the receiver or it can never be
-//                consumed, granted against, and the sender unblocked;
+//  * pressure  — the channel's credit window is exhausted at the end of a
+//                send call: anything still buffered must reach the receiver
+//                or it can never be consumed, granted against, and the
+//                sender unblocked;
 //  * bypass    — a control or telemetry packet (recovery and shutdown
 //                latency stay untouched) or, in adaptive mode, a payload at
 //                or above the cutoff (the 64 KiB zero-copy path stays a

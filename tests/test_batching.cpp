@@ -1,7 +1,8 @@
 // Adaptive small-packet batching: BatchingOptions builder semantics, every
 // CoalescingLink flush trigger (size, deadline, credit pressure, eager
 // bypass), byte-identity between batched and unbatched runs in threaded and
-// process modes, the batch send API, and the TCP_NODELAY pin.
+// process modes, interior frame size under a credit-bound flood, the batch
+// send API, and the TCP_NODELAY pin.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -19,6 +20,7 @@
 #include "core/network.hpp"
 #include "core/process_network.hpp"
 #include "filters/register.hpp"
+#include "interior_flood.hpp"
 #include "transport/tcp.hpp"
 
 namespace tbon {
@@ -260,6 +262,46 @@ TEST(CoalescingLink, CreditExhaustionForcesFlush) {
   EXPECT_EQ(calls[0].size(), 2u);
 }
 
+TEST(CoalescingLink, CreditPressureFlushesOncePerBatchCall) {
+  auto inner = std::make_shared<CaptureLink>();
+  auto gate = std::make_shared<CreditGate>(4);
+  CoalescingLink link(inner, idle_options(), nullptr, gate);
+  // A whole run whose credits drained the window, as FlowControlledLink
+  // hands it over: every packet already holds its credit.
+  std::vector<PacketPtr> run;
+  for (std::int64_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(gate->try_acquire(), CreditGate::Acquire::kOk);
+    run.push_back(tiny(i));
+  }
+  ASSERT_TRUE(link.send_batch(run));
+  // One frame for the whole run, not one per packet.
+  const auto calls = inner->calls();
+  ASSERT_EQ(calls.size(), 1u);
+  ASSERT_EQ(calls[0].size(), 4u);
+  for (std::int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(calls[0][static_cast<std::size_t>(i)]->get_i64(0), i);
+  }
+}
+
+TEST(CoalescingLink, FlowControlledBatchDrainingTheWindowIsOneFrame) {
+  auto inner = std::make_shared<CaptureLink>();
+  const FlowControlOptions fc{.enabled = true, .capacity = 8};
+  auto gate = std::make_shared<CreditGate>(fc.window());
+  FlowControlledLink link(
+      std::make_shared<CoalescingLink>(inner, idle_options(), nullptr, gate),
+      gate, fc, nullptr, /*fail_fast_throws=*/false);
+  std::vector<PacketPtr> run;
+  for (std::int64_t i = 0; i < 8; ++i) run.push_back(tiny(i));
+  ASSERT_TRUE(link.send_batch(run));
+  EXPECT_EQ(gate->available(), 0u);
+  const auto calls = inner->calls();
+  ASSERT_EQ(calls.size(), 1u);
+  ASSERT_EQ(calls[0].size(), 8u);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(calls[0][static_cast<std::size_t>(i)]->get_i64(0), i);
+  }
+}
+
 // ---- end-to-end: batched output is byte-identical to unbatched --------------
 
 /// Run `waves` reduction waves through a 2x2 threaded tree and return every
@@ -408,6 +450,25 @@ TEST(BatchingIdentity, ProcessModeConcatMatchesUnbatched) {
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i], batched[i]) << "wave " << i;
   }
+}
+
+// ---- interior frame size under credit pressure ------------------------------
+
+TEST(InteriorFrames, ThreadedFloodCarriesManyPacketsPerFrame) {
+  auto net = Network::create(flood::options(NetworkMode::kThreaded));
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  ASSERT_EQ(stream.id(), 1u);
+  net->run_backends(flood::send_waves);
+  flood::expect_exact_sums_and_full_interior_frames(*net, stream);
+}
+
+TEST(InteriorFrames, ProcessFloodCarriesManyPacketsPerFrame) {
+  NetworkOptions options = flood::options(NetworkMode::kProcess);
+  options.backend_main = flood::send_waves;
+  auto net = Network::create(std::move(options));
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  ASSERT_EQ(stream.id(), 1u);
+  flood::expect_exact_sums_and_full_interior_frames(*net, stream);
 }
 
 // ---- batch send API ---------------------------------------------------------

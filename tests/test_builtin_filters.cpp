@@ -192,6 +192,13 @@ struct TreeReduceCase {
   std::size_t arity;  // inner-node fanout of the simulated tree
 };
 
+// gtest_discover_tests puts the printed parameter into the ctest name; the
+// default byte dump would include the address of `filter`, which changes
+// from build to build.
+void PrintTo(const TreeReduceCase& param, std::ostream* os) {
+  *os << param.filter << "_leaves" << param.leaves << "_arity" << param.arity;
+}
+
 class TreeDecomposition : public ::testing::TestWithParam<TreeReduceCase> {};
 
 TEST_P(TreeDecomposition, TreeFoldEqualsFlatFold) {

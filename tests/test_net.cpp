@@ -9,6 +9,7 @@
 //   * the single-event-loop claim (a thread-count assertion via the
 //     net_threads gauge: an interior node's thread count must not scale
 //     with its socket count the way thread-per-fd readers would),
+//   * interior frame size under a credit-bound flood,
 //   * kill + reconnect: orphan re-adoption over the TCP rendezvous, with
 //     credit gates re-baselined so flow-controlled traffic keeps moving,
 //   * hostile handshakes: malformed, oversized, truncated and silent
@@ -34,6 +35,7 @@
 #include "common/timer.hpp"
 #include "core/network.hpp"
 #include "filters/register.hpp"
+#include "interior_flood.hpp"
 #include "net/event_loop.hpp"
 #include "net/remote.hpp"
 #include "net/wire.hpp"
@@ -204,6 +206,16 @@ TEST(RemoteNetwork, TelemetryAggregatesAndThreadCountIsFlat) {
   // Tree-wide aggregation of the net_* counters happens at the front-end.
   EXPECT_GT(snap.total.net_frames_in, interior->net_frames_in);
   EXPECT_EQ(snap.total.net_handshakes_failed, 0u);
+}
+
+TEST(RemoteNetwork, FloodedInteriorsSendMultiPacketFrames) {
+  // One multi-packet frame is one enqueue, one writev and one readv for the
+  // whole run.
+  auto net = remote_net(Topology::balanced(2, 2), flood::send_waves,
+                        flood::options(NetworkMode::kRemote));
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  ASSERT_EQ(stream.id(), 1u);
+  flood::expect_exact_sums_and_full_interior_frames(*net, stream);
 }
 
 // ---- kill + reconnect over the TCP rendezvous -------------------------------
