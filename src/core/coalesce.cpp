@@ -278,16 +278,4 @@ void BatchFlusher::run(const std::stop_token& token) {
   }
 }
 
-std::shared_ptr<Link> maybe_coalesce(std::shared_ptr<Link> raw,
-                                     const BatchingOptions& options,
-                                     MetricsRegistry* metrics,
-                                     std::shared_ptr<CreditGate> gate,
-                                     const std::shared_ptr<BatchFlusher>& flusher) {
-  if (!options.enabled()) return raw;
-  auto link = std::make_shared<CoalescingLink>(std::move(raw), options, metrics,
-                                               std::move(gate), flusher);
-  if (flusher != nullptr) flusher->attach(link);
-  return link;
-}
-
 }  // namespace tbon

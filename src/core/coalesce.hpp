@@ -227,12 +227,4 @@ class BatchFlusher : public std::enable_shared_from_this<BatchFlusher> {
   std::jthread thread_;
 };
 
-/// Wrap `raw` in a CoalescingLink when `options` enable batching (attaching
-/// it to `flusher` when given); otherwise return `raw` unchanged.
-std::shared_ptr<Link> maybe_coalesce(std::shared_ptr<Link> raw,
-                                     const BatchingOptions& options,
-                                     MetricsRegistry* metrics,
-                                     std::shared_ptr<CreditGate> gate,
-                                     const std::shared_ptr<BatchFlusher>& flusher);
-
 }  // namespace tbon

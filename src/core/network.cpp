@@ -15,25 +15,6 @@ namespace tbon {
 
 using namespace std::chrono_literals;
 
-namespace {
-
-/// Drain hook for a sender-side CreditGate: wake the sender's event loop (a
-/// no-op marker envelope) so registered pending rings get pumped right after
-/// a grant lands.  try_push — a full inbox is an awake inbox.
-std::function<void()> fc_wake_hook(InboxPtr inbox) {
-  return [inbox = std::move(inbox), marker = make_attach_marker_packet()] {
-    inbox->try_push(Envelope{Origin::kParent, 0, marker});
-  };
-}
-
-/// Granter for threaded channels: credits go straight into the shared gate.
-std::function<void(std::uint32_t)> fc_direct_granter(
-    std::shared_ptr<CreditGate> gate) {
-  return [gate = std::move(gate)](std::uint32_t n) { gate->grant(n); };
-}
-
-}  // namespace
-
 // ---- dynamic back-ends --------------------------------------------------------
 
 /// Service loop for a back-end attached after instantiation.  Implements the
@@ -54,6 +35,14 @@ class Network::DynamicLeafService {
   const InboxPtr& inbox() const noexcept { return inbox_; }
   BackEnd& backend() noexcept { return *backend_; }
   void set_up_link(LinkPtr link) { backend_->up_link_ = std::move(link); }
+
+  /// The parent's link down to this service: a bare InprocLink, never the
+  /// channel stack.  The service has no runtime to grant credits, and run()
+  /// reads a packet-less envelope — which is what a coalesced batch looks
+  /// like — as EOF.
+  LinkPtr down_link() const {
+    return std::make_unique<InprocLink>(inbox_, Origin::kParent, 0);
+  }
 
  private:
   void run() {
@@ -136,25 +125,13 @@ BackEnd& Network::attach_backend_at(NodeId parent) {
   std::lock_guard<std::mutex> lock(dynamic_mutex_);
   const std::uint32_t rank = next_dynamic_rank_++;
   auto service = std::make_unique<DynamicLeafService>(rank, registry_);
-  std::shared_ptr<Link> up =
-      std::make_shared<InprocLink>(runtime.inbox(), Origin::kChild, slot);
-  if (fc_options_.enabled) {
-    // Upstream direction only: the lightweight leaf service has no event
-    // loop consumption hook, so the parent->service direction stays
-    // uncontrolled (it carries control replay and modest downstream fan-out).
-    auto gate = std::make_shared<CreditGate>(fc_options_.window());
-    up = std::make_shared<FlowControlledLink>(
-        std::move(up), gate, fc_options_, /*metrics=*/nullptr,
-        /*fail_fast_throws=*/true, runtime.tenants());
-    runtime.set_child_granter(slot, fc_direct_granter(gate));
-  }
   // The handle sends through a relink seam so planned moves can swap the
   // upstream edge underneath the application thread.
-  auto relink = std::make_shared<RelinkableLink>(std::move(up));
+  auto relink = std::make_shared<RelinkableLink>(channels_.inproc(
+      /*sender=*/nullptr, runtime, Origin::kChild, slot, /*app_edge=*/true));
   service->set_up_link(std::make_unique<SharedLink>(relink));
   service->start();
-  runtime.request_attach(
-      slot, rank, std::make_unique<InprocLink>(service->inbox(), Origin::kParent, 0));
+  runtime.request_attach(slot, rank, service->down_link());
   // Teach every ancestor along the *effective* (post-move) topology which
   // child slot now leads to the new rank, so peer messages route from
   // anywhere in the tree.
@@ -468,6 +445,10 @@ void BackEnd::wait_stream_known(std::uint32_t stream_id) {
 void BackEnd::pause_sends() {
   std::lock_guard<std::mutex> lock(send_mutex_);
   sends_paused_ = true;
+  // A coalescer may still hold what the application sent: push it out so it
+  // precedes the fence too.  A static leaf's quiesce ack would flush it as
+  // well (same stack); a dynamic leaf has no runtime ack to do so.
+  if (up_link_) up_link_->flush();
 }
 
 void BackEnd::resume_sends() {
@@ -719,87 +700,36 @@ std::unique_ptr<Network> Network::create_threaded_impl(const NetworkOptions& opt
     net.runtimes_[id] = std::make_unique<NodeRuntime>(topo, id, net.registry_, delegate);
   }
 
-  const FlowControlOptions& fc = options.flow_control;
-  net.fc_options_ = fc;
-  if (fc.enabled) {
-    for (auto& runtime : net.runtimes_) runtime->set_flow_control(fc);
+  if (options.flow_control.enabled) {
+    for (auto& runtime : net.runtimes_) runtime->set_flow_control(options.flow_control);
   }
-  net.batching_ = options.batching;
-  if (net.batching_.enabled()) net.batch_flusher_ = std::make_shared<BatchFlusher>();
+  net.channels_ = ChannelFactory(options.flow_control, options.batching);
   // Parallel filter execution: every runtime learns the options; leaves
   // ignore them (they run no filters), so only non-leaf nodes build pools.
   for (auto& runtime : net.runtimes_) runtime->set_execution(options.execution);
 
-  // Second pass: wire links along every edge.  With flow control on, each
-  // direction of an edge gets a CreditGate shared by the sender's wrapped
-  // link(s) and the receiving runtime's granter.
+  // Second pass: one channel each way along every edge.  A leaf's runtime
+  // and its application threads share the upstream stack, so the control
+  // packets the runtime sends (quiesce and detach acks among them) flush
+  // whatever the application left in its coalescer first.
+  net.backend_relinks_.resize(topo.num_leaves());
   for (NodeId id = 0; id < topo.num_nodes(); ++id) {
     const auto& children = topo.node(id).children;
     for (std::uint32_t slot = 0; slot < children.size(); ++slot) {
       const NodeId child = children[slot];
       NodeRuntime& parent_rt = *net.runtimes_[id];
       NodeRuntime& child_rt = *net.runtimes_[child];
-
-      auto down_inner = std::make_shared<InprocLink>(child_rt.inbox(),
-                                                     Origin::kParent, 0u);
-      auto up_inner = std::make_shared<InprocLink>(parent_rt.inbox(),
-                                                   Origin::kChild, slot);
-      std::shared_ptr<CreditGate> gate_up;
-      if (!fc.enabled) {
-        // Batching interposes between the sender and the raw inbox link so
-        // data packets coalesce into one batch envelope per flush.
-        parent_rt.add_child_link(std::make_unique<SharedLink>(maybe_coalesce(
-            down_inner, net.batching_, &parent_rt.metrics(), nullptr,
-            net.batch_flusher_)));
-        child_rt.set_parent_link(std::make_unique<SharedLink>(maybe_coalesce(
-            up_inner, net.batching_, &child_rt.metrics(), nullptr,
-            net.batch_flusher_)));
-      } else {
-        // Decorator order is FlowControlledLink(CoalescingLink(raw)): every
-        // data packet acquires its credit before it is buffered, and the
-        // coalescer gets the gate so window exhaustion forces a flush.
-        auto gate_down = std::make_shared<CreditGate>(fc.window());
-        gate_down->set_drain_hook(fc_wake_hook(parent_rt.inbox()));
-        auto down = std::make_shared<FlowControlledLink>(
-            maybe_coalesce(down_inner, net.batching_, &parent_rt.metrics(),
-                           gate_down, net.batch_flusher_),
-            gate_down, fc, &parent_rt.metrics(),
-            /*fail_fast_throws=*/false, parent_rt.tenants());
-        parent_rt.register_fc_link(down);
-        parent_rt.add_child_link(std::make_unique<SharedLink>(down));
-        child_rt.set_parent_granter(fc_direct_granter(gate_down));
-
-        gate_up = std::make_shared<CreditGate>(fc.window());
-        gate_up->set_drain_hook(fc_wake_hook(child_rt.inbox()));
-        auto up = std::make_shared<FlowControlledLink>(
-            maybe_coalesce(up_inner, net.batching_, &child_rt.metrics(),
-                           gate_up, net.batch_flusher_),
-            gate_up, fc, &child_rt.metrics(),
-            /*fail_fast_throws=*/false, child_rt.tenants());
-        child_rt.register_fc_link(up);
-        child_rt.set_parent_link(std::make_unique<SharedLink>(up));
-        parent_rt.set_child_granter(slot, fc_direct_granter(gate_up));
-      }
-      if (topo.is_leaf(child)) {
-        // Application threads need their own upstream link to the parent —
-        // with flow control, their own wrapper sharing the channel's credit
-        // window (fail_fast may throw here: this is the application edge).
-        const auto rank = topo.leaf_rank(child);
-        std::shared_ptr<Link> up = maybe_coalesce(
-            std::make_shared<InprocLink>(parent_rt.inbox(), Origin::kChild, slot),
-            net.batching_, &child_rt.metrics(), gate_up, net.batch_flusher_);
-        if (fc.enabled) {
-          auto wrapper = std::make_shared<FlowControlledLink>(
-              std::move(up), gate_up, fc, &child_rt.metrics(),
-              /*fail_fast_throws=*/true, child_rt.tenants());
-          child_rt.register_fc_link(wrapper);
-          up = std::move(wrapper);
-        }
+      parent_rt.add_child_link(std::make_unique<SharedLink>(
+          net.channels_.inproc(&parent_rt, child_rt, Origin::kParent, 0)));
+      const bool leaf = topo.is_leaf(child);
+      auto up = net.channels_.inproc(&child_rt, parent_rt, Origin::kChild, slot,
+                                     /*app_edge=*/leaf);
+      child_rt.set_parent_link(std::make_unique<SharedLink>(up));
+      if (leaf) {
         // Always relinkable: the handle must survive a parent swap whether
         // it comes from re-adoption (failure) or a planned re-home.
-        net.backend_relinks_.resize(topo.num_leaves());
-        net.backend_relinks_[rank] =
-            std::make_shared<RelinkableLink>(std::move(up));
+        const auto rank = topo.leaf_rank(child);
+        net.backend_relinks_[rank] = std::make_shared<RelinkableLink>(std::move(up));
         net.backends_[rank]->up_link_ =
             std::make_unique<SharedLink>(net.backend_relinks_[rank]);
       }
@@ -864,66 +794,37 @@ bool Network::readopt_threaded(NodeRuntime& orphan) {
   if (runtimes_[ancestor]->is_dead()) return false;  // tearing down
   NodeRuntime& adopter = *runtimes_[ancestor];
 
-  const std::uint32_t epoch = orphan.bump_parent_epoch();
-  const std::uint32_t slot = adopter.reserve_child_slot();
+  const std::uint32_t slot =
+      attach_threaded(orphan, adopter, topology_.subtree_leaf_ranks(self));
   TBON_INFO("node " << self << " re-adopted by ancestor " << ancestor
                     << " at slot " << slot);
-  // Queue the adoption at the adopter *before* handing the orphan its new
-  // parent link: the adopter's inbox is FIFO, so the wiring marker is
-  // processed before any data the orphan (or its back-end handle) sends.
-  // With flow control, the new edge gets *fresh* gates (a full re-baselined
-  // window — packets in flight on the dead edge are gone, and so are their
-  // credits) and the granters on both ends are swapped before any data can
-  // flow on the new edge.
-  const FlowControlOptions& fc = fc_options_;
-  std::shared_ptr<Link> down = std::make_shared<InprocLink>(
-      orphan.inbox(), Origin::kParent, epoch);
-  std::shared_ptr<Link> up = std::make_shared<InprocLink>(
-      adopter.inbox(), Origin::kChild, slot);
-  std::shared_ptr<CreditGate> gate_up;
-  if (fc.enabled) {
-    auto gate_down = std::make_shared<CreditGate>(fc.window());
-    gate_down->set_drain_hook(fc_wake_hook(adopter.inbox()));
-    auto down_w = std::make_shared<FlowControlledLink>(
-        std::move(down), gate_down, fc, &adopter.metrics(),
-        /*fail_fast_throws=*/false, adopter.tenants());
-    adopter.register_fc_link(down_w);
-    down = std::move(down_w);
-    orphan.set_parent_granter(fc_direct_granter(gate_down));
-
-    gate_up = std::make_shared<CreditGate>(fc.window());
-    gate_up->set_drain_hook(fc_wake_hook(orphan.inbox()));
-    auto up_w = std::make_shared<FlowControlledLink>(
-        std::move(up), gate_up, fc, &orphan.metrics(),
-        /*fail_fast_throws=*/false, orphan.tenants());
-    orphan.register_fc_link(up_w);
-    up = std::move(up_w);
-    adopter.set_child_granter(slot, fc_direct_granter(gate_up));
-  }
-  adopter.request_adopt(slot, topology_.subtree_leaf_ranks(self),
-                        std::make_unique<SharedLink>(std::move(down)));
-  orphan.set_parent_link(std::make_unique<SharedLink>(std::move(up)));
-  if (topology_.is_leaf(self)) {
-    const auto rank = topology_.leaf_rank(self);
-    if (rank < backend_relinks_.size() && backend_relinks_[rank]) {
-      std::shared_ptr<Link> app_up = std::make_shared<InprocLink>(
-          adopter.inbox(), Origin::kChild, slot);
-      if (fc.enabled) {
-        auto wrapper = std::make_shared<FlowControlledLink>(
-            std::move(app_up), gate_up, fc, &orphan.metrics(),
-            /*fail_fast_throws=*/true, orphan.tenants());
-        orphan.register_fc_link(wrapper);
-        app_up = std::move(wrapper);
-      }
-      backend_relinks_[rank]->relink(std::move(app_up));
-    }
-  }
   edge_slots_.erase({current_parent_[self], self});
   edge_slots_[{ancestor, self}] = slot;
   current_parent_[self] = ancestor;
   ++adoptions_;
   adoption_cv_.notify_all();
   return true;
+}
+
+std::uint32_t Network::attach_threaded(NodeRuntime& node, NodeRuntime& adopter,
+                                       std::vector<std::uint32_t> ranks) {
+  const std::uint32_t epoch = node.bump_parent_epoch();
+  const std::uint32_t slot = adopter.reserve_child_slot();
+  // Queue the adoption at the adopter *before* handing the node its new
+  // parent link: the adopter's inbox is FIFO, so the wiring marker is
+  // processed before any data the node (or its back-end handle) sends.  The
+  // new edge gets fresh gates — a full re-baselined window: packets in flight
+  // on a dead edge are gone with their credits, and a planned move's quiesce
+  // fence drained the old one — and both granters are swapped inside
+  // inproc(), before any data can flow.
+  adopter.request_adopt(slot, std::move(ranks),
+                        std::make_unique<SharedLink>(
+                            channels_.inproc(&adopter, node, Origin::kParent, epoch)));
+  const bool leaf = topology_.is_leaf(node.id());
+  auto up = channels_.inproc(&node, adopter, Origin::kChild, slot, /*app_edge=*/leaf);
+  node.set_parent_link(std::make_unique<SharedLink>(up));
+  if (leaf) backend_relinks_[topology_.leaf_rank(node.id())]->relink(std::move(up));
+  return slot;
 }
 
 bool Network::wait_for_adoptions(std::size_t count, std::chrono::milliseconds timeout) {
@@ -1295,22 +1196,13 @@ bool Network::move_dynamic_leaf(std::uint32_t rank, NodeId new_parent) {
   runtimes_[state.parent]->metrics().reconfig_detaches.fetch_add(
       1, std::memory_order_relaxed);
   const std::uint32_t slot = target.reserve_child_slot();
-  std::shared_ptr<Link> up =
-      std::make_shared<InprocLink>(target.inbox(), Origin::kChild, slot);
-  if (fc_options_.enabled) {
-    // Fresh gate on the new edge: the old edge was drained by the fence, so
-    // the full window re-baselines here.
-    auto gate = std::make_shared<CreditGate>(fc_options_.window());
-    up = std::make_shared<FlowControlledLink>(
-        std::move(up), gate, fc_options_, /*metrics=*/nullptr,
-        /*fail_fast_throws=*/true, target.tenants());
-    target.set_child_granter(slot, fc_direct_granter(gate));
-  }
+  // Fresh gate on the new edge: the fence drained the old edge, so the full
+  // window re-baselines here.
+  auto up = channels_.inproc(/*sender=*/nullptr, target, Origin::kChild, slot,
+                             /*app_edge=*/true);
   // Attach marker first, then relink + resume: the marker is FIFO-ahead of
   // anything the resumed handle can push into the same inbox.
-  target.request_attach(
-      slot, rank,
-      std::make_unique<InprocLink>(state.service->inbox(), Origin::kParent, 0));
+  target.request_attach(slot, rank, state.service->down_link());
   state.relink->relink(std::move(up));
   {
     std::lock_guard<std::mutex> recovery_lock(recovery_mutex_);
@@ -1375,56 +1267,10 @@ bool Network::rehome_threaded(NodeRuntime& mover, NodeId new_parent) {
   if (adopter.is_dead() || mover.is_dead()) return false;
   const NodeId old_parent = current_parent_[self];
 
-  const std::uint32_t epoch = mover.bump_parent_epoch();
-  const std::uint32_t slot = adopter.reserve_child_slot();
-  TBON_INFO("node " << self << " re-homing under node " << new_parent
-                    << " at slot " << slot << " (planned)");
-  // Same rewiring as re-adoption.  Fresh gates are the credit re-baseline:
-  // the quiesce fence drained the old edge, so both directions of the new
-  // edge start with a full window and no stranded credits.
-  const FlowControlOptions& fc = fc_options_;
-  std::shared_ptr<Link> down =
-      std::make_shared<InprocLink>(mover.inbox(), Origin::kParent, epoch);
-  std::shared_ptr<Link> up =
-      std::make_shared<InprocLink>(adopter.inbox(), Origin::kChild, slot);
-  std::shared_ptr<CreditGate> gate_up;
-  if (fc.enabled) {
-    auto gate_down = std::make_shared<CreditGate>(fc.window());
-    gate_down->set_drain_hook(fc_wake_hook(adopter.inbox()));
-    auto down_w = std::make_shared<FlowControlledLink>(
-        std::move(down), gate_down, fc, &adopter.metrics(),
-        /*fail_fast_throws=*/false, adopter.tenants());
-    adopter.register_fc_link(down_w);
-    down = std::move(down_w);
-    mover.set_parent_granter(fc_direct_granter(gate_down));
-
-    gate_up = std::make_shared<CreditGate>(fc.window());
-    gate_up->set_drain_hook(fc_wake_hook(mover.inbox()));
-    auto up_w = std::make_shared<FlowControlledLink>(
-        std::move(up), gate_up, fc, &mover.metrics(),
-        /*fail_fast_throws=*/false, mover.tenants());
-    mover.register_fc_link(up_w);
-    up = std::move(up_w);
-    adopter.set_child_granter(slot, fc_direct_granter(gate_up));
-  }
   const std::vector<std::uint32_t> ranks = mover.served_ranks();
-  adopter.request_adopt(slot, ranks, std::make_unique<SharedLink>(std::move(down)));
-  mover.set_parent_link(std::make_unique<SharedLink>(std::move(up)));
-  if (topology_.is_leaf(self)) {
-    const auto rank = topology_.leaf_rank(self);
-    if (rank < backend_relinks_.size() && backend_relinks_[rank]) {
-      std::shared_ptr<Link> app_up =
-          std::make_shared<InprocLink>(adopter.inbox(), Origin::kChild, slot);
-      if (fc.enabled) {
-        auto wrapper = std::make_shared<FlowControlledLink>(
-            std::move(app_up), gate_up, fc, &mover.metrics(),
-            /*fail_fast_throws=*/true, mover.tenants());
-        mover.register_fc_link(wrapper);
-        app_up = std::move(wrapper);
-      }
-      backend_relinks_[rank]->relink(std::move(app_up));
-    }
-  }
+  const std::uint32_t slot = attach_threaded(mover, adopter, ranks);
+  TBON_INFO("node " << self << " re-homed under node " << new_parent
+                    << " at slot " << slot << " (planned)");
   reroute_ranks_locked(ranks, old_parent, new_parent);
   edge_slots_.erase({old_parent, self});
   edge_slots_[{new_parent, self}] = slot;

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/coalesce.hpp"
+#include "core/channel.hpp"
 #include "core/filter_params.hpp"
 #include "core/node.hpp"
 #include "core/protocol.hpp"
@@ -45,7 +45,8 @@
 namespace tbon {
 
 namespace net {
-class Framing;  // src/net/framing.hpp — the remote mode's TLS-ready seam
+class Framing;      // src/net/framing.hpp — the remote mode's TLS-ready seam
+struct NodeConfig;  // src/net/wire.hpp — what every node process runs under
 }  // namespace net
 
 class Network;
@@ -151,8 +152,8 @@ struct NetworkOptions {
   Topology topology = Topology::single();
   RecoveryOptions recovery;
   TelemetryOptions telemetry;
-  /// Credit-based flow control on every tree channel (both instantiations);
-  /// see src/core/flow_control.hpp and docs/flow_control.md.
+  /// Credit-based flow control on every tree channel (all three
+  /// instantiations); see src/core/flow_control.hpp and docs/flow_control.md.
   FlowControlOptions flow_control;
   /// Parallel filter execution on non-leaf nodes: a per-node worker pool
   /// onto which packets are hash-sharded by stream id, preserving per-stream
@@ -516,9 +517,10 @@ class BackEnd {
 
   /// Reconfiguration quiesce fence: pause_sends() blocks new application
   /// sends AND waits out any in-flight one (it acquires send_mutex_, which
-  /// every send path holds across the link handoff), so after it returns no
-  /// packet can enter the old channel.  resume_sends() releases the fence
-  /// after this leaf's subtree is rewired to its new parent.
+  /// every send path holds across the link handoff), then flushes the
+  /// upstream link, so after it returns no packet can enter the old channel
+  /// and none is left buffered in front of it.  resume_sends() releases the
+  /// fence after this leaf's subtree is rewired to its new parent.
   void pause_sends();
   void resume_sends();
   /// Blocks while paused; every upstream-sending path calls this with
@@ -679,9 +681,15 @@ class Network {
   /// ReconfigOptions::op_timeout_ms expiry.
   bool await_reconfig_ack(std::int64_t op_id, NodeId subject, PacketPtr packet);
   /// Re-home a live interior/leaf runtime under a new parent (threaded
-  /// mode), reusing the adoption rewiring: epoch bump, fresh flow-control
-  /// gates (credit re-baseline), rank re-routing along both parent chains.
+  /// mode), reusing the adoption rewiring plus rank re-routing along both
+  /// parent chains.
   bool rehome_threaded(NodeRuntime& mover, NodeId new_parent);
+  /// The rewiring shared by threaded re-adoption and re-homing: epoch bump,
+  /// a fresh edge under `adopter` serving `ranks` (fresh gates: a full
+  /// re-baselined window), and the leaf handle relinked onto it.  Returns
+  /// the node's child slot at the adopter (recovery_mutex_ held).
+  std::uint32_t attach_threaded(NodeRuntime& node, NodeRuntime& adopter,
+                                std::vector<std::uint32_t> ranks);
   /// attach_backend's engine path, shared with reconfig_add_leaf.
   BackEnd& attach_backend_at(NodeId parent);
   /// Engine-side move of a dynamically attached leaf: its service and
@@ -700,14 +708,26 @@ class Network {
   void adopt_process_orphan(Fd connection, const OrphanHello& hello);
   void adopt_remote_orphan(Fd connection, const OrphanHello& hello);
 
-  // Multi-process instantiation internals (defined in process_network.cpp).
+  // Node processes of the process and remote instantiations (defined in
+  // process_network.cpp).
+  /// What every node process runs under, built from `options` (plus the
+  /// rendezvous endpoint once auto_readopt made one): shipped to remote
+  /// nodes in the bootstrap NodeConfig frame, handed to forked process-mode
+  /// children by reference.
+  net::NodeConfig node_config(const NetworkOptions& options) const;
+  /// Set up a runtime from its NodeConfig: flow control, filter execution,
+  /// heartbeats, its own fault injector, and — in node processes, never at
+  /// the front-end's root — an injected crash that exits the process.
+  static void configure_runtime(NodeRuntime& runtime, const net::NodeConfig& config);
   [[noreturn]] static void run_child_process(
-      const Topology& topology, NodeId id, int parent_fd,
+      const net::NodeConfig& config, NodeId id, int parent_fd, bool tcp_edges,
       const std::function<void(BackEnd&)>& backend_main);
   struct SpawnedChildren;
+  /// Fork `id`'s children.  Each child closes `rendezvous_listener_fd` (the
+  /// front-end's; -1 below the root): only the front-end accepts orphans.
   static SpawnedChildren spawn_children(
-      const Topology& topology, NodeId id, int my_parent_fd,
-      const std::function<void(BackEnd&)>& backend_main);
+      const net::NodeConfig& config, NodeId id, int my_parent_fd, bool tcp_edges,
+      int rendezvous_listener_fd, const std::function<void(BackEnd&)>& backend_main);
 
   Topology topology_;
   FilterRegistry& registry_ = FilterRegistry::instance();
@@ -769,22 +789,19 @@ class Network {
   /// overflow evicts the oldest hint rather than blocking the root runtime.
   BoundedQueue<std::uint32_t> ready_streams_{1 << 16};
 
-  // Batching state: the options every channel was wired with, and the
-  // process-wide deadline-service thread (threaded/remote front-end side;
-  // forked children build their own in run_child_process).
-  BatchingOptions batching_;
-  std::shared_ptr<BatchFlusher> batch_flusher_;
+  /// Builds every channel this process wires: start-up, dynamic attach,
+  /// re-adoption and re-homing alike (node processes build their own).
+  ChannelFactory channels_;
 
   // Recovery state (see src/recovery/).
   RecoveryOptions recovery_;
-  FlowControlOptions fc_options_;
-  std::shared_ptr<FaultInjector> injector_;
+  std::shared_ptr<FaultInjector> injector_;  ///< threaded mode
   /// Effective parent of each node after re-adoptions (recovery_mutex_).
   std::vector<NodeId> current_parent_;
-  /// Per-leaf-rank relinkable upstream link (threaded auto_readopt only),
-  /// so application threads keep sending across a parent swap.
+  /// Per-leaf-rank relink seam over the leaf's one upstream stack (threaded
+  /// mode), so application threads keep sending across a parent swap.
   std::vector<std::shared_ptr<RelinkableLink>> backend_relinks_;
-  std::unique_ptr<RendezvousServer> rendezvous_;  ///< process auto_readopt
+  std::unique_ptr<RendezvousServer> rendezvous_;  ///< process/remote auto_readopt
   mutable std::mutex recovery_mutex_;
   std::condition_variable adoption_cv_;
   std::size_t adoptions_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 
 #include "common/log.hpp"
@@ -91,12 +92,13 @@ void NodeRuntime::request_unroute(std::uint32_t backend_rank) {
 }
 
 void NodeRuntime::request_detach(std::uint32_t slot) {
+  PacketPtr marker = make_attach_marker_packet();
   {
     std::lock_guard<std::mutex> lock(attach_mutex_);
     pending_child_ops_.push_back(
-        {PendingChildOp::Kind::kDetach, slot, 0, {}, nullptr});
+        {PendingChildOp::Kind::kDetach, slot, 0, {}, nullptr, marker});
   }
-  inbox_->push(Envelope{Origin::kParent, 0, make_attach_marker_packet()});
+  inbox_->push(Envelope{Origin::kParent, 0, std::move(marker)});
 }
 
 void NodeRuntime::set_flow_control(const FlowControlOptions& options) {
@@ -241,11 +243,19 @@ void NodeRuntime::set_crash_handler(std::function<void()> handler) {
   crash_handler_ = std::move(handler);
 }
 
-void NodeRuntime::process_pending_attaches() {
+void NodeRuntime::process_pending_attaches(const Packet* marker) {
   std::vector<PendingChildOp> ops;
   {
     std::lock_guard<std::mutex> lock(attach_mutex_);
-    ops.swap(pending_child_ops_);
+    // Everything up to the first detach whose own marker is still behind.
+    auto end = std::find_if(pending_child_ops_.begin(), pending_child_ops_.end(),
+                            [marker](const PendingChildOp& op) {
+                              return op.kind == PendingChildOp::Kind::kDetach &&
+                                     op.marker.get() != marker;
+                            });
+    ops.assign(std::make_move_iterator(pending_child_ops_.begin()),
+               std::make_move_iterator(end));
+    pending_child_ops_.erase(pending_child_ops_.begin(), end);
   }
   // Strict request order.  An unroute+route pair queued by a subtree
   // migration re-points the rank in one drain without losing it, and a
@@ -517,7 +527,7 @@ void NodeRuntime::handle_control(const Envelope& envelope) {
       handle_subscription(envelope, /*added=*/false);
       break;
     case kTagAttachChild:
-      process_pending_attaches();
+      process_pending_attaches(envelope.packet.get());
       break;
     case kTagHeartbeat:
       // Pure liveness traffic: receipt already credited the channel.

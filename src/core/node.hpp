@@ -291,7 +291,9 @@ class NodeRuntime {
   bool topic_routed_to_slot(const StreamLocal& stream, std::uint32_t slot) const;
   void fill_tenant_rollups(NodeTelemetry& record) const noexcept;
   void route_peer_message(const Envelope& envelope);
-  void process_pending_attaches();
+  /// Apply queued topology requests on receipt of a kTagAttachChild
+  /// `marker` (see PendingChildOp).
+  void process_pending_attaches(const Packet* marker);
   void wire_dynamic_child(std::uint32_t slot, std::vector<std::uint32_t> ranks,
                           LinkPtr link);
   void handle_new_stream(const StreamSpec& spec);
@@ -420,6 +422,10 @@ class NodeRuntime {
     std::uint32_t backend_rank = 0;         // attach/route/unroute
     std::vector<std::uint32_t> ranks;       // adopt
     LinkPtr link;                           // attach/adopt
+    /// Detach: the marker that applies it.  Any marker drains the queue, but
+    /// a detach waits for its own, so it never overtakes data the departing
+    /// child pushed into the inbox before the request (the fence flush).
+    PacketPtr marker;
   };
   std::mutex attach_mutex_;
   std::vector<PendingChildOp> pending_child_ops_;

@@ -6,61 +6,70 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "core/coalesce.hpp"
+#include "core/channel.hpp"
 #include "core/delegates.hpp"
 #include "core/fd_link.hpp"
-#include "core/flow_control.hpp"
+#include "net/wire.hpp"
 #include "recovery/adoption.hpp"
 #include "transport/fd.hpp"
 #include "transport/tcp.hpp"
 
 namespace tbon {
 namespace {
-// Configuration for the process tree being spawned.  All of it is set once
-// in create_process before any fork, so every descendant inherits it.
-bool g_tcp_edges = false;
-/// Front-end rendezvous port for orphan re-adoption; 0 = recovery disabled.
-std::uint16_t g_rendezvous_port = 0;
-/// The rendezvous listener fd, closed in every child (only the front-end
-/// accepts; a surviving inherited copy would keep the port alive forever).
-int g_rendezvous_listener_fd = -1;
-HeartbeatConfig g_hb{};
-FaultPlan g_fault_plan{};
-FlowControlOptions g_fc{};
-ExecutionOptions g_exec{};
-BatchingOptions g_batching{};
 
-/// Kernel buffer sizing for a credit-controlled edge: enough for one window
-/// of typical frames, clamped so the defaults never shrink below what the
-/// zero-copy bulk path needs nor balloon into an unaccounted queue.
-std::size_t fc_socket_bytes() {
-  return std::clamp<std::size_t>(std::size_t{g_fc.window()} * 8192,
-                                 std::size_t{256} << 10, std::size_t{4} << 20);
-}
-
-/// Process-mode granter: return credits to the channel's sender in-band.
-/// The frame is exempt control traffic, so it passes any wrapper unimpeded;
-/// the peer's fd reader thread applies it to the sender-side gate.
-std::function<void(std::uint32_t)> fc_frame_granter(std::shared_ptr<Link> link) {
-  return [link = std::move(link)](std::uint32_t n) {
-    link->send(make_credit_packet(n));
-  };
-}
-
-/// Drain hook waking a sender's event loop after a grant (see network.cpp's
-/// threaded twin): a no-op marker envelope, try_push because a full inbox is
-/// an awake inbox.
-std::function<void()> fc_wake_hook(InboxPtr inbox) {
-  return [inbox = std::move(inbox), marker = make_attach_marker_packet()] {
-    inbox->try_push(Envelope{Origin::kParent, 0, marker});
-  };
+/// Wire `runtime`'s child `slot` on socket `fd`: `install` hands the runtime
+/// the channel stack (add_child_link at start-up, request_adopt for an
+/// orphan), and only then does the reader start, so the wiring is queued in
+/// the FIFO inbox ahead of the child's first frame.
+std::jthread wire_child(const ChannelFactory& channels, NodeRuntime& runtime, int fd,
+                        std::uint32_t slot, const std::function<void(LinkPtr)>& install) {
+  const auto gate = channels.socket_gate(fd, runtime);
+  auto raw = std::make_shared<FdLink>(fd, &runtime.metrics());
+  // Grants ride the raw link: exempt control frames that must never wait
+  // behind a coalescer buffer.
+  channels.grant_in_band(runtime, Origin::kChild, slot, raw);
+  install(std::make_unique<SharedLink>(channels.socket_stack(raw, runtime, gate)));
+  return start_fd_reader(fd, runtime.inbox(), Origin::kChild, slot, &runtime.metrics(),
+                         CreditSink{gate, 0});
 }
 
 }  // namespace
+
+// ---- node processes (process and remote modes) ------------------------------
+
+net::NodeConfig Network::node_config(const NetworkOptions& options) const {
+  net::NodeConfig config;
+  config.topology = topology_;
+  config.flow_control = options.flow_control;
+  config.execution = options.execution;
+  config.batching = options.batching;
+  config.heartbeat = options.recovery.heartbeat();
+  config.fault_plan = options.recovery.fault_plan;
+  config.zero_copy = fd_zero_copy();
+  config.handshake_timeout_ms = options.remote.handshake_timeout_ms;
+  if (rendezvous_) config.rendezvous = rendezvous_->endpoint().to_string();
+  return config;
+}
+
+void Network::configure_runtime(NodeRuntime& runtime, const net::NodeConfig& config) {
+  if (config.flow_control.enabled) runtime.set_flow_control(config.flow_control);
+  runtime.set_execution(config.execution);
+  if (config.heartbeat.enabled()) runtime.set_recovery(config.heartbeat);
+  if (!config.fault_plan.empty()) {
+    // Each process builds its own injector from the shipped plan; the
+    // counters are per-process, which is exactly the per-node semantics.
+    runtime.set_fault_injector(std::make_shared<FaultInjector>(config.fault_plan));
+  }
+  if (runtime.role() != NodeRole::kRoot) {
+    // An injected crash must look like a real one: no stack unwinding, no
+    // flushes, no handshakes.
+    runtime.set_crash_handler([] { std::_Exit(0); });
+  }
+}
+
+// ---- process mode -------------------------------------------------------------
 
 struct Network::SpawnedChildren {
   std::vector<Fd> fds;      ///< this process's end of each child edge
@@ -68,10 +77,10 @@ struct Network::SpawnedChildren {
 };
 
 Network::SpawnedChildren Network::spawn_children(
-    const Topology& topology, NodeId id, int my_parent_fd,
-    const std::function<void(BackEnd&)>& backend_main) {
+    const net::NodeConfig& config, NodeId id, int my_parent_fd, bool tcp_edges,
+    int rendezvous_listener_fd, const std::function<void(BackEnd&)>& backend_main) {
   SpawnedChildren spawned;
-  const auto& children = topology.node(id).children;
+  const auto& children = config.topology.node(id).children;
   spawned.fds.reserve(children.size());
   spawned.pids.reserve(children.size());
 
@@ -79,8 +88,16 @@ Network::SpawnedChildren Network::spawn_children(
   std::fflush(stdout);
   std::fflush(stderr);
 
+  // In a child: drop every fd that belongs to other edges, and the
+  // front-end's rendezvous listener (a surviving inherited copy would keep
+  // the port alive forever).
+  const auto close_inherited = [&] {
+    for (Fd& sibling : spawned.fds) sibling.reset();
+    if (my_parent_fd >= 0) ::close(my_parent_fd);
+    if (rendezvous_listener_fd >= 0) ::close(rendezvous_listener_fd);
+  };
   for (const NodeId child : children) {
-    if (g_tcp_edges) {
+    if (tcp_edges) {
       // MRNet's wire: a loopback TCP connection per edge.  The parent
       // listens on an ephemeral port; the child connects after the fork.
       TcpListener listener;
@@ -89,10 +106,9 @@ Network::SpawnedChildren Network::spawn_children(
       if (pid < 0) throw TransportError("fork failed");
       if (pid == 0) {
         listener.close();  // the child only connects
-        for (Fd& sibling : spawned.fds) sibling.reset();
-        if (my_parent_fd >= 0) ::close(my_parent_fd);
+        close_inherited();
         Fd connection = tcp_connect(port);
-        run_child_process(topology, child, connection.release(), backend_main);
+        run_child_process(config, child, connection.release(), tcp_edges, backend_main);
         // unreachable
       }
       spawned.fds.push_back(listener.accept());
@@ -102,12 +118,10 @@ Network::SpawnedChildren Network::spawn_children(
       const pid_t pid = ::fork();
       if (pid < 0) throw TransportError("fork failed");
       if (pid == 0) {
-        // In the child: drop every fd that belongs to other edges, keeping
-        // only our end of our own socketpair.
+        // Keep only our end of our own socketpair.
         mine.reset();
-        for (Fd& sibling : spawned.fds) sibling.reset();
-        if (my_parent_fd >= 0) ::close(my_parent_fd);
-        run_child_process(topology, child, theirs.release(), backend_main);
+        close_inherited();
+        run_child_process(config, child, theirs.release(), tcp_edges, backend_main);
         // unreachable
       }
       theirs.reset();
@@ -118,210 +132,98 @@ Network::SpawnedChildren Network::spawn_children(
   return spawned;
 }
 
-void Network::run_child_process(const Topology& topology, NodeId id, int parent_fd,
+void Network::run_child_process(const net::NodeConfig& config, NodeId id, int parent_fd,
+                                bool tcp_edges,
                                 const std::function<void(BackEnd&)>& backend_main) {
-  if (g_rendezvous_listener_fd >= 0) {
-    ::close(g_rendezvous_listener_fd);
-    g_rendezvous_listener_fd = -1;  // our own children must not re-close it
-  }
+  const Topology& topology = config.topology;
   try {
-    SpawnedChildren spawned = spawn_children(topology, id, parent_fd, backend_main);
+    SpawnedChildren spawned = spawn_children(config, id, parent_fd, tcp_edges,
+                                             /*rendezvous_listener_fd=*/-1, backend_main);
 
-    // Each process services its own coalescer deadlines (the thread starts
-    // lazily on the first attach, safely after all the forks above).
-    auto flusher = std::make_shared<BatchFlusher>();
-
-    std::shared_ptr<FaultInjector> injector;
-    if (!g_fault_plan.empty()) {
-      // Each process builds its own injector from the inherited plan; the
-      // counters are per-process, which is exactly the per-node semantics.
-      injector = std::make_shared<FaultInjector>(g_fault_plan);
+    const bool leaf = topology.is_leaf(id);
+    std::unique_ptr<BackEnd> backend;
+    std::unique_ptr<BackEndDelegate> delegate;
+    if (leaf) {
+      backend.reset(new BackEnd(topology.leaf_rank(id), nullptr));
+      delegate = std::make_unique<BackEndDelegate>(*backend);
     }
+    NodeRuntime runtime(topology, id, FilterRegistry::instance(), delegate.get());
+    configure_runtime(runtime, config);
+    // Each process services its own coalescer deadlines (the flusher thread
+    // starts on the first stack built, safely after all the forks above).
+    const ChannelFactory channels(config.flow_control, config.batching);
 
     // Connections opened by re-adoption; must outlive the reader threads
     // and links that borrow the raw fds, hence declared first.
     std::vector<Fd> adopted_fds;
     std::vector<std::jthread> readers;
-    if (topology.is_leaf(id)) {
-      const auto rank = topology.leaf_rank(id);
-      // The back-end handle and the runtime share one frame-atomic link; a
-      // relinkable wrapper lets re-adoption swap the channel underneath
-      // both without either noticing.  (The runtime exists first so links
-      // and readers can account wire bytes into its metrics.)
-      BackEnd backend(rank, nullptr);
-      BackEndDelegate delegate(backend);
-      NodeRuntime runtime(topology, id, FilterRegistry::instance(), &delegate);
-      if (g_fc.enabled) runtime.set_flow_control(g_fc);
-      auto parent_raw = std::make_shared<FdLink>(parent_fd, &runtime.metrics());
-      // Upstream gate: survives re-adoption (reset to a full window when the
-      // edge is replaced) so the back-end handle never dangles mid-send.
-      std::shared_ptr<CreditGate> gate_up;
-      std::shared_ptr<Link> channel;
-      if (g_fc.enabled) {
-        set_socket_buffers(parent_fd, fc_socket_bytes());
-        gate_up = std::make_shared<CreditGate>(g_fc.window());
-        gate_up->set_drain_hook(fc_wake_hook(runtime.inbox()));
-        // FlowControlledLink(CoalescingLink(raw)): credits are accounted
-        // per packet before buffering, and the gate drives pressure flushes.
-        auto up = std::make_shared<FlowControlledLink>(
-            maybe_coalesce(parent_raw, g_batching, &runtime.metrics(), gate_up,
-                           flusher),
-            gate_up, g_fc, &runtime.metrics(), /*fail_fast_throws=*/true,
-            runtime.tenants());
-        runtime.register_fc_link(up);
-        channel = up;
+    // The upstream gate survives re-adoption (reset to a full window when
+    // the edge is replaced) so a back-end handle never dangles mid-send.
+    std::shared_ptr<CreditGate> gate_up;
+    std::shared_ptr<RelinkableLink> relink;
+    // Wire the parent edge on `fd`: at start-up, and again on re-adoption.
+    const auto wire_parent = [&](int fd, std::uint32_t epoch) {
+      gate_up = channels.socket_gate(fd, runtime, gate_up);
+      auto raw = std::make_shared<FdLink>(fd, &runtime.metrics());
+      auto up = channels.socket_stack(raw, runtime, gate_up, /*app_edge=*/leaf);
+      if (!leaf) {
+        runtime.set_parent_link(std::make_unique<SharedLink>(std::move(up)));
+        channels.grant_in_band(runtime, Origin::kParent, 0, raw);
+      } else if (relink) {
+        relink->relink(std::move(up));
       } else {
-        channel = maybe_coalesce(parent_raw, g_batching, &runtime.metrics(),
-                                 nullptr, flusher);
+        // The back-end handle and the runtime share one stack behind a
+        // relinkable seam: re-adoption swaps the channel underneath both.
+        // Grants ride the seam too, so they follow the live edge.
+        relink = std::make_shared<RelinkableLink>(std::move(up));
+        backend->up_link_ = std::make_unique<SharedLink>(relink);
+        runtime.set_parent_link(std::make_unique<SharedLink>(relink));
+        channels.grant_in_band(runtime, Origin::kParent, 0, relink);
       }
-      auto relink = std::make_shared<RelinkableLink>(channel);
-      backend.up_link_ = std::make_unique<SharedLink>(relink);
-      runtime.set_parent_link(std::make_unique<SharedLink>(relink));
-      // Grants for downstream traffic ride the relink so they follow the
-      // live edge across re-adoptions (the credit frame is exempt traffic).
-      if (g_fc.enabled) runtime.set_parent_granter(fc_frame_granter(relink));
-      if (injector) runtime.set_fault_injector(injector);
-      // An injected crash must look like a real one: no stack unwinding, no
-      // flushes, no handshakes.
-      runtime.set_crash_handler([] { std::_Exit(0); });
-      if (g_hb.enabled()) runtime.set_recovery(g_hb);
-      if (g_rendezvous_port != 0) {
-        runtime.set_orphan_handler([&, rank](NodeRuntime& self) {
-          try {
-            const std::uint32_t epoch = self.bump_parent_epoch();
-            Fd fd = orphan_reconnect(g_rendezvous_port, OrphanHello{id, {rank}});
-            // The hello frame is already on the wire (FIFO), so the
-            // front-end wires our slot before any data sent from here on.
-            auto fresh_raw = std::make_shared<FdLink>(fd.get(), &self.metrics());
-            std::shared_ptr<Link> fresh = fresh_raw;
-            if (gate_up) {
-              // Re-baseline: the adopter granted nothing yet, so start the
-              // new edge with a full window and a fresh wrapper.
-              set_socket_buffers(fd.get(), fc_socket_bytes());
-              gate_up->reset();
-              auto wrapped = std::make_shared<FlowControlledLink>(
-                  fresh_raw, gate_up, g_fc, &self.metrics(),
-                  /*fail_fast_throws=*/true, self.tenants());
-              self.register_fc_link(wrapped);
-              fresh = wrapped;
-            }
-            relink->relink(std::move(fresh));
-            readers.push_back(start_fd_reader(fd.get(), self.inbox(),
-                                              Origin::kParent, epoch,
-                                              &self.metrics(),
-                                              CreditSink{gate_up, 0}));
-            adopted_fds.push_back(std::move(fd));
-            return true;
-          } catch (const std::exception& error) {
-            TBON_WARN("back-end " << rank << " re-adoption failed: " << error.what());
-            return false;
-          }
-        });
-      }
-      readers.push_back(start_fd_reader(parent_fd, runtime.inbox(), Origin::kParent,
-                                        0, &runtime.metrics(),
-                                        CreditSink{gate_up, 0}));
-      {
-        std::jthread service([&runtime] { runtime.run(); });
-        backend_main(backend);
-        // The runtime exits when the shutdown handshake completes.
-      }
-    } else {
-      NodeRuntime runtime(topology, id, FilterRegistry::instance(), nullptr);
-      if (g_fc.enabled) runtime.set_flow_control(g_fc);
-      runtime.set_execution(g_exec);
-      auto parent_raw = std::make_shared<FdLink>(parent_fd, &runtime.metrics());
-      std::shared_ptr<CreditGate> gate_up;
-      if (g_fc.enabled) {
-        set_socket_buffers(parent_fd, fc_socket_bytes());
-        gate_up = std::make_shared<CreditGate>(g_fc.window());
-        gate_up->set_drain_hook(fc_wake_hook(runtime.inbox()));
-        auto up = std::make_shared<FlowControlledLink>(
-            maybe_coalesce(parent_raw, g_batching, &runtime.metrics(), gate_up,
-                           flusher),
-            gate_up, g_fc, &runtime.metrics(),
-            /*fail_fast_throws=*/false, runtime.tenants());
-        runtime.register_fc_link(up);
-        runtime.set_parent_link(std::make_unique<SharedLink>(up));
-        // Grants ride the raw link: exempt control frames that must never
-        // wait behind a coalescer buffer.
-        runtime.set_parent_granter(fc_frame_granter(parent_raw));
-      } else {
-        runtime.set_parent_link(std::make_unique<SharedLink>(maybe_coalesce(
-            parent_raw, g_batching, &runtime.metrics(), nullptr, flusher)));
-      }
-      if (injector) runtime.set_fault_injector(injector);
-      runtime.set_crash_handler([] { std::_Exit(0); });
-      if (g_hb.enabled()) runtime.set_recovery(g_hb);
-      if (g_rendezvous_port != 0) {
-        runtime.set_orphan_handler([&](NodeRuntime& self) {
-          try {
-            const std::uint32_t epoch = self.bump_parent_epoch();
-            Fd fd = orphan_reconnect(
-                g_rendezvous_port,
-                OrphanHello{id, topology.subtree_leaf_ranks(id)});
-            auto fresh_raw = std::make_shared<FdLink>(fd.get(), &self.metrics());
-            std::shared_ptr<Link> fresh = fresh_raw;
-            if (gate_up) {
-              set_socket_buffers(fd.get(), fc_socket_bytes());
-              gate_up->reset();
-              auto wrapped = std::make_shared<FlowControlledLink>(
-                  fresh_raw, gate_up, g_fc, &self.metrics(),
-                  /*fail_fast_throws=*/false, self.tenants());
-              self.register_fc_link(wrapped);
-              fresh = wrapped;
-              self.set_parent_granter(fc_frame_granter(fresh_raw));
-            }
-            self.set_parent_link(std::make_unique<SharedLink>(std::move(fresh)));
-            readers.push_back(start_fd_reader(fd.get(), self.inbox(),
-                                              Origin::kParent, epoch,
-                                              &self.metrics(),
-                                              CreditSink{gate_up, 0}));
-            adopted_fds.push_back(std::move(fd));
-            return true;
-          } catch (const std::exception& error) {
-            TBON_WARN("node " << id << " re-adoption failed: " << error.what());
-            return false;
-          }
-        });
-      }
-      readers.push_back(start_fd_reader(parent_fd, runtime.inbox(), Origin::kParent,
-                                        0, &runtime.metrics(),
-                                        CreditSink{gate_up, 0}));
-      for (std::uint32_t slot = 0; slot < spawned.fds.size(); ++slot) {
-        const int fd = spawned.fds[slot].get();
-        std::shared_ptr<CreditGate> gate_down;
-        auto child_raw = std::make_shared<FdLink>(fd, &runtime.metrics());
-        if (g_fc.enabled) {
-          set_socket_buffers(fd, fc_socket_bytes());
-          gate_down = std::make_shared<CreditGate>(g_fc.window());
-          gate_down->set_drain_hook(fc_wake_hook(runtime.inbox()));
-          auto down = std::make_shared<FlowControlledLink>(
-              maybe_coalesce(child_raw, g_batching, &runtime.metrics(),
-                             gate_down, flusher),
-              gate_down, g_fc, &runtime.metrics(),
-              /*fail_fast_throws=*/false, runtime.tenants());
-          runtime.register_fc_link(down);
-          runtime.add_child_link(std::make_unique<SharedLink>(down));
-          runtime.set_child_granter(slot, fc_frame_granter(child_raw));
-        } else {
-          runtime.add_child_link(std::make_unique<SharedLink>(maybe_coalesce(
-              child_raw, g_batching, &runtime.metrics(), nullptr, flusher)));
+      readers.push_back(start_fd_reader(fd, runtime.inbox(), Origin::kParent, epoch,
+                                        &runtime.metrics(), CreditSink{gate_up, 0}));
+    };
+    wire_parent(parent_fd, 0);
+    if (!config.rendezvous.empty()) {
+      runtime.set_orphan_handler([&](NodeRuntime& self) {
+        try {
+          const std::uint32_t epoch = self.bump_parent_epoch();
+          Fd fd = orphan_reconnect(parse_endpoint(config.rendezvous),
+                                   OrphanHello{id, topology.subtree_leaf_ranks(id)});
+          // The hello frame is already on the wire (FIFO), so the front-end
+          // wires our slot before any data sent from here on.
+          wire_parent(fd.get(), epoch);
+          adopted_fds.push_back(std::move(fd));
+          return true;
+        } catch (const std::exception& error) {
+          TBON_WARN("node " << id << " re-adoption failed: " << error.what());
+          return false;
         }
-        readers.push_back(start_fd_reader(fd, runtime.inbox(), Origin::kChild, slot,
-                                          &runtime.metrics(),
-                                          CreditSink{gate_down, 0}));
-      }
+      });
+    }
+    for (std::uint32_t slot = 0; slot < spawned.fds.size(); ++slot) {
+      readers.push_back(
+          wire_child(channels, runtime, spawned.fds[slot].get(), slot,
+                     [&](LinkPtr link) { runtime.add_child_link(std::move(link)); }));
+    }
+    if (leaf) {
+      std::jthread service([&runtime] { runtime.run(); });
+      backend_main(*backend);
+      // The runtime exits when the shutdown handshake completes.
+    } else {
       runtime.run();
     }
 
-    // Reap our direct children, then drop our fds so readers see EOF.
+    // Reap our direct children.  Their exit closes the far end of every
+    // child edge, and our parent shut its end of ours down when its runtime
+    // exited, so every reader reaches EOF: join them before closing the fds
+    // they read.
     for (const int pid : spawned.pids) {
       int status = 0;
       ::waitpid(pid, &status, 0);
     }
-    spawned.fds.clear();
     readers.clear();  // join
+    spawned.fds.clear();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "tbon child process %u failed: %s\n", id, error.what());
     std::fflush(stderr);
@@ -345,29 +247,9 @@ void Network::adopt_process_orphan(Fd connection, const OrphanHello& hello) {
   if (hello.node < current_parent_.size()) {
     current_parent_[hello.node] = topology_.root();
   }
-  // Queue the wiring marker before starting the reader: the root's inbox is
-  // FIFO, so the slot is wired before any data frame from the orphan.
-  std::shared_ptr<CreditGate> gate_down;
-  if (fc_options_.enabled) {
-    set_socket_buffers(raw, std::clamp<std::size_t>(
-        std::size_t{fc_options_.window()} * 8192, std::size_t{256} << 10,
-        std::size_t{4} << 20));
-    auto child_raw = std::make_shared<FdLink>(raw, &root.metrics());
-    gate_down = std::make_shared<CreditGate>(fc_options_.window());
-    gate_down->set_drain_hook(fc_wake_hook(root.inbox()));
-    auto down = std::make_shared<FlowControlledLink>(
-        child_raw, gate_down, fc_options_, &root.metrics(),
-        /*fail_fast_throws=*/false, root.tenants());
-    root.register_fc_link(down);
-    root.set_child_granter(slot, fc_frame_granter(child_raw));
-    root.request_adopt(slot, hello.ranks, std::make_unique<SharedLink>(down));
-  } else {
-    root.request_adopt(slot, hello.ranks,
-                       std::make_unique<FdLink>(raw, &root.metrics()));
-  }
-  reader_threads_.push_back(
-      start_fd_reader(raw, root.inbox(), Origin::kChild, slot, &root.metrics(),
-                      CreditSink{gate_down, 0}));
+  reader_threads_.push_back(wire_child(channels_, root, raw, slot, [&](LinkPtr link) {
+    root.request_adopt(slot, hello.ranks, std::move(link));
+  }));
   process_child_fds_.push_back(raw);
   ++adoptions_;
   adoption_cv_.notify_all();
@@ -377,22 +259,13 @@ std::unique_ptr<Network> Network::create_process_impl(const NetworkOptions& opti
   if (!options.backend_main) {
     throw ProtocolError("NetworkOptions::backend_main is required in process mode");
   }
-  const std::function<void(BackEnd&)>& backend_main = options.backend_main;
-  g_tcp_edges = options.tcp_edges;
-  g_hb = options.recovery.heartbeat();
-  g_fault_plan = options.recovery.fault_plan;
-  g_fc = options.flow_control;
-  g_exec = options.execution;
-  g_batching = options.batching;
   auto network = std::unique_ptr<Network>(new Network(options.topology));
   Network& net = *network;
   net.process_mode_ = true;
   net.recovery_ = options.recovery;
-  net.fc_options_ = options.flow_control;
-  net.batching_ = options.batching;
-  // The deadline-service thread starts lazily on the first attach, which
+  // The deadline-service thread starts on the first stack built, which
   // happens only after every fork below (threads don't survive fork).
-  net.batch_flusher_ = std::make_shared<BatchFlusher>();
+  net.channels_ = ChannelFactory(options.flow_control, options.batching);
   const Topology& topo = net.topology_;
 
   if (net.recovery_.auto_readopt) {
@@ -400,12 +273,10 @@ std::unique_ptr<Network> Network::create_process_impl(const NetworkOptions& opti
     // the acceptor thread starts only after all forks (threads don't
     // survive fork).
     net.rendezvous_ = std::make_unique<RendezvousServer>();
-    g_rendezvous_port = net.rendezvous_->port();
-    g_rendezvous_listener_fd = net.rendezvous_->listener_fd();
-  } else {
-    g_rendezvous_port = 0;
-    g_rendezvous_listener_fd = -1;
   }
+  // Every descendant reads this through the reference spawn_children hands
+  // down; it lives in this frame, which no forked child ever leaves.
+  const net::NodeConfig config = net.node_config(options);
 
   net.root_delegate_ = std::make_unique<RootDelegate>(net);
   net.runtimes_.resize(topo.num_nodes());
@@ -413,38 +284,16 @@ std::unique_ptr<Network> Network::create_process_impl(const NetworkOptions& opti
       std::make_unique<NodeRuntime>(topo, topo.root(), net.registry_,
                                     net.root_delegate_.get());
   NodeRuntime& root = *net.runtimes_[topo.root()];
-  if (!g_fault_plan.empty()) {
-    net.injector_ = std::make_shared<FaultInjector>(g_fault_plan);
-    root.set_fault_injector(net.injector_);
-  }
-  if (g_hb.enabled()) root.set_recovery(g_hb);
-  if (g_fc.enabled) root.set_flow_control(g_fc);
-  root.set_execution(g_exec);
+  configure_runtime(root, config);
 
-  SpawnedChildren spawned = spawn_children(topo, topo.root(), -1, backend_main);
+  SpawnedChildren spawned =
+      spawn_children(config, topo.root(), -1, options.tcp_edges,
+                     net.rendezvous_ ? net.rendezvous_->listener_fd() : -1,
+                     options.backend_main);
   for (std::uint32_t slot = 0; slot < spawned.fds.size(); ++slot) {
-    const int fd = spawned.fds[slot].get();
-    std::shared_ptr<CreditGate> gate_down;
-    auto child_raw = std::make_shared<FdLink>(fd, &root.metrics());
-    if (g_fc.enabled) {
-      set_socket_buffers(fd, fc_socket_bytes());
-      gate_down = std::make_shared<CreditGate>(g_fc.window());
-      gate_down->set_drain_hook(fc_wake_hook(root.inbox()));
-      auto down = std::make_shared<FlowControlledLink>(
-          maybe_coalesce(child_raw, g_batching, &root.metrics(), gate_down,
-                         net.batch_flusher_),
-          gate_down, g_fc, &root.metrics(), /*fail_fast_throws=*/false,
-          root.tenants());
-      root.register_fc_link(down);
-      root.add_child_link(std::make_unique<SharedLink>(down));
-      root.set_child_granter(slot, fc_frame_granter(child_raw));
-    } else {
-      root.add_child_link(std::make_unique<SharedLink>(maybe_coalesce(
-          child_raw, g_batching, &root.metrics(), nullptr, net.batch_flusher_)));
-    }
     net.reader_threads_.push_back(
-        start_fd_reader(fd, root.inbox(), Origin::kChild, slot, &root.metrics(),
-                        CreditSink{gate_down, 0}));
+        wire_child(net.channels_, root, spawned.fds[slot].get(), slot,
+                   [&](LinkPtr link) { root.add_child_link(std::move(link)); }));
   }
   for (Fd& fd : spawned.fds) net.process_child_fds_.push_back(fd.release());
   net.child_pids_ = std::move(spawned.pids);

@@ -34,10 +34,9 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
-#include "core/coalesce.hpp"
+#include "core/channel.hpp"
 #include "core/delegates.hpp"
 #include "core/fd_link.hpp"
-#include "core/flow_control.hpp"
 #include "core/protocol.hpp"
 #include "net/event_loop.hpp"
 #include "net/wire.hpp"
@@ -48,28 +47,18 @@
 namespace tbon {
 namespace {
 
-// ---- flow-control plumbing (the process-mode helpers, parameterized) --------
-
-std::size_t fc_socket_bytes(const FlowControlOptions& fc) {
-  return std::clamp<std::size_t>(std::size_t{fc.window()} * 8192,
-                                 std::size_t{256} << 10, std::size_t{4} << 20);
-}
-
-/// Return credits to the channel's sender in-band; the frame is exempt
-/// control traffic, so it passes wrappers unimpeded and its enqueue never
-/// blocks the granting thread.
-std::function<void(std::uint32_t)> fc_frame_granter(std::shared_ptr<Link> link) {
-  return [link = std::move(link)](std::uint32_t n) {
-    link->send(make_credit_packet(n));
-  };
-}
-
-/// Drain hook waking a sender's event loop after a grant: a no-op marker
-/// envelope, try_push because a full inbox is an awake inbox.
-std::function<void()> fc_wake_hook(InboxPtr inbox) {
-  return [inbox = std::move(inbox), marker = make_attach_marker_packet()] {
-    inbox->try_push(Envelope{Origin::kParent, 0, marker});
-  };
+/// A packet-plane channel delivering into `runtime`'s inbox as (origin,
+/// slot), crediting `gate` with the grant frames the peer sends on it.
+net::ChannelOptions channel_into(NodeRuntime& runtime, Origin origin, std::uint32_t slot,
+                                 const std::shared_ptr<CreditGate>& gate,
+                                 const net::FramingFactory& framing) {
+  net::ChannelOptions options;
+  options.inbox = runtime.inbox();
+  options.origin = origin;
+  options.slot = slot;
+  options.credits = CreditSink{gate, 0};
+  if (framing) options.framing = framing();
+  return options;
 }
 
 /// The host part of a placement spec ("host" or "host:port").
@@ -106,14 +95,6 @@ void spawn_command(const std::vector<std::string>& argv) {
 
 // ---- front-end side state ---------------------------------------------------
 
-/// One root-child edge, built as its LinkHello arrives (out of order) and
-/// wired into the root runtime in slot order once all have arrived.
-struct RootChild {
-  std::shared_ptr<Link> raw;      ///< the NetLink itself (credit grant target)
-  std::shared_ptr<Link> channel;  ///< raw, or the flow-controlled wrapper
-  std::shared_ptr<FlowControlledLink> fc_link;
-};
-
 /// Everything the front-end's side of the remote instantiation owns, stored
 /// type-erased in Network::remote_state_ so core headers stay independent of
 /// the net subsystem.  The EventLoop must be constructed after every fork
@@ -122,9 +103,7 @@ struct RootChild {
 /// are moved in.
 struct RemoteState {
   net::EventLoop loop;
-  FlowControlOptions fc;
-  BatchingOptions batching;
-  std::shared_ptr<BatchFlusher> flusher;  ///< deadline service, FE side
+  const ChannelFactory* channels = nullptr;  ///< the Network's
   std::function<std::shared_ptr<net::Framing>()> framing;
   std::unique_ptr<TcpListener> boot_listener;
   std::unique_ptr<TcpListener> link_listener;
@@ -142,7 +121,9 @@ struct RemoteState {
   };
   std::unordered_map<NodeId, NodeBoot> boots;
   std::unordered_map<NodeId, std::string> child_endpoint;  ///< "host:port"
-  std::vector<RootChild> root_children;                    ///< slot-indexed
+  /// Root-child channel stacks, built as LinkHellos arrive (out of order)
+  /// and wired into the root runtime in slot order once all have arrived.
+  std::vector<std::shared_ptr<Link>> root_children;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -265,14 +246,14 @@ void fe_link_hello(RemoteState* st, const net::ConnRef& conn, const Bytes& frame
                         ", which is not a root child");
   }
   const auto slot = static_cast<std::uint32_t>(pos - children.begin());
-  if (st->root_children[slot].channel) {
+  if (st->root_children[slot]) {
     throw ProtocolError("duplicate link hello for root child slot " +
                         std::to_string(slot));
   }
   const auto version = net::negotiate_version(hello.ver_min, hello.ver_max,
                                               net::kProtoMin, net::kProtoMax);
   if (!version) throw ProtocolError("link protocol version mismatch");
-  const std::uint32_t window = st->fc.enabled ? st->fc.window() : 0;
+  const std::uint32_t window = st->channels->credit_window();
   if (hello.credit_window != window) {
     throw ProtocolError("credit window mismatch on root child link: theirs " +
                         std::to_string(hello.credit_window) + ", ours " +
@@ -283,33 +264,13 @@ void fe_link_hello(RemoteState* st, const net::ConnRef& conn, const Bytes& frame
   // enough even though promote() follows immediately.
   st->loop.send_frame(conn, net::encode_link_welcome(net::LinkWelcome{
                                 *version, st->topology.root(), slot, window}));
-  net::ChannelOptions channel;
-  channel.inbox = st->root->inbox();
-  channel.origin = Origin::kChild;
-  channel.slot = slot;
-  std::shared_ptr<CreditGate> gate_down;
-  if (st->fc.enabled) {
-    set_socket_buffers(conn->fd(), fc_socket_bytes(st->fc));
-    gate_down = std::make_shared<CreditGate>(st->fc.window());
-    gate_down->set_drain_hook(fc_wake_hook(st->root->inbox()));
-    channel.credits = CreditSink{gate_down, 0};
-  }
-  if (st->framing) channel.framing = st->framing();
-  st->loop.promote(conn, std::move(channel));
-
-  RootChild edge;
-  edge.raw = st->loop.link(conn);
-  // FlowControlledLink(CoalescingLink(raw)): credits per packet before
-  // buffering; the gate drives the coalescer's pressure flush.
-  edge.channel = maybe_coalesce(edge.raw, st->batching, &st->root->metrics(),
-                                gate_down, st->flusher);
-  if (st->fc.enabled) {
-    edge.fc_link = std::make_shared<FlowControlledLink>(
-        edge.channel, gate_down, st->fc, &st->root->metrics(),
-        /*fail_fast_throws=*/false, st->root->tenants());
-    edge.channel = edge.fc_link;
-  }
-  st->root_children[slot] = std::move(edge);
+  const auto gate = st->channels->socket_gate(conn->fd(), *st->root);
+  st->loop.promote(conn, channel_into(*st->root, Origin::kChild, slot, gate, st->framing));
+  // Granter and pump registration are thread-safe; the link itself joins
+  // the root runtime later, in slot order.
+  const auto raw = st->loop.link(conn);
+  st->channels->grant_in_band(*st->root, Origin::kChild, slot, raw);
+  st->root_children[slot] = st->channels->socket_stack(raw, *st->root, gate);
   {
     std::lock_guard<std::mutex> lock(st->mutex);
     ++st->link_count;
@@ -369,15 +330,17 @@ void Network::run_remote_node(
     }
     const net::NodeConfig config = net::decode_node_config(*config_frame);
     set_fd_zero_copy(config.zero_copy);
-    const Topology topo = config.topology;
+    const Topology& topo = config.topology;
     if (id >= topo.num_nodes() || id == topo.root()) {
       throw ProtocolError("node id " + std::to_string(id) +
                           " is not a non-root node of the shipped topology");
     }
     const bool leaf = topo.is_leaf(id);
     const auto& children = topo.node(id).children;
-    const std::uint32_t window =
-        config.flow_control.enabled ? config.flow_control.window() : 0;
+    // Each node process services its own coalescer deadlines (the flusher
+    // thread starts on the first stack built).
+    const ChannelFactory channels(config.flow_control, config.batching);
+    const std::uint32_t window = channels.credit_window();
 
     // Bind the child-facing listener before reporting it, then report it
     // before dialing the parent: our children can be told where to find us
@@ -448,210 +411,87 @@ void Network::run_remote_node(
     }
 
     // All edges are sockets now; build the runtime and hand every fd to one
-    // EventLoop.  Declared after the runtime so the loop stops first if an
-    // exception unwinds.  Each node process services its own coalescer
-    // deadlines (the flusher thread starts lazily on first attach).
-    auto flusher = std::make_shared<BatchFlusher>();
+    // EventLoop, declared after the runtime so the loop stops first if an
+    // exception unwinds.
+    std::unique_ptr<BackEnd> backend;
+    std::unique_ptr<BackEndDelegate> delegate;
     if (leaf) {
-      const auto rank = topo.leaf_rank(id);
-      BackEnd backend(rank, nullptr);
-      BackEndDelegate delegate(backend);
-      NodeRuntime runtime(topo, id, FilterRegistry::instance(), &delegate);
-      if (config.flow_control.enabled) runtime.set_flow_control(config.flow_control);
-      runtime.set_execution(config.execution);
-      net::EventLoop loop(&runtime.metrics());
-      std::shared_ptr<CreditGate> gate_up;
-      net::ChannelOptions up;
-      up.inbox = runtime.inbox();
-      up.origin = Origin::kParent;
-      up.slot = 0;
-      if (config.flow_control.enabled) {
-        set_socket_buffers(parent_fd.get(), fc_socket_bytes(config.flow_control));
-        gate_up = std::make_shared<CreditGate>(config.flow_control.window());
-        gate_up->set_drain_hook(fc_wake_hook(runtime.inbox()));
-        up.credits = CreditSink{gate_up, 0};
-      }
-      if (framing) up.framing = framing();
-      auto parent_raw = loop.add_channel(std::move(parent_fd), std::move(up));
-      std::shared_ptr<Link> channel = maybe_coalesce(
-          parent_raw, config.batching, &runtime.metrics(), gate_up, flusher);
-      if (config.flow_control.enabled) {
-        auto wrapped = std::make_shared<FlowControlledLink>(
-            channel, gate_up, config.flow_control, &runtime.metrics(),
-            /*fail_fast_throws=*/true, runtime.tenants());
-        runtime.register_fc_link(wrapped);
-        channel = wrapped;
-      }
-      auto relink = std::make_shared<RelinkableLink>(channel);
-      backend.up_link_ = std::make_unique<SharedLink>(relink);
-      runtime.set_parent_link(std::make_unique<SharedLink>(relink));
-      if (config.flow_control.enabled) {
-        runtime.set_parent_granter(fc_frame_granter(relink));
-      }
-      runtime.set_crash_handler([] { std::_Exit(0); });
-      if (config.heartbeat.enabled()) runtime.set_recovery(config.heartbeat);
-      if (!config.rendezvous.empty()) {
-        runtime.set_orphan_handler([&, rank](NodeRuntime& self) {
-          try {
-            const std::uint32_t epoch = self.bump_parent_epoch();
-            Fd fd = orphan_reconnect(parse_endpoint(config.rendezvous),
-                                     OrphanHello{id, {rank}});
-            net::ChannelOptions re;
-            re.inbox = self.inbox();
-            re.origin = Origin::kParent;
-            re.slot = epoch;
-            if (gate_up) {
-              // Re-baseline: the adopter granted nothing yet, so the new
-              // edge starts with a full window and a fresh wrapper.
-              set_socket_buffers(fd.get(), fc_socket_bytes(config.flow_control));
-              gate_up->reset();
-              re.credits = CreditSink{gate_up, 0};
-            }
-            if (framing) re.framing = framing();
-            re.paused = true;
-            net::ConnRef conn;
-            auto fresh_raw = loop.add_channel(std::move(fd), std::move(re), &conn);
-            std::shared_ptr<Link> fresh = fresh_raw;
-            if (gate_up) {
-              auto wrapped = std::make_shared<FlowControlledLink>(
-                  fresh_raw, gate_up, config.flow_control, &self.metrics(),
-                  /*fail_fast_throws=*/true, self.tenants());
-              self.register_fc_link(wrapped);
-              fresh = wrapped;
-            }
-            relink->relink(std::move(fresh));
-            loop.resume(conn);
-            self.metrics().net_reconnects.fetch_add(1, std::memory_order_relaxed);
-            return true;
-          } catch (const std::exception& error) {
-            TBON_WARN("back-end " << rank << " re-adoption failed: " << error.what());
-            return false;
-          }
-        });
-      }
-      loop.start();
-      write_frame(boot.get(), net::encode_boot_ready(net::BootReady{true, ""}));
-      boot.reset();
-      {
-        std::jthread service([&runtime] { runtime.run(); });
-        if (backend_main) backend_main(backend);
-        // The runtime exits when the shutdown handshake completes.
-      }
-      // The runtime's last sends (final telemetry record, shutdown ack) are
-      // only *enqueued* on the loop; flush them to the kernel before stop()
-      // drops the queues.
-      loop.drain(5'000);
-      loop.stop();
-    } else {
-      NodeRuntime runtime(topo, id, FilterRegistry::instance(), nullptr);
-      if (config.flow_control.enabled) runtime.set_flow_control(config.flow_control);
-      runtime.set_execution(config.execution);
-      net::EventLoop loop(&runtime.metrics());
-      std::shared_ptr<CreditGate> gate_up;
-      net::ChannelOptions up;
-      up.inbox = runtime.inbox();
-      up.origin = Origin::kParent;
-      up.slot = 0;
-      if (config.flow_control.enabled) {
-        set_socket_buffers(parent_fd.get(), fc_socket_bytes(config.flow_control));
-        gate_up = std::make_shared<CreditGate>(config.flow_control.window());
-        gate_up->set_drain_hook(fc_wake_hook(runtime.inbox()));
-        up.credits = CreditSink{gate_up, 0};
-      }
-      if (framing) up.framing = framing();
-      auto parent_raw = loop.add_channel(std::move(parent_fd), std::move(up));
-      auto parent_coalesced = maybe_coalesce(
-          parent_raw, config.batching, &runtime.metrics(), gate_up, flusher);
-      if (config.flow_control.enabled) {
-        auto wrapped = std::make_shared<FlowControlledLink>(
-            parent_coalesced, gate_up, config.flow_control, &runtime.metrics(),
-            /*fail_fast_throws=*/false, runtime.tenants());
-        runtime.register_fc_link(wrapped);
-        runtime.set_parent_link(std::make_unique<SharedLink>(wrapped));
-        // Grants ride the raw link so the exempt control frame never waits
-        // behind a coalescer buffer.
-        runtime.set_parent_granter(fc_frame_granter(parent_raw));
-      } else {
-        runtime.set_parent_link(std::make_unique<SharedLink>(parent_coalesced));
-      }
-      runtime.set_crash_handler([] { std::_Exit(0); });
-      if (config.heartbeat.enabled()) runtime.set_recovery(config.heartbeat);
-      if (!config.rendezvous.empty()) {
-        runtime.set_orphan_handler([&](NodeRuntime& self) {
-          try {
-            const std::uint32_t epoch = self.bump_parent_epoch();
-            Fd fd = orphan_reconnect(parse_endpoint(config.rendezvous),
-                                     OrphanHello{id, topo.subtree_leaf_ranks(id)});
-            net::ChannelOptions re;
-            re.inbox = self.inbox();
-            re.origin = Origin::kParent;
-            re.slot = epoch;
-            if (gate_up) {
-              set_socket_buffers(fd.get(), fc_socket_bytes(config.flow_control));
-              gate_up->reset();
-              re.credits = CreditSink{gate_up, 0};
-            }
-            if (framing) re.framing = framing();
-            re.paused = true;
-            net::ConnRef conn;
-            auto fresh_raw = loop.add_channel(std::move(fd), std::move(re), &conn);
-            std::shared_ptr<Link> fresh = fresh_raw;
-            if (gate_up) {
-              auto wrapped = std::make_shared<FlowControlledLink>(
-                  fresh_raw, gate_up, config.flow_control, &self.metrics(),
-                  /*fail_fast_throws=*/false, self.tenants());
-              self.register_fc_link(wrapped);
-              fresh = wrapped;
-              self.set_parent_granter(fc_frame_granter(fresh_raw));
-            }
-            self.set_parent_link(std::make_unique<SharedLink>(std::move(fresh)));
-            loop.resume(conn);
-            self.metrics().net_reconnects.fetch_add(1, std::memory_order_relaxed);
-            return true;
-          } catch (const std::exception& error) {
-            TBON_WARN("node " << id << " re-adoption failed: " << error.what());
-            return false;
-          }
-        });
-      }
-      for (std::uint32_t slot = 0; slot < child_fds.size(); ++slot) {
-        net::ChannelOptions down;
-        down.inbox = runtime.inbox();
-        down.origin = Origin::kChild;
-        down.slot = slot;
-        std::shared_ptr<CreditGate> gate_down;
-        if (config.flow_control.enabled) {
-          set_socket_buffers(child_fds[slot].get(),
-                             fc_socket_bytes(config.flow_control));
-          gate_down = std::make_shared<CreditGate>(config.flow_control.window());
-          gate_down->set_drain_hook(fc_wake_hook(runtime.inbox()));
-          down.credits = CreditSink{gate_down, 0};
-        }
-        if (framing) down.framing = framing();
-        auto child_raw = loop.add_channel(std::move(child_fds[slot]), std::move(down));
-        auto child_coalesced = maybe_coalesce(
-            child_raw, config.batching, &runtime.metrics(), gate_down, flusher);
-        if (config.flow_control.enabled) {
-          auto wrapped = std::make_shared<FlowControlledLink>(
-              child_coalesced, gate_down, config.flow_control,
-              &runtime.metrics(), /*fail_fast_throws=*/false,
-              runtime.tenants());
-          runtime.register_fc_link(wrapped);
-          runtime.add_child_link(std::make_unique<SharedLink>(wrapped));
-          runtime.set_child_granter(slot, fc_frame_granter(child_raw));
-        } else {
-          runtime.add_child_link(std::make_unique<SharedLink>(child_coalesced));
-        }
-      }
-      loop.start();
-      write_frame(boot.get(), net::encode_boot_ready(net::BootReady{true, ""}));
-      boot.reset();
-      runtime.run();
-      // Flush the queued tail of the shutdown handshake before teardown
-      // (same reasoning as the leaf branch).
-      loop.drain(5'000);
-      loop.stop();
+      backend.reset(new BackEnd(topo.leaf_rank(id), nullptr));
+      delegate = std::make_unique<BackEndDelegate>(*backend);
     }
+    NodeRuntime runtime(topo, id, FilterRegistry::instance(), delegate.get());
+    configure_runtime(runtime, config);
+    net::EventLoop loop(&runtime.metrics());
+
+    // The upstream gate survives re-adoption (reset to a full window when
+    // the edge is replaced) so a back-end handle never dangles mid-send.
+    std::shared_ptr<CreditGate> gate_up;
+    std::shared_ptr<RelinkableLink> relink;
+    // Wire the parent edge over `fd`: at start-up (epoch 0), and again on
+    // re-adoption, where the channel registers paused until it is wired.
+    const auto wire_parent = [&](Fd fd, std::uint32_t epoch) {
+      gate_up = channels.socket_gate(fd.get(), runtime, gate_up);
+      net::ChannelOptions options =
+          channel_into(runtime, Origin::kParent, epoch, gate_up, framing);
+      options.paused = epoch != 0;
+      net::ConnRef conn;
+      auto raw = loop.add_channel(std::move(fd), std::move(options), &conn);
+      auto up = channels.socket_stack(raw, runtime, gate_up, /*app_edge=*/leaf);
+      if (!leaf) {
+        runtime.set_parent_link(std::make_unique<SharedLink>(std::move(up)));
+        channels.grant_in_band(runtime, Origin::kParent, 0, raw);
+      } else if (relink) {
+        relink->relink(std::move(up));
+      } else {
+        // The back-end handle and the runtime share one stack behind a
+        // relinkable seam: re-adoption swaps the channel underneath both.
+        // Grants ride the seam too, so they follow the live edge.
+        relink = std::make_shared<RelinkableLink>(std::move(up));
+        backend->up_link_ = std::make_unique<SharedLink>(relink);
+        runtime.set_parent_link(std::make_unique<SharedLink>(relink));
+        channels.grant_in_band(runtime, Origin::kParent, 0, relink);
+      }
+      if (epoch != 0) loop.resume(conn);
+    };
+    wire_parent(std::move(parent_fd), 0);
+    if (!config.rendezvous.empty()) {
+      runtime.set_orphan_handler([&](NodeRuntime& self) {
+        try {
+          const std::uint32_t epoch = self.bump_parent_epoch();
+          wire_parent(orphan_reconnect(parse_endpoint(config.rendezvous),
+                                       OrphanHello{id, topo.subtree_leaf_ranks(id)}),
+                      epoch);
+          self.metrics().net_reconnects.fetch_add(1, std::memory_order_relaxed);
+          return true;
+        } catch (const std::exception& error) {
+          TBON_WARN("node " << id << " re-adoption failed: " << error.what());
+          return false;
+        }
+      });
+    }
+    for (std::uint32_t slot = 0; slot < child_fds.size(); ++slot) {
+      const auto gate = channels.socket_gate(child_fds[slot].get(), runtime);
+      auto raw = loop.add_channel(std::move(child_fds[slot]),
+                                  channel_into(runtime, Origin::kChild, slot, gate, framing));
+      channels.grant_in_band(runtime, Origin::kChild, slot, raw);
+      runtime.add_child_link(
+          std::make_unique<SharedLink>(channels.socket_stack(raw, runtime, gate)));
+    }
+    loop.start();
+    write_frame(boot.get(), net::encode_boot_ready(net::BootReady{true, ""}));
+    boot.reset();
+    if (leaf) {
+      std::jthread service([&runtime] { runtime.run(); });
+      if (backend_main) backend_main(*backend);
+      // The runtime exits when the shutdown handshake completes.
+    } else {
+      runtime.run();
+    }
+    // The runtime's last sends (final telemetry record, shutdown ack) are
+    // only *enqueued* on the loop; flush them to the kernel before stop()
+    // drops the queues.
+    loop.drain(5'000);
+    loop.stop();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "tbon remote node %u failed: %s\n", id, error.what());
     std::fflush(stderr);
@@ -680,22 +520,10 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
   Network& self = *network;
   self.remote_mode_ = true;
   self.recovery_ = options.recovery;
-  self.fc_options_ = options.flow_control;
+  // The deadline-service thread starts on the first stack built: on the
+  // event loop, after every fork below.
+  self.channels_ = ChannelFactory(options.flow_control, options.batching);
   const Topology& topo = self.topology_;
-  const HeartbeatConfig hb = options.recovery.heartbeat();
-
-  self.root_delegate_ = std::make_unique<RootDelegate>(self);
-  self.runtimes_.resize(topo.num_nodes());
-  self.runtimes_[topo.root()] = std::make_unique<NodeRuntime>(
-      topo, topo.root(), self.registry_, self.root_delegate_.get());
-  NodeRuntime& root = *self.runtimes_[topo.root()];
-  if (!options.recovery.fault_plan.empty()) {
-    self.injector_ = std::make_shared<FaultInjector>(options.recovery.fault_plan);
-    root.set_fault_injector(self.injector_);
-  }
-  if (hb.enabled()) root.set_recovery(hb);
-  if (self.fc_options_.enabled) root.set_flow_control(self.fc_options_);
-  root.set_execution(options.execution);
 
   // Listeners bind before any fork so children know the ports and can close
   // their inherited copies; the event loop (epoll fd, eventfd, thread) is
@@ -709,18 +537,14 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
         std::make_unique<RendezvousServer>(TcpEndpoint{ropts.bind_host, 0});
   }
 
-  net::NodeConfig base;
-  base.topology = topo;
-  base.flow_control = options.flow_control;
-  base.execution = options.execution;
-  base.batching = options.batching;
-  base.heartbeat = hb;
-  base.zero_copy = fd_zero_copy();
-  base.handshake_timeout_ms = ropts.handshake_timeout_ms;
-  if (self.rendezvous_) {
-    base.rendezvous =
-        ropts.bind_host + ":" + std::to_string(self.rendezvous_->port());
-  }
+  net::NodeConfig base = self.node_config(options);
+
+  self.root_delegate_ = std::make_unique<RootDelegate>(self);
+  self.runtimes_.resize(topo.num_nodes());
+  self.runtimes_[topo.root()] = std::make_unique<NodeRuntime>(
+      topo, topo.root(), self.registry_, self.root_delegate_.get());
+  NodeRuntime& root = *self.runtimes_[topo.root()];
+  configure_runtime(root, base);
   const std::string bootstrap =
       ropts.bind_host + ":" + std::to_string(boot_listener->port());
 
@@ -748,11 +572,7 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
 
   auto state = std::make_shared<RemoteState>(&root.metrics());
   RemoteState* st = state.get();
-  st->fc = options.flow_control;
-  st->batching = options.batching;
-  st->flusher = std::make_shared<BatchFlusher>();
-  self.batching_ = options.batching;
-  self.batch_flusher_ = st->flusher;
+  st->channels = &self.channels_;
   st->framing = ropts.framing;
   st->boot_listener = std::move(boot_listener);
   st->link_listener = std::move(link_listener);
@@ -827,13 +647,8 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
 
   // Every edge arrived; wire the root's children in slot order (the inbox
   // buffered anything the channels delivered meanwhile).
-  for (std::uint32_t slot = 0; slot < st->root_children.size(); ++slot) {
-    RootChild& edge = st->root_children[slot];
-    if (edge.fc_link) {
-      root.register_fc_link(edge.fc_link);
-      root.set_child_granter(slot, fc_frame_granter(edge.raw));
-    }
-    root.add_child_link(std::make_unique<SharedLink>(edge.channel));
+  for (const std::shared_ptr<Link>& channel : st->root_children) {
+    root.add_child_link(std::make_unique<SharedLink>(channel));
   }
 
   self.front_end_ = std::unique_ptr<FrontEnd>(new FrontEnd(self));
@@ -866,33 +681,16 @@ void Network::adopt_remote_orphan(Fd connection, const OrphanHello& hello) {
   if (hello.node < current_parent_.size()) {
     current_parent_[hello.node] = topology_.root();
   }
-  net::ChannelOptions down;
-  down.inbox = root.inbox();
-  down.origin = Origin::kChild;
-  down.slot = slot;
-  std::shared_ptr<CreditGate> gate_down;
-  if (fc_options_.enabled) {
-    set_socket_buffers(connection.get(), fc_socket_bytes(fc_options_));
-    gate_down = std::make_shared<CreditGate>(fc_options_.window());
-    gate_down->set_drain_hook(fc_wake_hook(root.inbox()));
-    down.credits = CreditSink{gate_down, 0};
-  }
-  if (state->framing) down.framing = state->framing();
+  const auto gate = channels_.socket_gate(connection.get(), root);
+  net::ChannelOptions down = channel_into(root, Origin::kChild, slot, gate, state->framing);
   // Register paused: the wiring marker (request_adopt) must reach the root
   // inbox before the orphan's first data frame possibly can.
   down.paused = true;
   net::ConnRef conn;
   auto raw = state->loop.add_channel(std::move(connection), std::move(down), &conn);
-  std::shared_ptr<Link> channel = raw;
-  if (fc_options_.enabled) {
-    auto wrapped = std::make_shared<FlowControlledLink>(
-        raw, gate_down, fc_options_, &root.metrics(), /*fail_fast_throws=*/false,
-        root.tenants());
-    root.register_fc_link(wrapped);
-    root.set_child_granter(slot, fc_frame_granter(raw));
-    channel = wrapped;
-  }
-  root.request_adopt(slot, hello.ranks, std::make_unique<SharedLink>(channel));
+  channels_.grant_in_band(root, Origin::kChild, slot, raw);
+  root.request_adopt(slot, hello.ranks,
+                     std::make_unique<SharedLink>(channels_.socket_stack(raw, root, gate)));
   state->loop.resume(conn);
   root.metrics().net_reconnects.fetch_add(1, std::memory_order_relaxed);
   ++adoptions_;

@@ -137,6 +137,13 @@ Bytes encode_node_config(const NodeConfig& config) {
   writer.put(static_cast<std::int32_t>(config.handshake_timeout_ms));
   writer.put_string(config.rendezvous);
   writer.put_string(config.parent);
+  writer.put(static_cast<std::uint32_t>(config.fault_plan.faults.size()));
+  for (const FaultSpec& fault : config.fault_plan.faults) {
+    writer.put(fault.node);
+    writer.put(static_cast<std::uint8_t>(fault.kind));
+    writer.put(fault.after_packets);
+    writer.put(fault.delay_ns);
+  }
   return writer.take();
 }
 
@@ -176,6 +183,19 @@ NodeConfig decode_node_config(std::span<const std::byte> bytes) {
   config.handshake_timeout_ms = reader.get<std::int32_t>();
   config.rendezvous = reader.get_string();
   config.parent = reader.get_string();
+  const auto faults = reader.get<std::uint32_t>();
+  require(faults <= kMaxConfigFaults, "too many faults in node config");
+  for (std::uint32_t i = 0; i < faults; ++i) {
+    FaultSpec fault;
+    fault.node = reader.get<std::uint32_t>();
+    const auto kind = reader.get<std::uint8_t>();
+    require(kind <= static_cast<std::uint8_t>(FaultKind::kDelaySends),
+            "unknown fault kind in node config");
+    fault.kind = static_cast<FaultKind>(kind);
+    fault.after_packets = reader.get<std::uint64_t>();
+    fault.delay_ns = reader.get<std::int64_t>();
+    config.fault_plan.faults.push_back(fault);
+  }
   return config;
 }
 

@@ -30,6 +30,7 @@
 #include "core/coalesce.hpp"
 #include "core/executor.hpp"
 #include "core/flow_control.hpp"
+#include "recovery/fault_injector.hpp"
 #include "recovery/heartbeat.hpp"
 #include "topology/topology.hpp"
 
@@ -43,6 +44,10 @@ inline constexpr std::uint8_t kProtoMax = 1;
 /// Upper bound on any frame read before a handshake completes.  The packet
 /// plane allows frames up to 1 GiB; an unauthenticated peer does not.
 inline constexpr std::size_t kMaxHandshakeFrame = 4096;
+
+/// Upper bound on the faults a NodeConfig may carry; a decoded count above
+/// it is malformed.
+inline constexpr std::uint32_t kMaxConfigFaults = 1024;
 
 /// Pick the protocol version two ranges agree on (the highest both speak);
 /// nullopt when the ranges are disjoint.
@@ -93,9 +98,10 @@ struct BootHello {
 Bytes encode_boot_hello(const BootHello& hello);
 BootHello decode_boot_hello(std::span<const std::byte> bytes);
 
-/// Everything a freshly exec'd node process needs to take its place in the
-/// tree.  Forked nodes could inherit most of this, but shipping it keeps
-/// the fork and ssh/exec launch paths on identical code.
+/// Everything a node process needs to take its place in the tree.  Remote
+/// nodes receive it in the bootstrap ladder; forked process-mode nodes get
+/// the same value by reference, so both configure their runtimes from one
+/// description.
 struct NodeConfig {
   std::uint8_t version = kProtoMax;  ///< negotiated bootstrap version
   Topology topology = Topology::single();
@@ -107,6 +113,7 @@ struct NodeConfig {
   int handshake_timeout_ms = 10'000;
   std::string rendezvous;         ///< "host:port" for re-adoption; "" = off
   std::string parent;             ///< "host:port" of this node's parent listener
+  FaultPlan fault_plan;           ///< each node process builds its own injector
 };
 
 Bytes encode_node_config(const NodeConfig& config);

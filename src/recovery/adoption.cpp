@@ -134,8 +134,4 @@ Fd orphan_reconnect(const TcpEndpoint& endpoint, const OrphanHello& hello,
   return connection;
 }
 
-Fd orphan_reconnect(std::uint16_t port, const OrphanHello& hello) {
-  return orphan_reconnect(TcpEndpoint{.host = "127.0.0.1", .port = port}, hello);
-}
-
 }  // namespace tbon

@@ -81,13 +81,16 @@ class RendezvousServer {
   RendezvousServer() = default;
   /// Bind an explicit host:port (port 0 = ephemeral) so orphans on other
   /// hosts can reach the rendezvous (the remote instantiation).
-  explicit RendezvousServer(const TcpEndpoint& endpoint) : listener_(endpoint) {}
+  explicit RendezvousServer(const TcpEndpoint& endpoint)
+      : listener_(endpoint), host_(endpoint.host) {}
   ~RendezvousServer() { stop(); }
 
   RendezvousServer(const RendezvousServer&) = delete;
   RendezvousServer& operator=(const RendezvousServer&) = delete;
 
   std::uint16_t port() const noexcept { return listener_.port(); }
+  /// Where orphans dial in: the bound host and port.
+  TcpEndpoint endpoint() const { return TcpEndpoint{host_, port()}; }
   /// Raw listening fd, so forked children can close their inherited copy.
   int listener_fd() const noexcept { return listener_.fd(); }
 
@@ -103,6 +106,7 @@ class RendezvousServer {
   void accept_loop();
 
   TcpListener listener_;
+  std::string host_ = TcpEndpoint{}.host;  ///< what the default listener binds
   AdoptFn on_orphan_;
   std::atomic<bool> stopping_{false};
   std::thread thread_;
@@ -114,8 +118,5 @@ class RendezvousServer {
 /// TransportError once the timeout elapses.
 Fd orphan_reconnect(const TcpEndpoint& endpoint, const OrphanHello& hello,
                     int timeout_ms = 10'000);
-
-/// Loopback convenience overload (the multi-process instantiation).
-Fd orphan_reconnect(std::uint16_t port, const OrphanHello& hello);
 
 }  // namespace tbon

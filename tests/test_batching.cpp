@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -227,8 +228,9 @@ TEST(CoalescingLink, DeadlineFlushesWithinConfiguredWindow) {
   auto inner = std::make_shared<CaptureLink>();
   auto flusher = std::make_shared<BatchFlusher>();
   constexpr auto kDelay = 20ms;
-  auto link = maybe_coalesce(inner, idle_options().max_delay(kDelay), nullptr,
-                             nullptr, flusher);
+  auto link = std::make_shared<CoalescingLink>(inner, idle_options().max_delay(kDelay),
+                                               nullptr, nullptr, flusher);
+  flusher->attach(link);
   const auto start = std::chrono::steady_clock::now();
   link->send(tiny(42));
   // Nothing else triggers: only the deadline thread can flush this packet.
@@ -469,6 +471,145 @@ TEST(InteriorFrames, ProcessFloodCarriesManyPacketsPerFrame) {
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
   ASSERT_EQ(stream.id(), 1u);
   flood::expect_exact_sums_and_full_interior_frames(*net, stream);
+}
+
+// ---- rebuilt edges keep the channel stack -----------------------------------
+//
+// Edges made after start-up — re-adoption after a failure, a planned
+// re-home — must get the same channel stack as the start-up ones.  Under the
+// benchmark's load every packet a back-end sends passes its upstream
+// coalescer, so its batch_packets_out grows with every wave it sends, before
+// and after its edge is rebuilt.
+
+constexpr int kRebuiltWaves = 256;
+
+/// Every threaded back-end sends waves [first, first + kRebuiltWaves) on
+/// its own thread; the front-end must then receive each one's exact sum.
+void send_exact_waves(Network& net, Stream& stream, int first) {
+  net.run_backends([first](BackEnd& be) {
+    for (int wave = first; wave < first + kRebuiltWaves; ++wave) {
+      be.send(1, kTag, "vf64", {flood::report(be.rank(), wave)});
+    }
+  });
+  for (int wave = first; wave < first + kRebuiltWaves; ++wave) {
+    const auto result = stream.recv_for(30s);
+    ASSERT_TRUE(result.has_value()) << "wave " << wave;
+    const std::vector<double>& sum = (*result)->get_vf64(0);
+    ASSERT_EQ(sum.size(), 32u) << "wave " << wave;
+    for (std::size_t i = 0; i < sum.size(); ++i) {
+      ASSERT_EQ(sum[i], 10.0 * (wave + 1) + 4.0 * static_cast<double>(i))
+          << "wave " << wave << " element " << i;
+    }
+  }
+}
+
+/// Packets each threaded leaf has pushed through its upstream coalescer.
+std::map<NodeId, std::uint64_t> leaf_batch_packets(Network& net) {
+  std::map<NodeId, std::uint64_t> packets;
+  for (const NodeId leaf : net.topology().leaves()) {
+    packets[leaf] = net.node_metrics(leaf).batch_packets_out;
+  }
+  return packets;
+}
+
+/// Every leaf's coalescer carried all of the last kRebuiltWaves waves.
+void expect_every_leaf_coalesced(Network& net,
+                                 const std::map<NodeId, std::uint64_t>& before) {
+  for (const auto& [leaf, packets] : leaf_batch_packets(net)) {
+    EXPECT_GE(packets - before.at(leaf), std::uint64_t{kRebuiltWaves})
+        << "leaf " << leaf << " sent part of its waves around its coalescer";
+  }
+}
+
+TEST(RebuiltEdges, ThreadedReadoptedLeavesKeepCoalescing) {
+  NetworkOptions options = flood::options(NetworkMode::kThreaded);
+  options.recovery.auto_readopt = true;
+  auto net = Network::create(std::move(options));
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  ASSERT_EQ(stream.id(), 1u);
+  send_exact_waves(*net, stream, 0);
+  const auto before = leaf_batch_packets(*net);
+
+  net->kill_node(1);  // orphans leaves 3 and 4
+  ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
+  send_exact_waves(*net, stream, kRebuiltWaves);
+  expect_every_leaf_coalesced(*net, before);
+  net->shutdown();
+}
+
+TEST(RebuiltEdges, ThreadedMovedLeafKeepsCoalescing) {
+  auto net = Network::create(flood::options(NetworkMode::kThreaded));
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  ASSERT_EQ(stream.id(), 1u);
+  send_exact_waves(*net, stream, 0);
+  const auto before = leaf_batch_packets(*net);
+
+  const NodeId mover = net->topology().node(1).children[0];
+  ASSERT_TRUE(net->front_end().reconfigure(TopologyDelta().move_subtree(mover, 2)).ok());
+  send_exact_waves(*net, stream, kRebuiltWaves);
+  expect_every_leaf_coalesced(*net, before);
+  net->shutdown();
+}
+
+/// Process/remote back-end body: one wave per millisecond for 3 s after the
+/// stream is known, then return.
+void paced_waves(BackEnd& be) {
+  try {
+    be.send(1, kTag, "vf64", {flood::report(be.rank(), 0)});
+    const auto until = std::chrono::steady_clock::now() + 3s;
+    for (int wave = 1; std::chrono::steady_clock::now() < until; ++wave) {
+      be.send(1, kTag, "vf64", {flood::report(be.rank(), wave)});
+      std::this_thread::sleep_for(1ms);
+    }
+  } catch (const std::exception&) {
+    // A send racing the recovery window or shutdown: just stop.
+  }
+}
+
+/// Drain results until the back-ends go quiet, shut down, and compare the
+/// packets each orphan (the leaves under node 1) pushed through its
+/// coalescer with each survivor's: re-adopted edges must keep coalescing.
+void expect_orphans_coalesce_like_survivors(Network& net, Stream& stream) {
+  while (stream.recv_for(1s).has_value()) {
+  }
+  net.shutdown();
+  const TreeMetricsSnapshot snap = net.front_end().metrics();
+  for (const NodeId orphan : net.topology().node(1).children) {
+    for (const NodeId survivor : net.topology().node(2).children) {
+      const NodeTelemetry* o = snap.find(orphan);
+      const NodeTelemetry* s = snap.find(survivor);
+      ASSERT_NE(o, nullptr) << "orphan " << orphan;
+      ASSERT_NE(s, nullptr) << "survivor " << survivor;
+      EXPECT_GE(2 * o->batch_packets_out, s->batch_packets_out)
+          << "orphan " << orphan << " coalesced " << o->batch_packets_out
+          << " packets, survivor " << survivor << " " << s->batch_packets_out;
+    }
+  }
+}
+
+TEST(RebuiltEdges, ProcessReadoptedOrphansKeepCoalescing) {
+  NetworkOptions options = flood::options(NetworkMode::kProcess);
+  options.recovery.auto_readopt = true;
+  options.recovery.fault_plan.kill(1, 5);  // dies in the first few waves
+  options.backend_main = paced_waves;
+  auto net = Network::create(std::move(options));
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  ASSERT_EQ(stream.id(), 1u);
+  ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
+  expect_orphans_coalesce_like_survivors(*net, stream);
+}
+
+TEST(RebuiltEdges, RemoteReadoptedOrphansKeepCoalescing) {
+  NetworkOptions options = flood::options(NetworkMode::kRemote);
+  options.recovery.auto_readopt = true;
+  options.backend_main = paced_waves;
+  auto net = Network::create(std::move(options));
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  ASSERT_EQ(stream.id(), 1u);
+  ASSERT_TRUE(stream.recv_for(20s).has_value());
+  net->kill_node(1);
+  ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
+  expect_orphans_coalesce_like_survivors(*net, stream);
 }
 
 // ---- batch send API ---------------------------------------------------------

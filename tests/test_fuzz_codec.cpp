@@ -442,6 +442,21 @@ TEST(FuzzWire, HandshakeRoundTrips) {
   EXPECT_EQ(config2.rendezvous, "127.0.0.1:9999");
   EXPECT_EQ(config2.parent, "127.0.0.1:1234");
   EXPECT_TRUE(config2.flow_control.enabled);
+  EXPECT_TRUE(config2.fault_plan.empty());
+
+  net::NodeConfig faulty = config;
+  faulty.fault_plan.kill(1, 5).mute(2, 3).delay(3, 1'000'000);
+  const net::NodeConfig faulty2 = net::decode_node_config(net::encode_node_config(faulty));
+  ASSERT_EQ(faulty2.fault_plan.faults.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const FaultSpec& want = faulty.fault_plan.faults[i];
+    const FaultSpec& got = faulty2.fault_plan.faults[i];
+    EXPECT_EQ(got.node, want.node) << "fault " << i;
+    EXPECT_EQ(got.kind, want.kind) << "fault " << i;
+    EXPECT_EQ(got.after_packets, want.after_packets) << "fault " << i;
+    EXPECT_EQ(got.delay_ns, want.delay_ns) << "fault " << i;
+  }
+  EXPECT_EQ(faulty2.parent, "127.0.0.1:1234");
 
   EXPECT_EQ(net::decode_boot_hello(net::encode_boot_hello({1, 1, 9})).node, 9u);
   EXPECT_EQ(net::decode_boot_listen(net::encode_boot_listen({4242})).port, 4242);
@@ -474,11 +489,14 @@ TEST(FuzzWire, TruncationsOfValidHandshakesAreRejected) {
   config.topology = Topology::from_fanouts(std::vector<std::size_t>{2, 3});
   config.rendezvous = "127.0.0.1:7000";
   config.parent = "127.0.0.1:7001";
+  net::NodeConfig faulty = config;
+  faulty.fault_plan.kill(1, 5).delay(4, 250);
   const Bytes frames[] = {
       net::encode_link_hello({1, 1, 3, 0, 16}),
       net::encode_link_welcome({1, 0, 1, 16}),
       net::encode_boot_hello({1, 1, 5}),
       net::encode_node_config(config),
+      net::encode_node_config(faulty),
       net::encode_boot_listen({31337}),
       net::encode_boot_ready({false, "error text"}),
   };
@@ -505,9 +523,12 @@ TEST(FuzzWire, BitFlippedHandshakesNeverCrash) {
   net::NodeConfig config;
   config.topology = Topology::balanced(4, 1);
   config.heartbeat.interval_ns = 50'000'000;
+  net::NodeConfig faulty = config;
+  faulty.fault_plan.kill(1, 5).mute(2, 1);
   const Bytes originals[] = {
       net::encode_link_hello({1, 1, 2, 1, 8}),
       net::encode_node_config(config),
+      net::encode_node_config(faulty),
       net::encode_boot_ready({true, ""}),
   };
   for (const Bytes& original : originals) {
@@ -520,6 +541,34 @@ TEST(FuzzWire, BitFlippedHandshakesNeverCrash) {
       try { (void)net::decode_boot_ready(mutated); } catch (const CodecError&) {}
     }
   }
+}
+
+TEST(FuzzWire, MalformedFaultPlansAreRejected) {
+  // The plan is the config's tail: u32 count, then per fault u32 node,
+  // u8 kind, u64 after_packets, i64 delay_ns.
+  constexpr std::size_t kFault = 4 + 1 + 8 + 8;
+  net::NodeConfig config;
+  config.topology = Topology::balanced(2, 2);
+  config.fault_plan.kill(1, 5);
+  const Bytes valid = net::encode_node_config(config);
+  ASSERT_EQ(net::decode_node_config(valid).fault_plan.faults.size(), 1u);
+  const std::size_t count_at = valid.size() - kFault - 4;
+  const auto with_count = [&](std::uint32_t count) {
+    Bytes frame = valid;
+    std::memcpy(frame.data() + count_at, &count, sizeof(count));
+    return frame;
+  };
+
+  EXPECT_THROW((void)net::decode_node_config(with_count(net::kMaxConfigFaults + 1)),
+               CodecError);
+
+  Bytes unknown_kind = valid;
+  unknown_kind[count_at + 4 + 4] = std::byte{7};
+  EXPECT_THROW((void)net::decode_node_config(unknown_kind), CodecError);
+
+  // A count promising an entry the frame does not carry (frames cut short
+  // are TruncationsOfValidHandshakesAreRejected's job).
+  EXPECT_THROW((void)net::decode_node_config(with_count(2)), CodecError);
 }
 
 // ---- batch frames -----------------------------------------------------------

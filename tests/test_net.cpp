@@ -253,6 +253,37 @@ TEST(RemoteNetwork, KillInteriorNodeOrphansReadopt) {
   net->shutdown();
 }
 
+TEST(RemoteNetwork, FaultPlanKillsInteriorAndOrphansReadopt) {
+  // The plan ships to every node process in its NodeConfig, as in process
+  // mode: node 1 crashes at its 5th data packet (its 3rd wave), and its two
+  // back-ends reconnect through the rendezvous.
+  NetworkOptions extra;
+  extra.recovery.auto_readopt = true;
+  extra.recovery.fault_plan.kill(1, 5);
+  auto net = remote_net(Topology::balanced(2, 2),
+                        [](BackEnd& be) { pumping_backend(be, 1); },
+                        std::move(extra));
+  Stream& stream = net->front_end().open_stream(
+      {.up_transform = "wavg", .up_sync = "wait_for_all"});
+  ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
+  EXPECT_EQ(net->adoption_count(), 2u);
+  EXPECT_EQ(net->effective_parent(3), 0u);
+  EXPECT_EQ(net->effective_parent(4), 0u);
+
+  // The recovered tree produces full-weight, exact results again.
+  int full = 0;
+  const auto until = std::chrono::steady_clock::now() + 60s;
+  while (full < 5 && std::chrono::steady_clock::now() < until) {
+    const auto result = stream.recv_for(100ms);
+    if (result && (*result)->get_u64(1) == 4) {
+      EXPECT_DOUBLE_EQ((*result)->get_vf64(0)[0], full_sum(4));
+      ++full;
+    }
+  }
+  EXPECT_GE(full, 5);
+  net->shutdown();
+}
+
 TEST(RemoteNetwork, CreditGatesRebaselineAfterReconnect) {
   // Flow control with a tiny window: after the kill, the orphans' upstream
   // gates reset to a full window and the adopter opens fresh downstream

@@ -464,6 +464,88 @@ TEST(ReconfigThreaded, ChurnSoakExactSumsAndFifo) {
   net->shutdown();
 }
 
+// ---- the fence carries buffered data ---------------------------------------
+//
+// With batching on, what an application sent may still sit in its leaf's
+// coalescer when a planned move or removal fences the leaf.  The fence must
+// carry it: every packet arrives once, in order.  Null sync keeps each packet
+// its own result, so order is observable per packet.
+
+/// Threaded balanced(2,2) with batching and a 64-credit window.
+std::unique_ptr<Network> batched_net() {
+  return Network::create({.topology = Topology::balanced(2, 2),
+                          .flow_control = {.enabled = true, .capacity = 64},
+                          .batching = BatchingOptions::on()});
+}
+
+void send_values(BackEnd& be, std::uint32_t stream_id, std::int64_t first,
+                 std::int64_t last) {
+  for (std::int64_t value = first; value < last; ++value) {
+    be.send(stream_id, kTag, "i64", {value});
+  }
+}
+
+/// The next results are exactly values [first, last), in order.
+void expect_values(Stream& stream, std::int64_t first, std::int64_t last) {
+  for (std::int64_t value = first; value < last; ++value) {
+    const auto result = stream.recv_for(10s);
+    ASSERT_TRUE(result.has_value()) << "value " << value << " never arrived";
+    ASSERT_EQ((*result)->get_i64(0), value);
+  }
+}
+
+/// Nothing further (no duplicate) arrives.
+void expect_no_more(Stream& stream) {
+  const auto extra = stream.recv_for(200ms);
+  EXPECT_FALSE(extra.has_value()) << "unexpected extra value " << (*extra)->get_i64(0);
+}
+
+TEST(ReconfigThreaded, MoveCarriesPacketsBufferedAtTheFence) {
+  auto net = batched_net();
+  Stream& stream = net->front_end().open_stream({.up_sync = "null"});
+  BackEnd& be = net->backend(0);
+  send_values(be, stream.id(), 0, 5);
+  const NodeId leaf = net->topology().leaves()[0];
+  ASSERT_TRUE(net->front_end().reconfigure(TopologyDelta().move_subtree(leaf, 2)).ok());
+  send_values(be, stream.id(), 5, 10);
+  expect_values(stream, 0, 10);
+  expect_no_more(stream);
+  net->shutdown();
+}
+
+TEST(ReconfigThreaded, RemoveLeafCarriesPacketsBufferedAtTheFence) {
+  auto net = batched_net();
+  Stream& stream = net->front_end().open_stream({.up_sync = "null"});
+  send_values(net->backend(0), stream.id(), 0, 5);
+  ASSERT_TRUE(net->front_end().reconfigure(TopologyDelta().remove_leaf(0)).ok());
+  expect_values(stream, 0, 5);
+  expect_no_more(stream);
+  net->shutdown();
+}
+
+TEST(ReconfigThreaded, DynamicLeafMovesAndLeavesWithItsBufferedPackets) {
+  auto net = batched_net();
+  FrontEnd& fe = net->front_end();
+  Stream& stream = fe.open_stream({.up_sync = "null"});
+  const ReconfigResult joined = fe.reconfigure(TopologyDelta().add_leaf(1));
+  ASSERT_TRUE(joined.ok());
+  BackEnd& be = net->backend(joined.ops()[0].new_rank);
+
+  // Split moves the newcomer (node 1's last child) under node 2; merge then
+  // moves it back.  Each batch of sends lands just before a fence.
+  send_values(be, stream.id(), 0, 5);
+  ASSERT_TRUE(fe.reconfigure(TopologyDelta().split(1, 2)).ok());
+  expect_values(stream, 0, 5);
+  send_values(be, stream.id(), 5, 10);
+  ASSERT_TRUE(fe.reconfigure(TopologyDelta().merge(2, 1)).ok());
+  expect_values(stream, 5, 10);
+  send_values(be, stream.id(), 10, 15);
+  ASSERT_TRUE(fe.reconfigure(TopologyDelta().remove_leaf(be.rank())).ok());
+  expect_values(stream, 10, 15);
+  expect_no_more(stream);
+  net->shutdown();
+}
+
 // ---- time-aligned attach-mid-wave regression --------------------------------
 
 // A join must never stall a bucket that was already in flight: the newcomer
