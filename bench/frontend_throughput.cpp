@@ -35,7 +35,6 @@
 #include "benchlib/table.hpp"
 #include "common/config.hpp"
 #include "common/timer.hpp"
-#include "core/fd_link.hpp"
 #include "core/network.hpp"
 #include "core/protocol.hpp"
 #include "core/reconfig.hpp"
@@ -102,14 +101,12 @@ double live_throughput(int waves, int functions, bool telemetry) {
 /// Bulk payload throughput over a real multi-process tree: every back-end
 /// pushes `waves` opaque payloads through a passthrough stream (the fast
 /// relay lane — no aggregation), and the front-end drains them.  Returns
-/// payload bytes/s at the front-end.  `zero_copy` toggles the fd transport
-/// between the scatter-gather view path and the legacy serialize-copy path.
+/// payload bytes/s at the front-end.
 /// NOTE: forks — must run before anything in this process spawns threads.
-double process_bulk_throughput(int waves, std::size_t payload_bytes, bool zero_copy,
+double process_bulk_throughput(int waves, std::size_t payload_bytes,
                                FlowControlOptions flow_control = {},
                                NetworkMode mode = NetworkMode::kProcess,
                                BatchingOptions batching = {}) {
-  set_fd_zero_copy(zero_copy);
   auto net = Network::create(
       {.mode = mode,
        .topology = Topology::balanced(2, 2),  // 4 leaf processes, 2 interior
@@ -523,61 +520,34 @@ int main(int argc, char** argv) {
   report.set("fe_service_us_per_packet", service * 1e6);
   report.set("flat_saturation_daemons", static_cast<double>(saturation_point));
 
-  // ---- process-mode zero-copy payload pipeline -----------------------------
-  // Must precede the live threaded section: these networks fork, and fork
-  // in a multithreaded process is only safe before any thread exists.
+  // ---- backpressure (credit flow control) overhead --------------------------
+  // The bulk relay workload (process_bulk_throughput) with block-policy
+  // credit windows on every channel.  Must precede the live threaded
+  // section: these networks fork, and fork in a multithreaded process is
+  // only safe before any thread exists.  With fc_gate=1 a regression beyond
+  // the budget fails the run (CI wires this).
   const auto bulk_waves = static_cast<int>(config.get_int("bulk_waves", 200));
   const auto bulk_bytes =
       static_cast<std::size_t>(config.get_int("bulk_kib", 64)) * 1024;
   const auto bulk_passes = static_cast<int>(config.get_int("bulk_passes", 3));
-  banner("Zero-copy payload pipeline (multi-process tree, passthrough relay)");
-  double legacy_bps = 0.0;
-  double zero_bps = 0.0;
-  for (int pass = 0; pass < bulk_passes; ++pass) {
-    legacy_bps = std::max(legacy_bps,
-                          process_bulk_throughput(bulk_waves, bulk_bytes, false));
-    zero_bps = std::max(zero_bps,
-                        process_bulk_throughput(bulk_waves, bulk_bytes, true));
-  }
-  set_fd_zero_copy(true);  // restore the default
-  const double gain = 100.0 * (zero_bps - legacy_bps) / legacy_bps;
-
-  Table bulk({"fd_path", "payload_MiB_s", "speedup_pct"});
-  bulk.add_row({"legacy (copy)", fmt("%.1f", legacy_bps / (1024.0 * 1024.0)), "-"});
-  bulk.add_row({"zero-copy", fmt("%.1f", zero_bps / (1024.0 * 1024.0)),
-                fmt("%.1f", gain)});
-  bulk.print("zero_copy_throughput");
-  std::printf("\n%zu KiB payloads relayed by reference: interior processes writev the\n"
-              "received frame verbatim (0 payload memcpys/hop; the legacy path costs\n"
-              "2/hop — see micro_transport copy counters).  target: >= 15%% %s\n",
-              bulk_bytes / 1024, gain >= 15.0 ? "(met)" : "(MISSED)");
   report.set("bulk_kib", static_cast<double>(bulk_bytes / 1024));
-  report.set("legacy_MiB_s", legacy_bps / (1024.0 * 1024.0));
-  report.set("zero_copy_MiB_s", zero_bps / (1024.0 * 1024.0));
-  report.set("zero_copy_gain_pct", gain);
-
-  // ---- backpressure (credit flow control) overhead --------------------------
-  // Same bulk workload with block-policy credit windows on every channel.
-  // Also forks, so it stays in the thread-free zone.  With fc_gate=1 a
-  // regression beyond the budget fails the run (CI wires this).
   banner("Backpressure overhead (credit flow control, block policy, 64-credit window)");
   // Alternate off/on passes and compare peaks: throughput drifts ~10% with
-  // host load, so reusing the zero-copy section's baseline from an earlier
-  // time window would gate mostly on noise.
+  // host load, so a baseline from an earlier time window would gate mostly
+  // on noise.
   const auto fc_passes = static_cast<int>(config.get_int("fc_passes", bulk_passes));
   double fc_base_bps = 0.0;
   double fc_bps = 0.0;
   for (int pass = 0; pass < fc_passes; ++pass) {
     fc_base_bps = std::max(fc_base_bps,
-                           process_bulk_throughput(bulk_waves, bulk_bytes, true));
+                           process_bulk_throughput(bulk_waves, bulk_bytes));
     fc_bps = std::max(fc_bps,
                       process_bulk_throughput(
-                          bulk_waves, bulk_bytes, true,
+                          bulk_waves, bulk_bytes,
                           {.enabled = true,
                            .capacity = 64,
                            .policy = FlowControlPolicy::kBlock}));
   }
-  set_fd_zero_copy(true);  // restore the default
   const double fc_overhead = 100.0 * (fc_base_bps - fc_bps) / fc_base_bps;
 
   Table backpressure({"flow_control", "payload_MiB_s", "overhead_pct"});
@@ -611,12 +581,11 @@ int main(int argc, char** argv) {
   double tcp_bps = 0.0;
   for (int pass = 0; pass < remote_passes; ++pass) {
     pipe_bps = std::max(pipe_bps,
-                        process_bulk_throughput(bulk_waves, bulk_bytes, true));
+                        process_bulk_throughput(bulk_waves, bulk_bytes));
     tcp_bps = std::max(tcp_bps,
-                       process_bulk_throughput(bulk_waves, bulk_bytes, true, {},
+                       process_bulk_throughput(bulk_waves, bulk_bytes, {},
                                                NetworkMode::kRemote));
   }
-  set_fd_zero_copy(true);  // restore the default
   const double remote_ratio = pipe_bps > 0.0 ? tcp_bps / pipe_bps : 0.0;
 
   Table remote({"instantiation", "payload_MiB_s", "vs_process_x"});
@@ -667,19 +636,18 @@ int main(int argc, char** argv) {
   double big_on_bps = 0.0;
   for (int pass = 0; pass < batch_passes; ++pass) {  // alternate to share noise
     small_off_bps = std::max(
-        small_off_bps, process_bulk_throughput(batch_waves, kSmallBytes, true));
+        small_off_bps, process_bulk_throughput(batch_waves, kSmallBytes));
     small_on_bps = std::max(
         small_on_bps,
-        process_bulk_throughput(batch_waves, kSmallBytes, true, {},
+        process_bulk_throughput(batch_waves, kSmallBytes, {},
                                 NetworkMode::kProcess, BatchingOptions::on()));
     big_off_bps = std::max(big_off_bps,
-                           process_bulk_throughput(bulk_waves, bulk_bytes, true));
+                           process_bulk_throughput(bulk_waves, bulk_bytes));
     big_on_bps = std::max(
         big_on_bps,
-        process_bulk_throughput(bulk_waves, bulk_bytes, true, {},
+        process_bulk_throughput(bulk_waves, bulk_bytes, {},
                                 NetworkMode::kProcess, BatchingOptions::on()));
   }
-  set_fd_zero_copy(true);  // restore the default
   const double small_speedup =
       small_off_bps > 0.0 ? small_on_bps / small_off_bps : 0.0;
   const double big_ratio = big_off_bps > 0.0 ? big_on_bps / big_off_bps : 0.0;

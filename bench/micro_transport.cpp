@@ -107,19 +107,13 @@ BENCHMARK(BM_InprocLinkPacketSend)->Arg(8)->Arg(512)->Arg(8192)
 
 /// An interior pass-through hop, measured for payload memcpys: a frame
 /// arrives on one socketpair, is relayed verbatim out another — the inner
-/// loop of every communication process on a passthrough stream.  Arg(1)
-/// toggles the zero-copy fd path; the `copies_per_packet` /
-/// `bytes_memcpy_per_packet` counters print the table CI gates on.  The
-/// counters cover the whole producer -> hop -> sink pipeline:
-///   zero-copy on  -> 0 copies (payload referenced by writev at both sends,
-///                    aliased from the receive frame at both reads)
-///   zero-copy off -> 4 copies (pack + unpack at the hop — the >= 2 per hop
-///                    the redesign removes — plus one each at the endpoints)
+/// loop of every communication process on a passthrough stream.  The
+/// `copies_per_packet` / `bytes_memcpy_per_packet` counters cover the whole
+/// producer -> hop -> sink pipeline and read 0: the payload is referenced by
+/// writev at both sends and aliased from the receive frame at both reads
+/// (tests/test_copy_count.cpp pins the same count).
 void BM_CopyCountPassThroughHop(benchmark::State& state) {
   const std::size_t payload_size = static_cast<std::size_t>(state.range(0));
-  const bool zero_copy = state.range(1) != 0;
-  const bool was_zero_copy = fd_zero_copy();
-  set_fd_zero_copy(zero_copy);
 
   auto [up_w, up_r] = make_socketpair();      // producer -> hop
   auto [down_w, down_r] = make_socketpair();  // hop -> consumer
@@ -149,12 +143,10 @@ void BM_CopyCountPassThroughHop(benchmark::State& state) {
                           static_cast<std::int64_t>(payload_size));
   ingress.close();
   egress.close();
-  set_fd_zero_copy(was_zero_copy);
 }
 BENCHMARK(BM_CopyCountPassThroughHop)
-    ->ArgNames({"bytes", "zero_copy"})
-    ->Args({4096, 0})->Args({4096, 1})
-    ->Args({65536, 0})->Args({65536, 1})
+    ->ArgNames({"bytes"})
+    ->Arg(4096)->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "common/config.hpp"
-#include "core/process_network.hpp"
+#include "core/network.hpp"
 
 using namespace tbon;
 

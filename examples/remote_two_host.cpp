@@ -63,7 +63,7 @@ std::vector<NodeId> last_subtree(const Topology& topology) {
 
 int main(int argc, char** argv) {
   // Relaunched copies become tree nodes here and never reach the code below.
-  if (net::maybe_run_remote_node(argc, argv, {.backend_main = backend_main})) {
+  if (net::maybe_run_remote_node(argc, argv, backend_main)) {
     return 0;
   }
 

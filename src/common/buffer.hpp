@@ -10,9 +10,10 @@
 // referenced in place) that the fd transport hands to writev, so serializing
 // a packet never memcpy's its payload either.
 //
-// CopyStats counts the payload memcpys that do happen (legacy copying
-// paths, sub-cutoff coalescing, explicit to_bytes), so the benches can
-// report copies-per-packet as a measured number instead of a claim.
+// CopyStats counts the payload memcpys that do happen (the owning
+// serialize/deserialize codec, sub-cutoff coalescing, explicit to_bytes),
+// so tests and benches can report copies-per-packet as a measured number
+// instead of a claim.
 #pragma once
 
 #include <atomic>

@@ -55,16 +55,9 @@ Bytes encode_batch_frame(std::span<const PacketPtr> packets) {
   return writer.take();
 }
 
-std::vector<PacketPtr> decode_batch_frame(Bytes frame, bool zero_copy) {
-  BufferPtr buffer;
-  std::span<const std::byte> data;
-  if (zero_copy) {
-    buffer = std::make_shared<const Buffer>(std::move(frame));
-    data = buffer->span();
-  } else {
-    data = frame;
-  }
-  BinaryReader reader(data);
+std::vector<PacketPtr> decode_batch_frame(Bytes frame) {
+  const auto buffer = std::make_shared<const Buffer>(std::move(frame));
+  BinaryReader reader(buffer->span());
   if (reader.get<std::uint32_t>() != kBatchMarker) {
     throw CodecError("not a batch frame");
   }
@@ -77,20 +70,13 @@ std::vector<PacketPtr> decode_batch_frame(Bytes frame, bool zero_copy) {
   packets.reserve(std::min<std::size_t>(count, reader.remaining() / 12 + 1));
   for (std::uint32_t i = 0; i < count; ++i) {
     const auto length = reader.get<std::uint32_t>();
-    PacketPtr packet;
-    if (zero_copy) {
-      const std::size_t offset = reader.position();
-      reader.skip(length);  // throws CodecError when truncated
-      packet = Packet::deserialize_view(BufferView(buffer, offset, length));
-      // deserialize_view trims trailing bytes; a trimmed packet means the
-      // declared length and the packet's wire form disagree.
-      if (packet->wire().size() != length) {
-        throw CodecError("batch entry length mismatch");
-      }
-    } else {
-      BinaryReader body(reader.take_span(length));
-      packet = Packet::deserialize(body);
-      if (!body.exhausted()) throw CodecError("batch entry length mismatch");
+    const std::size_t offset = reader.position();
+    reader.skip(length);  // throws CodecError when truncated
+    PacketPtr packet = Packet::deserialize_view(BufferView(buffer, offset, length));
+    // deserialize_view trims trailing bytes; a trimmed packet means the
+    // declared length and the packet's wire form disagree.
+    if (packet->wire().size() != length) {
+      throw CodecError("batch entry length mismatch");
     }
     // Control and telemetry never ride in batches (the coalescer flushes
     // around them); in particular a credit grant smuggled into a batch must

@@ -138,8 +138,8 @@ Bytes encode_batch_frame(std::span<const PacketPtr> packets);
 /// drops it without delivering envelopes or minting credits.  Rejects empty
 /// batches, counts above kMaxBatchPackets, length/size mismatches, trailing
 /// bytes, and control/telemetry packets smuggled inside a batch (throws
-/// CodecError).  With `zero_copy`, decoded packets alias the frame buffer.
-std::vector<PacketPtr> decode_batch_frame(Bytes frame, bool zero_copy);
+/// CodecError).  Decoded packets alias the frame buffer.
+std::vector<PacketPtr> decode_batch_frame(Bytes frame);
 
 // ---- coalescer --------------------------------------------------------------
 

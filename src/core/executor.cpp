@@ -120,14 +120,6 @@ void FilterExecutor::drain_stream(std::uint32_t stream_id) {
   });
 }
 
-bool FilterExecutor::stream_idle(std::uint32_t stream_id) const {
-  const Worker& worker = *workers_[shard_of(stream_id)];
-  std::lock_guard<std::mutex> lock(worker.mutex);
-  const auto it = worker.streams.find(stream_id);
-  if (it == worker.streams.end()) return true;
-  return it->second.queued == 0 && !it->second.running;
-}
-
 std::uint64_t FilterExecutor::queue_depth() const {
   std::uint64_t depth = 0;
   for (const auto& worker : workers_) {

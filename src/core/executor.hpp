@@ -38,11 +38,6 @@ namespace tbon {
 /// Typed executor configuration (part of NetworkOptions).  The default —
 /// zero workers — keeps today's inline behaviour: every filter runs on the
 /// node's event-loop thread and existing programs are unchanged.
-// The pragma pair covers the implicitly-defined constructors, which touch
-// the deprecated member's default initializer; only explicit user mentions
-// of the knob should warn.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct ExecutionOptions {
   /// Worker threads per interior node (the front-end and every internal
   /// communication process; leaves run no filters).  0 = inline.
@@ -54,19 +49,8 @@ struct ExecutionOptions {
   /// channel's credit window and the bounded-depth guarantee survives.
   std::size_t stream_queue_capacity = 1024;
 
-  /// Packets with payloads smaller than this run inline on the event loop
-  /// when their stream has no work in flight (cuts the handoff cost for
-  /// tiny packets without ever reordering a stream).  0 = always dispatch.
-  /// \deprecated Superseded by adaptive batching (NetworkOptions::batching):
-  /// a coalesced run of small packets reaches its filter as one dispatch,
-  /// which amortizes the handoff this knob worked around packet-by-packet.
-  /// Still honoured when set; pinned in tests/test_compat_api.cpp.
-  [[deprecated("superseded by NetworkOptions::batching (see docs/batching.md); still honoured when set")]]
-  std::size_t inline_below_bytes = 0;
-
   bool enabled() const noexcept { return num_workers > 0; }
 };
-#pragma GCC diagnostic pop
 
 class FilterExecutor {
  public:
@@ -116,10 +100,6 @@ class FilterExecutor {
 
   /// Barrier for one stream's queue.
   void drain_stream(std::uint32_t stream_id);
-
-  /// True when the stream has no queued or executing task (event-loop
-  /// callers use this for the inline-below-bytes fast path).
-  bool stream_idle(std::uint32_t stream_id) const;
 
   /// Tasks currently queued across all streams (telemetry gauge).
   std::uint64_t queue_depth() const;

@@ -1,8 +1,5 @@
 #include "core/fd_link.hpp"
 
-#include <atomic>
-
-#include "common/archive.hpp"
 #include "common/buffer.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -11,42 +8,20 @@
 #include "core/protocol.hpp"
 
 namespace tbon {
-namespace {
-
-std::atomic<bool> g_fd_zero_copy{true};
-
-}  // namespace
-
-void set_fd_zero_copy(bool enabled) noexcept {
-  g_fd_zero_copy.store(enabled, std::memory_order_relaxed);
-}
-
-bool fd_zero_copy() noexcept {
-  return g_fd_zero_copy.load(std::memory_order_relaxed);
-}
 
 bool FdLink::send(const PacketPtr& packet) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (closed_) return false;
   try {
-    std::size_t frame_bytes = 0;
-    if (fd_zero_copy()) {
-      // Wire-backed packets (a relay hop) go out as one verbatim segment;
-      // owned packets writev header scratch + in-place payload segments.
-      // The packet stays alive across the call, which is what keeps the
-      // segment list's external pointers valid.
-      SegmentWriter writer;
-      packet->serialize_segments(writer);
-      write_frame_segments(fd_, writer.segments(), writer.size());
-      frame_bytes = writer.size();
-    } else {
-      BinaryWriter writer;
-      packet->serialize(writer);
-      write_frame(fd_, writer.bytes());
-      frame_bytes = writer.bytes().size();
-    }
+    // Wire-backed packets (a relay hop) go out as one verbatim segment;
+    // owned packets writev header scratch + in-place payload segments.  The
+    // packet stays alive across the call, which is what keeps the segment
+    // list's external pointers valid.
+    SegmentWriter writer;
+    packet->serialize_segments(writer);
+    write_frame_segments(fd_, writer.segments(), writer.size());
     if (metrics_ != nullptr) {
-      metrics_->wire_bytes_out.fetch_add(frame_bytes, std::memory_order_relaxed);
+      metrics_->wire_bytes_out.fetch_add(writer.size(), std::memory_order_relaxed);
     }
     return true;
   } catch (const TransportError& error) {
@@ -58,7 +33,7 @@ bool FdLink::send(const PacketPtr& packet) {
 
 bool FdLink::send_batch(std::span<const PacketPtr> packets) {
   if (packets.empty()) return true;
-  // A one-packet batch gains nothing over the plain (zero-copy capable)
+  // A one-packet batch gains nothing over the plain (zero-copy)
   // single-frame path, and keeps single sends byte-identical to the
   // pre-batching wire form.
   if (packets.size() == 1) return send(packets.front());
@@ -123,7 +98,7 @@ std::jthread start_fd_reader(int fd, InboxPtr inbox, Origin origin,
         if (is_batch_frame(*frame)) {
           std::vector<PacketPtr> packets;
           try {
-            packets = decode_batch_frame(std::move(*frame), fd_zero_copy());
+            packets = decode_batch_frame(std::move(*frame));
           } catch (const CodecError& error) {
             // Frame boundaries are intact (length-prefixed stream), so a
             // malformed batch is dropped whole — no envelopes, no credits —
@@ -144,17 +119,12 @@ std::jthread start_fd_reader(int fd, InboxPtr inbox, Origin origin,
               std::make_shared<const std::vector<PacketPtr>>(std::move(packets))});
           continue;
         }
-        PacketPtr packet;
-        if (fd_zero_copy()) {
-          // Promote the frame to a refcounted buffer and let the packet
-          // alias it: no payload copy here, and none later if the packet is
-          // only routed onward (the frame is relayed verbatim).
-          auto buffer = std::make_shared<const Buffer>(std::move(*frame));
-          packet = Packet::deserialize_view(BufferView(buffer, 0, buffer->size()));
-        } else {
-          BinaryReader reader(*frame);
-          packet = Packet::deserialize(reader);
-        }
+        // Promote the frame to a refcounted buffer and let the packet alias
+        // it: no payload copy here, and none later if the packet is only
+        // routed onward (the frame is relayed verbatim).
+        auto buffer = std::make_shared<const Buffer>(std::move(*frame));
+        const PacketPtr packet =
+            Packet::deserialize_view(BufferView(buffer, 0, buffer->size()));
         if (packet->stream_id() == kControlStream && packet->tag() == kTagCredit) {
           consume_credit_frame(*packet, credit_sink, metrics);
           continue;

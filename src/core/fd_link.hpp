@@ -1,11 +1,12 @@
 // Links over OS file descriptors — the multi-process transport.
 //
 // Each tree edge is one full-duplex socketpair.  The sending half (FdLink)
-// serializes packets into length-prefixed frames; the receiving half is a
-// reader thread that deserializes frames and pushes envelopes into the
-// owning node's inbox, so NodeRuntime is oblivious to the transport.
-// Kernel socket buffers provide the back-pressure that bounded queues
-// provide in-process.
+// writes packets as length-prefixed frames — wire-backed packets (a relay
+// hop) verbatim, owned ones as writev scatter-gather segments; the receiving
+// half is a reader thread that decodes frames into packets aliasing the
+// frame buffer and pushes envelopes into the owning node's inbox, so
+// NodeRuntime is oblivious to the transport.  Kernel socket buffers provide
+// the back-pressure that bounded queues provide in-process.
 #pragma once
 
 #include <mutex>
@@ -15,15 +16,6 @@
 #include "transport/fd.hpp"
 
 namespace tbon {
-
-/// Process-wide toggle for the zero-copy fd path (on by default).  When on,
-/// FdLink relays wire-backed packets verbatim and writev's scatter-gather
-/// segments for owned ones, and the reader deserializes frames into
-/// buffer-aliasing view packets.  Off restores the copying serialize/
-/// deserialize pipeline — kept so the benches can measure the difference.
-/// Set before Network::create (forked children inherit the value).
-void set_fd_zero_copy(bool enabled) noexcept;
-bool fd_zero_copy() noexcept;
 
 /// Sends packets as serialized frames on a file descriptor.
 /// Thread-safe: a back-end's application thread and its runtime share one.

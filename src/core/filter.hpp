@@ -19,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,12 +112,6 @@ struct MembershipChange {
 
 /// Transformation filter: reduces one synchronized batch of upstream packets
 /// (or one downstream packet) into zero or more output packets.
-///
-/// New code overrides the context-taking hooks — filter() / flush() /
-/// membership_changed().  The context-free spellings (transform, finish,
-/// on_membership_change) are deprecated: their new-style counterparts
-/// forward to them by default, so existing filters keep working unchanged,
-/// and test_compat_api pins the forwarding behaviour.
 class TransformFilter {
  public:
   virtual ~TransformFilter() = default;
@@ -126,20 +119,14 @@ class TransformFilter {
   /// Process a batch.  `in` is never empty.  Outputs are appended to `out`
   /// and forwarded toward the parent (upstream) or the children (downstream).
   virtual void filter(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
-                      FilterContext& ctx) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    transform(in, out, ctx);
-#pragma GCC diagnostic pop
-  }
+                      FilterContext& ctx) = 0;
 
   /// Batch-first hook: process several *independent* single-packet waves in
   /// one invocation.  The runtime calls this when a coalesced batch arrives
   /// on a null-sync stream — each packet in `in` is its own wave, so the
   /// required semantics are exactly `for each p: filter({p}, out, ctx)`,
-  /// which is what the default does (every existing filter keeps working
-  /// and produces byte-identical output).  Override when per-wave work can
-  /// be amortized across the batch (vectorized kernels, shared lookups);
+  /// which is what the default does.  Override when per-wave work can be
+  /// amortized across the batch (vectorized kernels, shared lookups);
   /// overrides must preserve the one-wave-per-packet contract.  Do NOT
   /// reduce across `in` here — cross-packet aggregation is what filter()
   /// with a grouping SyncPolicy is for.
@@ -153,10 +140,8 @@ class TransformFilter {
   /// Called once when the stream shuts down; filters holding buffered state
   /// (e.g. time-aligned aggregation) may emit final packets here.
   virtual void flush(std::vector<PacketPtr>& out, FilterContext& ctx) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    finish(out, ctx);
-#pragma GCC diagnostic pop
+    (void)out;
+    (void)ctx;
   }
 
   /// The stream's membership changed at this node (failure or re-adoption).
@@ -166,34 +151,6 @@ class TransformFilter {
   /// stateless filters ignore it (default).
   virtual void membership_changed(const MembershipChange& change,
                                   std::vector<PacketPtr>& out, FilterContext& ctx) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    on_membership_change(change, out, ctx);
-#pragma GCC diagnostic pop
-  }
-
-  /// \deprecated Override filter(in, out, FilterContext&) instead.
-  [[deprecated("override filter(in, out, FilterContext&) instead")]]
-  virtual void transform(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
-                         const FilterContext& ctx) {
-    (void)in;
-    (void)out;
-    (void)ctx;
-    throw std::logic_error("TransformFilter: neither filter() nor transform() overridden");
-  }
-
-  /// \deprecated Override flush(out, FilterContext&) instead.
-  [[deprecated("override flush(out, FilterContext&) instead")]]
-  virtual void finish(std::vector<PacketPtr>& out, const FilterContext& ctx) {
-    (void)out;
-    (void)ctx;
-  }
-
-  /// \deprecated Override membership_changed(change, out, FilterContext&) instead.
-  [[deprecated("override membership_changed(change, out, FilterContext&) instead")]]
-  virtual void on_membership_change(const MembershipChange& change,
-                                    std::vector<PacketPtr>& out,
-                                    const FilterContext& ctx) {
     (void)change;
     (void)out;
     (void)ctx;
@@ -213,42 +170,24 @@ class SyncPolicy {
   using Batch = std::vector<PacketPtr>;
 
   /// A packet arrived from stream-participating child slot `child`.
-  virtual void on_packet(std::size_t child, PacketPtr packet, FilterContext& ctx) {
-    (void)ctx;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    on_packet(child, std::move(packet));
-#pragma GCC diagnostic pop
-  }
+  virtual void on_packet(std::size_t child, PacketPtr packet, FilterContext& ctx) = 0;
 
   /// Return every batch that is ready at monotonic time `now_ns`.
-  virtual std::vector<Batch> drain_ready(std::int64_t now_ns, FilterContext& ctx) {
-    (void)ctx;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    return drain_ready(now_ns);
-#pragma GCC diagnostic pop
-  }
+  virtual std::vector<Batch> drain_ready(std::int64_t now_ns, FilterContext& ctx) = 0;
 
   /// Deliver everything still buffered, regardless of completeness.
-  virtual std::vector<Batch> flush(FilterContext& ctx) {
-    (void)ctx;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    return flush();
-#pragma GCC diagnostic pop
-  }
+  virtual std::vector<Batch> flush(FilterContext& ctx) = 0;
 
-  /// Unified membership hook used by the recovery subsystem; the default
-  /// forwards to the context-free spelling, whose own default forwards to
-  /// child_failed()/child_added() so existing policies (e.g. wait_for_all
-  /// shrinking its expected-child set) work unchanged.
+  /// The stream's participating-children set changed at this node: a child
+  /// was declared failed (stop waiting for it — wait_for_all degrades to the
+  /// survivors), a child was adopted or attached at runtime (paper §2.2:
+  /// "back-end processes may join after the internal tree has been
+  /// instantiated"), or a retired index resumed contributing
+  /// (`change.revived`).  Index-agnostic policies (timeout, null) need
+  /// nothing, which is the default.
   virtual void membership_changed(const MembershipChange& change, FilterContext& ctx) {
+    (void)change;
     (void)ctx;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    on_membership_change(change);
-#pragma GCC diagnostic pop
   }
 
   /// Monotonic deadline at which drain_ready() should be re-polled, if any.
@@ -256,58 +195,6 @@ class SyncPolicy {
 
   /// Packets currently buffered awaiting batch formation (telemetry gauge).
   virtual std::size_t buffered() const { return 0; }
-
-  /// A child was declared failed; stop waiting for it (reliability hook —
-  /// wait_for_all degrades to the surviving children).
-  virtual void child_failed(std::size_t child) { (void)child; }
-
-  /// A child was attached at runtime (dynamic topology, paper §2.2:
-  /// "back-end processes may join after the internal tree has been
-  /// instantiated"); the policy should start expecting it.
-  virtual void child_added() {}
-
-  /// A previously-failed/retired child index resumed contributing (planned
-  /// reconfiguration re-populated an emptied relay subtree); the policy
-  /// should expect it again.  The default is a no-op: index-agnostic
-  /// policies (timeout, null) need nothing, and appending a fresh index
-  /// here would deadlock index-tracking policies, so those override it
-  /// (wait_for_all re-arms the existing index).
-  virtual void child_revived(std::size_t child) { (void)child; }
-
-  /// \deprecated Override on_packet(child, packet, FilterContext&) instead.
-  [[deprecated("override on_packet(child, packet, FilterContext&) instead")]]
-  virtual void on_packet(std::size_t child, PacketPtr packet) {
-    (void)child;
-    (void)packet;
-    throw std::logic_error("SyncPolicy: neither on_packet overload overridden");
-  }
-
-  /// \deprecated Override drain_ready(now_ns, FilterContext&) instead.
-  [[deprecated("override drain_ready(now_ns, FilterContext&) instead")]]
-  virtual std::vector<Batch> drain_ready(std::int64_t now_ns) {
-    (void)now_ns;
-    throw std::logic_error("SyncPolicy: neither drain_ready overload overridden");
-  }
-
-  /// \deprecated Override flush(FilterContext&) instead.
-  [[deprecated("override flush(FilterContext&) instead")]]
-  virtual std::vector<Batch> flush() {
-    throw std::logic_error("SyncPolicy: neither flush overload overridden");
-  }
-
-  /// \deprecated Override membership_changed(change, FilterContext&) instead.
-  [[deprecated("override membership_changed(change, FilterContext&) instead")]]
-  virtual void on_membership_change(const MembershipChange& change) {
-    if (change.added) {
-      if (change.revived) {
-        child_revived(change.child);
-      } else {
-        child_added();
-      }
-    } else {
-      child_failed(change.child);
-    }
-  }
 };
 
 /// Factory signatures used by the registry.

@@ -49,22 +49,4 @@ std::string FilterParams::to_wire() const {
   return wire;
 }
 
-FilterParams FilterParams::from_wire(std::string_view wire) {
-  FilterParams params;
-  std::size_t pos = 0;
-  while (pos < wire.size()) {
-    auto end = wire.find(' ', pos);
-    if (end == std::string_view::npos) end = wire.size();
-    const std::string_view token = wire.substr(pos, end - pos);
-    pos = end + 1;
-    if (token.empty()) continue;
-    const auto eq = token.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      throw ParseError("malformed filter param token '" + std::string(token) + "'");
-    }
-    params.values_[std::string(token.substr(0, eq))] = std::string(token.substr(eq + 1));
-  }
-  return params;
-}
-
 }  // namespace tbon

@@ -1,11 +1,9 @@
 // Typed per-stream filter parameters.
 //
-// Replaces the raw space-separated "key=value key=value" string that
-// StreamOptions::params used to be: a FilterParams is built with typed
-// set() calls, validated at the call site (ParseError on keys/values that
-// could not round-trip), and serialized to the unchanged wire form with
-// to_wire() — so filters keep reading FilterContext::params exactly as
-// before and old captures of the wire format stay valid.
+// A FilterParams is built with typed set() calls, validated at the call site
+// (ParseError on keys/values that could not round-trip), and serialized to
+// the space-separated "key=value" wire form with to_wire(); filters read it
+// back through FilterContext::params.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +16,6 @@ namespace tbon {
 class FilterParams {
  public:
   FilterParams() = default;
-
-  /// Parse the legacy space-separated wire form.  New code should build
-  /// params with set(); this exists so pre-redesign call sites keep
-  /// compiling during migration.
-  [[deprecated("build FilterParams with set(key, value) instead of a raw string")]]
-  FilterParams(std::string_view wire) : FilterParams(from_wire(wire)) {}  // NOLINT(google-explicit-constructor)
 
   /// Typed setters; all return *this for chaining.  Keys must be non-empty
   /// and neither keys nor values may contain ' ' or '=' (ParseError).
@@ -47,10 +39,6 @@ class FilterParams {
   /// Serialize to the wire form carried in StreamSpec::params: key=value
   /// pairs, space-separated, sorted by key.
   std::string to_wire() const;
-
-  /// Inverse of to_wire() (non-deprecated spelling of the parsing path,
-  /// used internally and by the compat layer).
-  static FilterParams from_wire(std::string_view wire);
 
   friend bool operator==(const FilterParams&, const FilterParams&) = default;
 

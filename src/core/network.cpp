@@ -93,15 +93,6 @@ BackEnd& Network::dynamic_backend(std::size_t index) {
   return dynamic_leaves_[index]->backend();
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-BackEnd& Network::attach_backend(NodeId parent) {
-  // Deprecated forwarder; FrontEnd::reconfigure(TopologyDelta().add_leaf())
-  // is the supported spelling (see docs/api.md).
-  return attach_backend_at(parent);
-}
-#pragma GCC diagnostic pop
-
 BackEnd& Network::attach_backend_at(NodeId parent) {
   if ((process_mode_ || remote_mode_) && parent != topology_.root()) {
     // Only the root runtime shares the front-end's address space in these
@@ -170,14 +161,6 @@ void Stream::send(std::int32_t tag, BufferView payload) {
       Packet::make_view(spec_.id, tag, kFrontEndRank, std::move(payload)));
 }
 
-void Stream::send(std::int32_t tag, std::vector<std::uint8_t> payload) {
-  // Deprecated forwarder: re-own the bytes once, then hand off a view.
-  if (!payload.empty()) CopyStats::note(payload.size());
-  Bytes bytes(reinterpret_cast<const std::byte*>(payload.data()),
-              reinterpret_cast<const std::byte*>(payload.data()) + payload.size());
-  send(tag, BufferView(std::move(bytes)));
-}
-
 PacketPtr Stream::make_packet(std::int32_t tag, std::string_view format,
                               std::vector<DataValue> values) const {
   if (tag < kFirstAppTag) throw ProtocolError("application tags must be >= kFirstAppTag");
@@ -220,11 +203,6 @@ RecvResult Stream::recv_for(std::chrono::milliseconds timeout) {
 RecvResult Stream::recv_until(std::chrono::steady_clock::time_point deadline) {
   return make_result(results_.pop_until(deadline));
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-RecvResult Stream::try_recv() { return make_result(results_.try_pop()); }
-#pragma GCC diagnostic pop
 
 // ---- FrontEnd ---------------------------------------------------------------
 
@@ -272,18 +250,6 @@ Stream& FrontEnd::open_stream(StreamSpec spec) {
   }
   network_.send_to_root(spec.to_packet());
   return *raw;
-}
-
-Stream& FrontEnd::new_stream(StreamOptions options) {
-  // Deprecated forwarder: the StreamOptions fields map 1:1 onto the untopiced
-  // subset of StreamSpec (see the migration table in docs/api.md).
-  StreamSpec spec;
-  spec.endpoints = std::move(options.endpoints);
-  spec.up_transform = std::move(options.up_transform);
-  spec.up_sync = std::move(options.up_sync);
-  spec.down_transform = std::move(options.down_transform);
-  spec.params = options.params.to_wire();
-  return open_stream(std::move(spec));
 }
 
 Stream& FrontEnd::publish(const std::string& topic, std::int32_t tag,
@@ -335,7 +301,7 @@ void FrontEnd::delete_stream(std::uint32_t stream_id) {
 }
 
 void FrontEnd::load_filter_library(const std::string& path) {
-  // Load synchronously into the local registry first so a new_stream issued
+  // Load synchronously into the local registry first so an open_stream issued
   // right after this call validates; then announce tree-wide (needed in
   // process mode, idempotent in threaded mode).
   network_.registry().load_library(path);
@@ -480,14 +446,6 @@ void BackEnd::send(std::uint32_t stream_id, std::int32_t tag, BufferView payload
   up_link_->send(Packet::make_view(stream_id, tag, rank_, std::move(payload)));
 }
 
-void BackEnd::send(std::uint32_t stream_id, std::int32_t tag,
-                   std::vector<std::uint8_t> payload) {
-  if (!payload.empty()) CopyStats::note(payload.size());
-  Bytes bytes(reinterpret_cast<const std::byte*>(payload.data()),
-              reinterpret_cast<const std::byte*>(payload.data()) + payload.size());
-  send(stream_id, tag, BufferView(std::move(bytes)));
-}
-
 PacketPtr BackEnd::make_packet(std::uint32_t stream_id, std::int32_t tag,
                                std::string_view format,
                                std::vector<DataValue> values) const {
@@ -617,31 +575,6 @@ std::unique_ptr<Network> Network::create(NetworkOptions options) {
     }
   }
   throw ProtocolError("unknown NetworkMode");
-}
-
-std::unique_ptr<Network> Network::create_remote(NetworkOptions options) {
-  options.mode = NetworkMode::kRemote;
-  return create(std::move(options));
-}
-
-std::unique_ptr<Network> Network::create_threaded(const Topology& topology,
-                                                  RecoveryOptions recovery) {
-  NetworkOptions options;
-  options.topology = topology;
-  options.recovery = std::move(recovery);
-  return create(std::move(options));
-}
-
-std::unique_ptr<Network> Network::create_process(
-    const Topology& topology, const std::function<void(BackEnd&)>& backend_main,
-    bool tcp_edges, RecoveryOptions recovery) {
-  NetworkOptions options;
-  options.mode = NetworkMode::kProcess;
-  options.topology = topology;
-  options.recovery = std::move(recovery);
-  options.backend_main = backend_main;
-  options.tcp_edges = tcp_edges;
-  return create(std::move(options));
 }
 
 void Network::start_telemetry(const TelemetryOptions& telemetry) {

@@ -12,9 +12,10 @@
 //
 // The threaded instantiation runs every communication process as a thread
 // inside this process, moving packets by reference (zero copy).  The
-// multi-process instantiation (process_network.hpp) forks one OS process per
-// tree node connected by socketpairs, exercising real serialization; both
-// share NodeRuntime, so the TBON semantics are identical.
+// multi-process instantiation (process_network.cpp) forks one OS process per
+// tree node connected by socketpairs, and the remote one (src/net/) connects
+// node processes over TCP; all three share NodeRuntime, so the TBON
+// semantics are identical.
 #pragma once
 
 #include <atomic>
@@ -31,7 +32,6 @@
 
 #include "common/error.hpp"
 #include "core/channel.hpp"
-#include "core/filter_params.hpp"
 #include "core/node.hpp"
 #include "core/protocol.hpp"
 #include "core/reconfig.hpp"
@@ -45,7 +45,6 @@
 namespace tbon {
 
 namespace net {
-class Framing;      // src/net/framing.hpp — the remote mode's TLS-ready seam
 struct NodeConfig;  // src/net/wire.hpp — what every node process runs under
 }  // namespace net
 
@@ -129,14 +128,9 @@ struct RemoteOptions {
   /// budget (connector side, with capped exponential backoff).
   int handshake_timeout_ms = 10'000;
 
-  /// How long create_remote waits for every node to report BootReady before
+  /// How long create() waits for every remote node to report BootReady before
   /// tearing down and throwing.
   int ready_timeout_ms = 30'000;
-
-  /// Frame transform factory, run once per established tree edge on both
-  /// ends (the TLS insertion seam; see src/net/framing.hpp).  Null = plain
-  /// frames with the zero-copy writev fast path.
-  std::function<std::shared_ptr<net::Framing>()> framing;
 };
 
 /// Everything Network::create needs, in one aggregate so call sites read as
@@ -183,9 +177,6 @@ struct NetworkOptions {
 
   /// Process and remote modes: runs inside every back-end process.
   std::function<void(BackEnd&)> backend_main;
-  /// Process mode only: loopback-TCP edges (MRNet's wire) instead of
-  /// socketpairs.
-  bool tcp_edges = false;
   /// Remote mode only (see RemoteOptions).
   RemoteOptions remote;
 };
@@ -251,16 +242,6 @@ struct AnyRecvResult {
   RecvResult result{RecvStatus::kShutdown};
 };
 
-/// Options for FrontEnd::new_stream.
-struct StreamOptions {
-  /// Participating back-end ranks; empty = all back-ends.
-  std::vector<std::uint32_t> endpoints;
-  std::string up_transform = "passthrough";
-  std::string up_sync = "wait_for_all";
-  std::string down_transform = "passthrough";
-  FilterParams params;  ///< typed filter parameters (see filter_params.hpp)
-};
-
 /// Front-end handle to one virtual channel.
 class Stream {
  public:
@@ -277,9 +258,6 @@ class Stream {
   /// link has relayed the packet.  Receivers read it via
   /// `packet->get_bytes(0)` / `packet->payload_view()`.
   void send(std::int32_t tag, BufferView payload);
-
-  [[deprecated("copies the payload; pass a BufferView (Bytes adopts implicitly)")]]
-  void send(std::int32_t tag, std::vector<std::uint8_t> payload);
 
   /// Multicast several packets downstream as one unit: the whole span enters
   /// the root's event loop as a single batch envelope (one wakeup, one
@@ -306,11 +284,6 @@ class Stream {
   /// Prefer this in retry loops: the deadline does not stretch with each
   /// attempt the way a relative recv_for() timeout does.
   RecvResult recv_until(std::chrono::steady_clock::time_point deadline);
-
-  /// \deprecated Zero-timeout polling spelling; use recv_for(0ms) (same
-  /// semantics) or a deadline via recv_until() instead of a poll loop.
-  [[deprecated("use recv_for(std::chrono::milliseconds(0)) or recv_until()")]]
-  RecvResult try_recv();
 
  private:
   friend class FrontEnd;
@@ -344,10 +317,6 @@ class FrontEnd {
   /// stream's downstream packets reach only subtrees holding a matching
   /// prefix subscription (BackEnd::subscribe).
   Stream& open_stream(StreamSpec spec = {});
-
-  /// \deprecated StreamOptions spelling; use open_stream(StreamSpec).
-  [[deprecated("use open_stream(StreamSpec) - see docs/api.md")]]
-  Stream& new_stream(StreamOptions options = {});
 
   /// Publish one packet under `topic`, opening the stream on first use (one
   /// stream per exact topic path, cached).  Returns that stream so callers
@@ -459,9 +428,6 @@ class BackEnd {
   /// actually reads it).
   void send(std::uint32_t stream_id, std::int32_t tag, BufferView payload);
 
-  [[deprecated("copies the payload; pass a BufferView (Bytes adopts implicitly)")]]
-  void send(std::uint32_t stream_id, std::int32_t tag, std::vector<std::uint8_t> payload);
-
   /// Send several packets upstream on `stream_id` as one unit: one
   /// stream-known wait, then the whole span is handed to the upstream link
   /// in a single call (one batch frame on a coalescing channel, one inbox
@@ -546,16 +512,12 @@ class Network {
  public:
   /// Instantiate the tree described by `options` (see NetworkOptions): one
   /// thread per node in kThreaded mode, one forked OS process per node in
-  /// kProcess mode.  Both share NodeRuntime, so the semantics — and the
-  /// telemetry and recovery subsystems — are identical.
+  /// kProcess mode, and in kRemote mode one OS process per non-root node
+  /// (launched by RemoteOptions::spawn, default: local fork) that connects
+  /// to its tree neighbours over TCP and drives all of its socket I/O from
+  /// a single epoll event loop.  All three share NodeRuntime, so the
+  /// semantics — and the telemetry and recovery subsystems — are identical.
   static std::unique_ptr<Network> create(NetworkOptions options);
-
-  /// Convenience spelling for the remote instantiation: create() with
-  /// mode = NetworkMode::kRemote.  Every non-root node runs in its own OS
-  /// process (launched by RemoteOptions::spawn, default: local fork),
-  /// connects to its tree neighbours over TCP, and drives all of its socket
-  /// I/O from a single epoll event loop (src/net/event_loop.hpp).
-  static std::unique_ptr<Network> create_remote(NetworkOptions options);
 
   /// Node-process entry point for the remote instantiation (the default
   /// fork launcher and net::maybe_run_remote_node land here): dial the
@@ -564,17 +526,7 @@ class Network {
   /// down.  Never returns.
   [[noreturn]] static void run_remote_node(
       NodeId id, const std::string& bootstrap,
-      const std::function<void(BackEnd&)>& backend_main,
-      const std::function<std::shared_ptr<net::Framing>()>& framing = {});
-
-  /// Pre-NetworkOptions factory spellings; forward to create().
-  [[deprecated("use Network::create(NetworkOptions)")]]
-  static std::unique_ptr<Network> create_threaded(const Topology& topology,
-                                                  RecoveryOptions recovery = {});
-  [[deprecated("use Network::create(NetworkOptions) with mode = kProcess")]]
-  static std::unique_ptr<Network> create_process(
-      const Topology& topology, const std::function<void(BackEnd&)>& backend_main,
-      bool tcp_edges = false, RecoveryOptions recovery = {});
+      const std::function<void(BackEnd&)>& backend_main);
 
   /// True when this network runs in NetworkMode::kProcess.
   bool is_process_mode() const noexcept { return process_mode_; }
@@ -597,17 +549,6 @@ class Network {
 
   /// Run `body` concurrently on every back-end (one thread each) and join.
   void run_backends(const std::function<void(BackEnd&)>& body);
-
-  /// \deprecated Imperative dynamic-attach spelling.  Use the typed
-  /// reconfiguration API instead (identical semantics, plus placement,
-  /// status reporting and membership compensation):
-  ///
-  ///   fe.reconfigure(TopologyDelta().add_leaf(parent));
-  ///
-  /// This shim forwards to the same engine path and returns the newcomer's
-  /// handle; see docs/api.md for the migration table.
-  [[deprecated("use FrontEnd::reconfigure(TopologyDelta().add_leaf(parent)) - see docs/api.md")]]
-  BackEnd& attach_backend(NodeId parent);
 
   /// Failure injection: abruptly terminate a non-root node.  Its peers see
   /// EOF; wait_for_all filters upstream degrade to the surviving children,
@@ -690,7 +631,8 @@ class Network {
   /// the node's child slot at the adopter (recovery_mutex_ held).
   std::uint32_t attach_threaded(NodeRuntime& node, NodeRuntime& adopter,
                                 std::vector<std::uint32_t> ranks);
-  /// attach_backend's engine path, shared with reconfig_add_leaf.
+  /// Attach a dynamic back-end under `parent` (reconfig_add_leaf's engine
+  /// path) and return its handle.
   BackEnd& attach_backend_at(NodeId parent);
   /// Engine-side move of a dynamically attached leaf: its service and
   /// handle live in this process, so the fence is pause_sends -> detach at
@@ -720,13 +662,14 @@ class Network {
   /// the front-end's root — an injected crash that exits the process.
   static void configure_runtime(NodeRuntime& runtime, const net::NodeConfig& config);
   [[noreturn]] static void run_child_process(
-      const net::NodeConfig& config, NodeId id, int parent_fd, bool tcp_edges,
+      const net::NodeConfig& config, NodeId id, int parent_fd,
       const std::function<void(BackEnd&)>& backend_main);
   struct SpawnedChildren;
-  /// Fork `id`'s children.  Each child closes `rendezvous_listener_fd` (the
-  /// front-end's; -1 below the root): only the front-end accepts orphans.
+  /// Fork `id`'s children, one socketpair edge each.  Each child closes
+  /// `rendezvous_listener_fd` (the front-end's; -1 below the root): only the
+  /// front-end accepts orphans.
   static SpawnedChildren spawn_children(
-      const net::NodeConfig& config, NodeId id, int my_parent_fd, bool tcp_edges,
+      const net::NodeConfig& config, NodeId id, int my_parent_fd,
       int rendezvous_listener_fd, const std::function<void(BackEnd&)>& backend_main);
 
   Topology topology_;

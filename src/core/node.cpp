@@ -10,18 +10,6 @@
 #include "common/trace.hpp"
 
 namespace tbon {
-namespace {
-
-// The deprecated inline-dispatch knob stays honoured until it is removed;
-// this is the one place the runtime reads it.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::size_t inline_cutoff(const ExecutionOptions& options) noexcept {
-  return options.inline_below_bytes;
-}
-#pragma GCC diagnostic pop
-
-}  // namespace
 
 NodeRuntime::NodeRuntime(const Topology& topology, NodeId id, FilterRegistry& registry,
                          Delegate* delegate)
@@ -1005,7 +993,7 @@ void NodeRuntime::handle_shutdown() {
 void NodeRuntime::maybe_finish_shutdown() {
   if (!shutting_down_ || shutdown_acks_needed_ > 0 || done_) return;
   // Every subtree is quiescent: deliver what the sync filters still hold,
-  // give transformation filters their finish() hook, then ack upward.
+  // give transformation filters their flush() hook, then ack upward.
   flush_all_streams();
   // Final telemetry record: published after the flush (so it follows every
   // merged child record on the parent channel) and before the ack (so the
@@ -1126,7 +1114,6 @@ void NodeRuntime::apply_membership_change(StreamLocal& stream,
     // there, in FIFO order with any packet work already queued, and deliver
     // any compensation outputs through the completion path like everything
     // else.
-    ++stream.exec_inflight;
     StreamLocal* sp = &stream;
     executor_->post(stream.spec.id, [this, sp, change, added,
                                      snapshot = std::move(snapshot)]() mutable {
@@ -1134,7 +1121,6 @@ void NodeRuntime::apply_membership_change(StreamLocal& stream,
       sp->ctx.membership = std::move(snapshot);
       ExecCompletion completion;
       completion.stream_id = sp->spec.id;
-      completion.from_post = true;
       sp->sync->membership_changed(change, sp->ctx);
       if (!added) {
         // Failure may complete a pending wave for the survivors.
@@ -1144,7 +1130,6 @@ void NodeRuntime::apply_membership_change(StreamLocal& stream,
       sp->up_filter->membership_changed(change, completion.up_outputs, sp->ctx);
       const auto deadline = sp->sync->next_deadline();
       executor_->set_deadline(sp->spec.id, deadline ? *deadline : -1);
-      completion.deadline_armed = deadline.has_value();
       completion.buffered = sp->sync->buffered();
       exec_enqueue(std::move(completion));
     });
@@ -1267,12 +1252,6 @@ bool NodeRuntime::consume_upstream_data(std::uint32_t slot, const PacketPtr& pac
     return false;
   }
   if (stream.exec) {
-    if (inline_cutoff(exec_options_) > 0 &&
-        packet->payload_bytes() < inline_cutoff(exec_options_) &&
-        stream.exec_inflight == 0 && !stream.exec_deadline_armed) {
-      exec_run_inline_upstream(stream, static_cast<std::size_t>(sync_index), packet);
-      return false;
-    }
     exec_dispatch_upstream(stream, static_cast<std::size_t>(sync_index), packet, slot);
     return true;
   }
@@ -1509,7 +1488,6 @@ void NodeRuntime::exec_register_stream(StreamLocal& stream) {
             run_upstream_batches(*sp, sp->sync->drain_ready(now, sp->ctx));
         const auto deadline = sp->sync->next_deadline();
         executor_->set_deadline(sp->spec.id, deadline ? *deadline : -1);
-        completion.deadline_armed = deadline.has_value();
         completion.buffered = sp->sync->buffered();
         exec_enqueue(std::move(completion));
       },
@@ -1521,7 +1499,6 @@ void NodeRuntime::exec_register_stream(StreamLocal& stream) {
 
 void NodeRuntime::exec_dispatch_upstream(StreamLocal& stream, std::size_t sync_index,
                                          PacketPtr packet, std::uint32_t slot) {
-  ++stream.exec_inflight;
   const std::uint32_t credits = stream.spec.id != kTelemetryStream ? 1 : 0;
   StreamLocal* sp = &stream;
   executor_->post(stream.spec.id, [this, sp, sync_index, slot, credits,
@@ -1533,8 +1510,6 @@ void NodeRuntime::exec_dispatch_upstream(StreamLocal& stream, std::size_t sync_i
         run_upstream_batches(*sp, sp->sync->drain_ready(now_ns(), sp->ctx));
     const auto deadline = sp->sync->next_deadline();
     executor_->set_deadline(sp->spec.id, deadline ? *deadline : -1);
-    completion.from_post = true;
-    completion.deadline_armed = deadline.has_value();
     completion.buffered = sp->sync->buffered();
     completion.credits = credits;
     completion.credit_origin = Origin::kChild;
@@ -1553,7 +1528,6 @@ void NodeRuntime::exec_dispatch_upstream_run(StreamLocal& stream,
   // credit count, returned in one go when its completion is delivered, so
   // worker-queue occupancy still counts against the credit window exactly as
   // in the single-packet path.
-  ++stream.exec_inflight;
   StreamLocal* sp = &stream;
   std::vector<PacketPtr> packets(run.begin(), run.end());
   executor_->post(stream.spec.id, [this, sp, sync_index, slot, credits,
@@ -1571,8 +1545,6 @@ void NodeRuntime::exec_dispatch_upstream_run(StreamLocal& stream,
     }
     const auto deadline = sp->sync->next_deadline();
     executor_->set_deadline(sp->spec.id, deadline ? *deadline : -1);
-    completion.from_post = true;
-    completion.deadline_armed = deadline.has_value();
     completion.buffered = sp->sync->buffered();
     completion.credits = credits;
     completion.credit_origin = Origin::kChild;
@@ -1582,7 +1554,6 @@ void NodeRuntime::exec_dispatch_upstream_run(StreamLocal& stream,
 }
 
 void NodeRuntime::exec_dispatch_downstream(StreamLocal& stream, PacketPtr packet) {
-  ++stream.exec_inflight;
   const bool telemetry = packet->stream_id() == kTelemetryStream;
   StreamLocal* sp = &stream;
   executor_->post(stream.spec.id, [this, sp, telemetry,
@@ -1597,32 +1568,14 @@ void NodeRuntime::exec_dispatch_downstream(StreamLocal& stream, PacketPtr packet
       metrics_.filter_ns.fetch_add(elapsed, std::memory_order_relaxed);
       metrics_.observe_filter_latency(elapsed);
     }
-    // The sync policy was not touched, but the mirrors still need truthful
-    // values (reads are safe: we are on the stream's shard).
-    const auto deadline = sp->sync->next_deadline();
-    completion.from_post = true;
-    completion.deadline_armed = deadline.has_value();
+    // The sync policy was not touched, but the buffered mirror still needs
+    // a truthful value (reads are safe: we are on the stream's shard).
     completion.buffered = sp->sync->buffered();
     completion.credits = telemetry ? 0 : 1;
     completion.credit_origin = Origin::kParent;
     completion.credit_slot = 0;
     exec_enqueue(std::move(completion));
   });
-}
-
-void NodeRuntime::exec_run_inline_upstream(StreamLocal& stream, std::size_t sync_index,
-                                           const PacketPtr& packet) {
-  // Small-packet fast path: the stream is provably idle on its shard (no
-  // undelivered task, no armed deadline the worker could fire), so the loop
-  // may run the machinery itself without violating the one-shard-per-stream
-  // invariant — and without the handoff cost dwarfing a tiny filter run.
-  metrics_.exec_inline.fetch_add(1, std::memory_order_relaxed);
-  stream.sync->on_packet(sync_index, packet, stream.ctx);
-  process_batches(stream, stream.sync->drain_ready(now_ns(), stream.ctx));
-  const auto deadline = stream.sync->next_deadline();
-  stream.exec_deadline_armed = deadline.has_value();
-  stream.exec_buffered = stream.sync->buffered();
-  if (deadline) executor_->set_deadline(stream.spec.id, *deadline);
 }
 
 void NodeRuntime::exec_enqueue(ExecCompletion&& completion) {
@@ -1657,8 +1610,6 @@ void NodeRuntime::exec_deliver(ExecCompletion&& completion) {
   const auto it = streams_.find(completion.stream_id);
   if (it != streams_.end()) {
     StreamLocal& stream = it->second;
-    if (completion.from_post && stream.exec_inflight > 0) --stream.exec_inflight;
-    stream.exec_deadline_armed = completion.deadline_armed;
     stream.exec_buffered = completion.buffered;
     emit_upstream(stream, completion.up_outputs);
     for (const PacketPtr& packet : completion.down_outputs) {
@@ -1678,12 +1629,10 @@ void NodeRuntime::flush_stream(StreamLocal& stream) {
     // wait for its shard to go quiet, then deliver every pending completion
     // — so flushed output follows in-flight output in exactly inline order,
     // and (at shutdown) precedes this node's own telemetry record and ack.
-    ++stream.exec_inflight;
     StreamLocal* sp = &stream;
     executor_->post(stream.spec.id, [this, sp] {
       ExecCompletion completion;
       completion.stream_id = sp->spec.id;
-      completion.from_post = true;
       completion.up_outputs = run_upstream_batches(*sp, sp->sync->flush(sp->ctx));
       sp->up_filter->flush(completion.up_outputs, sp->ctx);
       executor_->set_deadline(sp->spec.id, -1);
@@ -1896,16 +1845,8 @@ bool NodeRuntime::consume_downstream_data(const PacketPtr& packet) {
     return false;
   }
   if (stream.exec) {
-    const bool small = inline_cutoff(exec_options_) > 0 &&
-                       packet->payload_bytes() < inline_cutoff(exec_options_) &&
-                       stream.exec_inflight == 0 && !stream.exec_deadline_armed;
-    if (!small) {
-      exec_dispatch_downstream(stream, packet);
-      return true;
-    }
-    // Small-packet path: stream idle on its shard, run the down filter here
-    // (it never touches the sync policy, so no deadline bookkeeping needed).
-    metrics_.exec_inline.fetch_add(1, std::memory_order_relaxed);
+    exec_dispatch_downstream(stream, packet);
+    return true;
   }
   std::vector<PacketPtr> outputs;
   const auto start = now_ns();

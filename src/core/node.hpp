@@ -257,23 +257,19 @@ class NodeRuntime {
     bool null_sync = false;
     /// Executor mode: sync/filter/ctx are only ever touched on the stream's
     /// shard once this is set (the loop dispatches tasks instead of running
-    /// the machinery itself).  The remaining fields are loop-owned mirrors.
+    /// the machinery itself).
     bool exec = false;
-    std::size_t exec_inflight = 0;   ///< loop-posted tasks not yet delivered
-    bool exec_deadline_armed = false;  ///< sync had a deadline after last task
-    std::uint64_t exec_buffered = 0;   ///< sync->buffered() after last task
+    std::uint64_t exec_buffered = 0;  ///< loop-owned mirror of sync->buffered()
   };
 
   /// What a worker hands back to the event loop after running filter work:
-  /// outputs to send (the loop owns all links), the stream's post-task sync
-  /// state (deadline / buffered mirrors), and the deferred flow-control
-  /// credit for the packet that triggered the task.
+  /// outputs to send (the loop owns all links), the stream's post-task
+  /// buffered count, and the deferred flow-control credit for the packet
+  /// that triggered the task.
   struct ExecCompletion {
     std::uint32_t stream_id = 0;
     std::vector<PacketPtr> up_outputs;    ///< toward the parent / root delegate
     std::vector<PacketPtr> down_outputs;  ///< multicast to participating children
-    bool from_post = false;        ///< loop-posted task (vs worker deadline poll)
-    bool deadline_armed = false;
     std::uint64_t buffered = 0;
     std::uint32_t credits = 0;     ///< credits to return on delivery (one per
                                    ///< packet the task consumed; a coalesced
@@ -347,8 +343,6 @@ class NodeRuntime {
                                   std::span<const PacketPtr> run, std::uint32_t slot,
                                   std::uint32_t credits);
   void exec_dispatch_downstream(StreamLocal& stream, PacketPtr packet);
-  void exec_run_inline_upstream(StreamLocal& stream, std::size_t sync_index,
-                                const PacketPtr& packet);
   void exec_enqueue(ExecCompletion&& completion);
   void exec_drain_completions();
   void exec_deliver(ExecCompletion&& completion);

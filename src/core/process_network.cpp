@@ -1,4 +1,16 @@
-#include "core/process_network.hpp"
+// Multi-process TBON instantiation: one OS process per tree node.
+//
+// create_process_impl() forks the tree recursively — each node's process
+// forks its own children, so every edge's socketpair is created in the
+// common ancestor and inherited by exactly the two endpoint processes.
+// Back-end processes run NetworkOptions::backend_main; communication
+// processes run NodeRuntime event loops; the calling process keeps the
+// front-end.  Call Network::create before spawning threads in the parent
+// (fork), and register custom filters first so children inherit them.
+//
+// This file also holds what process and remote node processes share:
+// node_config() and configure_runtime().
+#include "core/network.hpp"
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -47,7 +59,6 @@ net::NodeConfig Network::node_config(const NetworkOptions& options) const {
   config.batching = options.batching;
   config.heartbeat = options.recovery.heartbeat();
   config.fault_plan = options.recovery.fault_plan;
-  config.zero_copy = fd_zero_copy();
   config.handshake_timeout_ms = options.remote.handshake_timeout_ms;
   if (rendezvous_) config.rendezvous = rendezvous_->endpoint().to_string();
   return config;
@@ -77,7 +88,7 @@ struct Network::SpawnedChildren {
 };
 
 Network::SpawnedChildren Network::spawn_children(
-    const net::NodeConfig& config, NodeId id, int my_parent_fd, bool tcp_edges,
+    const net::NodeConfig& config, NodeId id, int my_parent_fd,
     int rendezvous_listener_fd, const std::function<void(BackEnd&)>& backend_main) {
   SpawnedChildren spawned;
   const auto& children = config.topology.node(id).children;
@@ -97,47 +108,28 @@ Network::SpawnedChildren Network::spawn_children(
     if (rendezvous_listener_fd >= 0) ::close(rendezvous_listener_fd);
   };
   for (const NodeId child : children) {
-    if (tcp_edges) {
-      // MRNet's wire: a loopback TCP connection per edge.  The parent
-      // listens on an ephemeral port; the child connects after the fork.
-      TcpListener listener;
-      const std::uint16_t port = listener.port();
-      const pid_t pid = ::fork();
-      if (pid < 0) throw TransportError("fork failed");
-      if (pid == 0) {
-        listener.close();  // the child only connects
-        close_inherited();
-        Fd connection = tcp_connect(port);
-        run_child_process(config, child, connection.release(), tcp_edges, backend_main);
-        // unreachable
-      }
-      spawned.fds.push_back(listener.accept());
-      spawned.pids.push_back(pid);
-    } else {
-      auto [mine, theirs] = make_socketpair();
-      const pid_t pid = ::fork();
-      if (pid < 0) throw TransportError("fork failed");
-      if (pid == 0) {
-        // Keep only our end of our own socketpair.
-        mine.reset();
-        close_inherited();
-        run_child_process(config, child, theirs.release(), tcp_edges, backend_main);
-        // unreachable
-      }
-      theirs.reset();
-      spawned.fds.push_back(std::move(mine));
-      spawned.pids.push_back(pid);
+    auto [mine, theirs] = make_socketpair();
+    const pid_t pid = ::fork();
+    if (pid < 0) throw TransportError("fork failed");
+    if (pid == 0) {
+      // Keep only our end of our own socketpair.
+      mine.reset();
+      close_inherited();
+      run_child_process(config, child, theirs.release(), backend_main);
+      // unreachable
     }
+    theirs.reset();
+    spawned.fds.push_back(std::move(mine));
+    spawned.pids.push_back(pid);
   }
   return spawned;
 }
 
 void Network::run_child_process(const net::NodeConfig& config, NodeId id, int parent_fd,
-                                bool tcp_edges,
                                 const std::function<void(BackEnd&)>& backend_main) {
   const Topology& topology = config.topology;
   try {
-    SpawnedChildren spawned = spawn_children(config, id, parent_fd, tcp_edges,
+    SpawnedChildren spawned = spawn_children(config, id, parent_fd,
                                              /*rendezvous_listener_fd=*/-1, backend_main);
 
     const bool leaf = topology.is_leaf(id);
@@ -287,7 +279,7 @@ std::unique_ptr<Network> Network::create_process_impl(const NetworkOptions& opti
   configure_runtime(root, config);
 
   SpawnedChildren spawned =
-      spawn_children(config, topo.root(), -1, options.tcp_edges,
+      spawn_children(config, topo.root(), -1,
                      net.rendezvous_ ? net.rendezvous_->listener_fd() : -1,
                      options.backend_main);
   for (std::uint32_t slot = 0; slot < spawned.fds.size(); ++slot) {
@@ -308,19 +300,6 @@ std::unique_ptr<Network> Network::create_process_impl(const NetworkOptions& opti
   net.threads_.emplace_back([&root] { root.run(); });
   net.start_telemetry(options.telemetry);
   return network;
-}
-
-std::unique_ptr<Network> create_process_network(const Topology& topology,
-                                                BackendMain backend_main,
-                                                EdgeTransport transport,
-                                                RecoveryOptions recovery) {
-  NetworkOptions options;
-  options.mode = NetworkMode::kProcess;
-  options.topology = topology;
-  options.recovery = std::move(recovery);
-  options.backend_main = std::move(backend_main);
-  options.tcp_edges = transport == EdgeTransport::kTcp;
-  return Network::create(std::move(options));
 }
 
 }  // namespace tbon

@@ -71,24 +71,23 @@ std::size_t WaitForAllSync::buffered() const {
   return total;
 }
 
-void WaitForAllSync::child_added() {
-  per_child_.emplace_back();
-  alive_.push_back(true);
-  ++num_alive_;
-}
-
-void WaitForAllSync::child_failed(std::size_t child) {
-  if (child < alive_.size() && alive_[child]) {
-    alive_[child] = false;
-    --num_alive_;
-  }
-}
-
-void WaitForAllSync::child_revived(std::size_t child) {
-  // The index already has a (now empty) queue; re-arming the alive flag is
-  // all it takes to wait for the re-populated subtree again.
-  if (child < alive_.size() && !alive_[child]) {
-    alive_[child] = true;
+void WaitForAllSync::membership_changed(const MembershipChange& change,
+                                        FilterContext&) {
+  if (!change.added) {
+    if (change.child < alive_.size() && alive_[change.child]) {
+      alive_[change.child] = false;
+      --num_alive_;
+    }
+  } else if (change.revived) {
+    // The index already has a (now empty) queue; re-arming the alive flag is
+    // all it takes to wait for the re-populated subtree again.
+    if (change.child < alive_.size() && !alive_[change.child]) {
+      alive_[change.child] = true;
+      ++num_alive_;
+    }
+  } else {
+    per_child_.emplace_back();
+    alive_.push_back(true);
     ++num_alive_;
   }
 }

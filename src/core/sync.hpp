@@ -25,9 +25,7 @@ class WaitForAllSync final : public SyncPolicy {
   std::vector<Batch> drain_ready(std::int64_t now_ns, FilterContext& ctx) override;
   std::vector<Batch> flush(FilterContext& ctx) override;
   std::size_t buffered() const override;
-  void child_failed(std::size_t child) override;
-  void child_added() override;
-  void child_revived(std::size_t child) override;
+  void membership_changed(const MembershipChange& change, FilterContext& ctx) override;
 
  private:
   bool wave_ready() const;

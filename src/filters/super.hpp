@@ -30,7 +30,7 @@ class SuperFilter final : public TransformFilter {
 
   /// Forward the change to every stage; packets a stage emits in response
   /// (e.g. a time_aligned bucket the failure completed) flow through the
-  /// remaining stages, mirroring finish().
+  /// remaining stages, mirroring flush().
   void membership_changed(const MembershipChange& change,
                             std::vector<PacketPtr>& out,
                             FilterContext& ctx) override;

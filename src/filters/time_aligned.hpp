@@ -10,7 +10,7 @@
 // time-aligned, element-wise-summed sample vector per bucket.
 //
 // Use with up_sync = "null".  Payload format: "u64 vf64" = (bucket, values).
-// finish() flushes incomplete trailing buckets (e.g. after a child failure)
+// flush() emits incomplete trailing buckets (e.g. after a child failure)
 // at stream teardown.
 #pragma once
 

@@ -40,7 +40,7 @@ struct DistributedParams {
 /// Parse stream params ("bandwidth=50 kernel=gaussian ...").
 DistributedParams params_from_config(const Config& config);
 /// Render as typed stream params (inverse of params_from_config); pass the
-/// result as StreamOptions::params.
+/// result to StreamSpec::with_params.
 FilterParams to_filter_params(const DistributedParams& params);
 
 /// What one node sends upward: reduced data set + peak list.

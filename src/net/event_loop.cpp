@@ -259,7 +259,6 @@ void EventLoop::apply_channel_options(NetConn& conn, ChannelOptions options) {
   conn.origin_ = options.origin;
   conn.slot_ = options.slot;
   conn.credits_ = std::move(options.credits);
-  conn.framing_ = std::move(options.framing);
   conn.max_frame_ = options.max_frame;
   if (options.paused) conn.read_enabled_ = false;
   conn.on_frame_ = nullptr;
@@ -396,40 +395,21 @@ bool EventLoop::build_outgoing(const ConnRef& conn) {
       // A coalesced run: one multi-packet batch frame.  Always flattened —
       // the batch encoding interleaves per-packet headers, so there is no
       // verbatim-relay segment list to preserve.
-      Bytes frame = encode_batch_frame(item.batch);
-      if (conn->framing_ && !conn->framing_->transparent()) {
-        out.flat = conn->framing_->encode(frame);
-      } else {
-        out.flat = std::move(frame);
-      }
+      out.flat = encode_batch_frame(item.batch);
       out.frame_size = static_cast<std::uint32_t>(out.flat.size());
       out.segments.push_back({out.flat.data(), out.flat.size()});
     } else if (item.packet != nullptr) {
-      const bool transparent = !conn->framing_ || conn->framing_->transparent();
-      if (transparent && fd_zero_copy()) {
-        // The PR 3 lanes: wire-backed relays go out verbatim, owned packets
-        // as header scratch + in-place payload segments.  The Outgoing holds
-        // the packet and the writer so the segment pointers stay valid
-        // across however many writev calls the frame takes.
-        out.packet = item.packet;
-        out.writer = std::make_unique<SegmentWriter>();
-        item.packet->serialize_segments(*out.writer);
-        out.segments = out.writer->segments();
-        out.frame_size = out.writer->size();
-      } else {
-        BinaryWriter writer;
-        item.packet->serialize(writer);
-        if (conn->framing_ && !conn->framing_->transparent()) {
-          out.flat = conn->framing_->encode(writer.bytes());
-        } else {
-          out.flat = writer.take();
-        }
-        out.frame_size = out.flat.size();
-        out.segments.push_back({out.flat.data(), out.flat.size()});
-      }
+      // The zero-copy lanes: wire-backed relays go out verbatim, owned
+      // packets as header scratch + in-place payload segments.  The Outgoing
+      // holds the packet and the writer so the segment pointers stay valid
+      // across however many writev calls the frame takes.
+      out.packet = item.packet;
+      out.writer = std::make_unique<SegmentWriter>();
+      item.packet->serialize_segments(*out.writer);
+      out.segments = out.writer->segments();
+      out.frame_size = out.writer->size();
     } else {
-      // Raw handshake frame: framed with the length prefix but never passed
-      // through the Framing (handshakes travel in the clear).
+      // Raw handshake frame: already encoded, framed with the length prefix.
       out.flat = std::move(item.raw);
       out.frame_size = out.flat.size();
       out.segments.push_back({out.flat.data(), out.flat.size()});
@@ -625,13 +605,10 @@ bool EventLoop::deliver_frame(const ConnRef& conn, Bytes frame) {
     return !conn->closed();
   }
   try {
-    if (conn->framing_ && !conn->framing_->transparent()) {
-      conn->framing_->decode(frame);
-    }
     if (is_batch_frame(frame)) {
       std::vector<PacketPtr> packets;
       try {
-        packets = decode_batch_frame(std::move(frame), fd_zero_copy());
+        packets = decode_batch_frame(std::move(frame));
       } catch (const CodecError& error) {
         // Frame boundaries are intact (length-prefixed stream), so a
         // malformed batch is dropped whole — no envelopes, no credits — and
@@ -652,14 +629,9 @@ bool EventLoop::deliver_frame(const ConnRef& conn, Bytes frame) {
                          std::make_shared<const std::vector<PacketPtr>>(
                              std::move(packets))});
     }
-    PacketPtr packet;
-    if (fd_zero_copy()) {
-      auto buffer = std::make_shared<const Buffer>(std::move(frame));
-      packet = Packet::deserialize_view(BufferView(buffer, 0, buffer->size()));
-    } else {
-      BinaryReader reader(frame);
-      packet = Packet::deserialize(reader);
-    }
+    auto buffer = std::make_shared<const Buffer>(std::move(frame));
+    const PacketPtr packet =
+        Packet::deserialize_view(BufferView(buffer, 0, buffer->size()));
     if (packet->stream_id() == kControlStream && packet->tag() == kTagCredit) {
       consume_credit(*conn, *packet);
       return true;

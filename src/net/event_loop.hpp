@@ -13,9 +13,9 @@
 //    machine; a full inbox parks the envelope and masks EPOLLIN for that
 //    connection until the runtime drains (short-timeout retry);
 //  * writes go through a per-connection send queue drained with
-//    scatter-gather writev (the PR 3 zero-copy lanes: owned payload
-//    segments are written in place, wire-backed relays verbatim); partial
-//    writes keep a segment cursor and arm EPOLLOUT;
+//    scatter-gather writev (the zero-copy lanes: owned payload segments are
+//    written in place, wire-backed relays verbatim); partial writes keep a
+//    segment cursor and arm EPOLLOUT;
 //  * senders on other threads (runtime, back-end application code) enqueue
 //    via NetLink and block only against a byte budget — the moral
 //    equivalent of a full kernel socket buffer — never against the loop;
@@ -49,7 +49,6 @@
 
 #include "core/fd_link.hpp"
 #include "core/runtime.hpp"
-#include "net/framing.hpp"
 #include "net/wire.hpp"
 #include "telemetry/metrics.hpp"
 #include "transport/fd.hpp"
@@ -83,8 +82,6 @@ struct ChannelOptions {
   std::uint32_t slot = 0;
   /// Gate credited by in-band kTagCredit grants arriving on this socket.
   CreditSink credits;
-  /// Frame transform; null or transparent() keeps the writev fast path.
-  std::shared_ptr<Framing> framing;
   std::size_t max_frame = std::size_t{1} << 30;  ///< fd.hpp's kMaxFrame
   /// Register with reads masked; no frame is delivered until resume().
   /// Lets an adopter queue its wiring marker (request_adopt) before the
@@ -144,7 +141,6 @@ class NetConn {
   Origin origin_ = Origin::kChild;
   std::uint32_t slot_ = 0;
   CreditSink credits_;
-  std::shared_ptr<Framing> framing_;
   std::function<void(const ConnRef&, Bytes)> on_frame_;
   std::function<void(const ConnRef&)> on_close_;
   std::int64_t deadline_ns_ = 0;

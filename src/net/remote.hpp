@@ -1,6 +1,6 @@
 // Launcher hooks for the remote (multi-host TCP) instantiation.
 //
-// Network::create_remote needs one OS process per non-root node; how those
+// The remote instantiation needs one OS process per non-root node; how those
 // processes come to exist is the launcher's business, expressed as the
 // RemoteOptions::spawn hook.  Three launchers cover the spectrum:
 //
@@ -19,18 +19,9 @@
 #include <vector>
 
 #include "core/network.hpp"
-#include "net/framing.hpp"
 #include "transport/tcp.hpp"
 
 namespace tbon::net {
-
-/// What a node process needs beyond its identity: the application body run
-/// on back-end nodes, and the (optional) framing factory, which must match
-/// the front-end's RemoteOptions::framing.
-struct RemoteNodeOptions {
-  std::function<void(BackEnd&)> backend_main;
-  FramingFactory framing;
-};
 
 /// Spawn hook that fork+execs `command` with `--tbon-node=<id>` and
 /// `--tbon-bootstrap=<host:port>` appended.  The pids are recorded in a
@@ -46,9 +37,10 @@ std::function<void(const RemoteSpawnRequest&)> ssh_spawn(
 
 /// Node-process entry for exec/ssh launched binaries: when argv carries
 /// `--tbon-node=<id>` and `--tbon-bootstrap=<host:port>`, runs the node
-/// (never returns); otherwise returns false and main() proceeds as the
-/// front-end.  Call it before doing anything else expensive.
+/// (never returns), with `backend_main` as the application body on back-end
+/// nodes; otherwise returns false and main() proceeds as the front-end.
+/// Call it before doing anything else expensive.
 bool maybe_run_remote_node(int argc, const char* const* argv,
-                           const RemoteNodeOptions& options);
+                           const std::function<void(BackEnd&)>& backend_main);
 
 }  // namespace tbon::net

@@ -1,5 +1,5 @@
-// The remote (multi-host TCP) instantiation: Network::create_remote and the
-// node-process side, Network::run_remote_node.
+// The remote (multi-host TCP) instantiation: Network::create_remote_impl and
+// the node-process side, Network::run_remote_node.
 //
 // Where process mode forks a tree connected by inherited socketpairs, remote
 // mode gives every node nothing but a bootstrap address.  Each spawned node
@@ -50,14 +50,12 @@ namespace {
 /// A packet-plane channel delivering into `runtime`'s inbox as (origin,
 /// slot), crediting `gate` with the grant frames the peer sends on it.
 net::ChannelOptions channel_into(NodeRuntime& runtime, Origin origin, std::uint32_t slot,
-                                 const std::shared_ptr<CreditGate>& gate,
-                                 const net::FramingFactory& framing) {
+                                 const std::shared_ptr<CreditGate>& gate) {
   net::ChannelOptions options;
   options.inbox = runtime.inbox();
   options.origin = origin;
   options.slot = slot;
   options.credits = CreditSink{gate, 0};
-  if (framing) options.framing = framing();
   return options;
 }
 
@@ -104,7 +102,6 @@ void spawn_command(const std::vector<std::string>& argv) {
 struct RemoteState {
   net::EventLoop loop;
   const ChannelFactory* channels = nullptr;  ///< the Network's
-  std::function<std::shared_ptr<net::Framing>()> framing;
   std::unique_ptr<TcpListener> boot_listener;
   std::unique_ptr<TcpListener> link_listener;
   std::string bind_host;
@@ -265,7 +262,7 @@ void fe_link_hello(RemoteState* st, const net::ConnRef& conn, const Bytes& frame
   st->loop.send_frame(conn, net::encode_link_welcome(net::LinkWelcome{
                                 *version, st->topology.root(), slot, window}));
   const auto gate = st->channels->socket_gate(conn->fd(), *st->root);
-  st->loop.promote(conn, channel_into(*st->root, Origin::kChild, slot, gate, st->framing));
+  st->loop.promote(conn, channel_into(*st->root, Origin::kChild, slot, gate));
   // Granter and pump registration are thread-safe; the link itself joins
   // the root runtime later, in slot order.
   const auto raw = st->loop.link(conn);
@@ -315,10 +312,8 @@ void remote_teardown(RemoteState* st, bool force) {
 
 // ---- node-process side ------------------------------------------------------
 
-void Network::run_remote_node(
-    NodeId id, const std::string& bootstrap,
-    const std::function<void(BackEnd&)>& backend_main,
-    const std::function<std::shared_ptr<net::Framing>()>& framing) {
+void Network::run_remote_node(NodeId id, const std::string& bootstrap,
+                              const std::function<void(BackEnd&)>& backend_main) {
   Fd boot;
   try {
     boot = tcp_connect(parse_endpoint(bootstrap), 10'000);
@@ -329,7 +324,6 @@ void Network::run_remote_node(
       throw TransportError("bootstrap connection closed before NodeConfig");
     }
     const net::NodeConfig config = net::decode_node_config(*config_frame);
-    set_fd_zero_copy(config.zero_copy);
     const Topology& topo = config.topology;
     if (id >= topo.num_nodes() || id == topo.root()) {
       throw ProtocolError("node id " + std::to_string(id) +
@@ -432,7 +426,7 @@ void Network::run_remote_node(
     const auto wire_parent = [&](Fd fd, std::uint32_t epoch) {
       gate_up = channels.socket_gate(fd.get(), runtime, gate_up);
       net::ChannelOptions options =
-          channel_into(runtime, Origin::kParent, epoch, gate_up, framing);
+          channel_into(runtime, Origin::kParent, epoch, gate_up);
       options.paused = epoch != 0;
       net::ConnRef conn;
       auto raw = loop.add_channel(std::move(fd), std::move(options), &conn);
@@ -472,7 +466,7 @@ void Network::run_remote_node(
     for (std::uint32_t slot = 0; slot < child_fds.size(); ++slot) {
       const auto gate = channels.socket_gate(child_fds[slot].get(), runtime);
       auto raw = loop.add_channel(std::move(child_fds[slot]),
-                                  channel_into(runtime, Origin::kChild, slot, gate, framing));
+                                  channel_into(runtime, Origin::kChild, slot, gate));
       channels.grant_in_band(runtime, Origin::kChild, slot, raw);
       runtime.add_child_link(
           std::make_unique<SharedLink>(channels.socket_stack(raw, runtime, gate)));
@@ -562,7 +556,7 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
         boot_listener->close();
         link_listener->close();
         if (self.rendezvous_) ::close(self.rendezvous_->listener_fd());
-        run_remote_node(id, bootstrap, options.backend_main, ropts.framing);
+        run_remote_node(id, bootstrap, options.backend_main);
         // unreachable
       }
       pids.push_back(pid);
@@ -573,7 +567,6 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
   auto state = std::make_shared<RemoteState>(&root.metrics());
   RemoteState* st = state.get();
   st->channels = &self.channels_;
-  st->framing = ropts.framing;
   st->boot_listener = std::move(boot_listener);
   st->link_listener = std::move(link_listener);
   st->bind_host = ropts.bind_host;
@@ -641,7 +634,7 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
         self.shutdown_requested_ = true;
         self.shutdown_complete_ = true;
       }
-      throw TransportError("create_remote failed: " + why);
+      throw TransportError("remote network creation failed: " + why);
     }
   }
 
@@ -682,7 +675,7 @@ void Network::adopt_remote_orphan(Fd connection, const OrphanHello& hello) {
     current_parent_[hello.node] = topology_.root();
   }
   const auto gate = channels_.socket_gate(connection.get(), root);
-  net::ChannelOptions down = channel_into(root, Origin::kChild, slot, gate, state->framing);
+  net::ChannelOptions down = channel_into(root, Origin::kChild, slot, gate);
   // Register paused: the wiring marker (request_adopt) must reach the root
   // inbox before the orphan's first data frame possibly can.
   down.paused = true;
@@ -727,7 +720,7 @@ std::function<void(const RemoteSpawnRequest&)> ssh_spawn(
 }
 
 bool maybe_run_remote_node(int argc, const char* const* argv,
-                           const RemoteNodeOptions& options) {
+                           const std::function<void(BackEnd&)>& backend_main) {
   std::optional<NodeId> node;
   std::string bootstrap;
   for (int i = 1; i < argc; ++i) {
@@ -742,8 +735,7 @@ bool maybe_run_remote_node(int argc, const char* const* argv,
     }
   }
   if (!node || bootstrap.empty()) return false;
-  Network::run_remote_node(*node, bootstrap, options.backend_main,
-                           options.framing);
+  Network::run_remote_node(*node, bootstrap, backend_main);
   return true;  // unreachable: run_remote_node _Exits, but keeps -Wreturn-type honest
 }
 

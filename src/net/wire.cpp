@@ -9,18 +9,6 @@ void require(bool ok, const char* what) {
   if (!ok) throw CodecError(what);
 }
 
-// The deprecated inline-dispatch knob still ships to remote nodes so a
-// front-end that sets it keeps its old behaviour tree-wide.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::size_t inline_cutoff(const ExecutionOptions& options) noexcept {
-  return options.inline_below_bytes;
-}
-void set_inline_cutoff(ExecutionOptions& options, std::size_t bytes) noexcept {
-  options.inline_below_bytes = bytes;
-}
-#pragma GCC diagnostic pop
-
 BinaryReader open_reader(std::span<const std::byte> bytes, std::size_t min_size,
                          const char* what) {
   require(bytes.size() >= min_size, what);
@@ -129,11 +117,9 @@ Bytes encode_node_config(const NodeConfig& config) {
   writer.put(static_cast<std::int32_t>(config.flow_control.block_timeout_ms));
   writer.put(static_cast<std::uint32_t>(config.execution.num_workers));
   writer.put(static_cast<std::uint64_t>(config.execution.stream_queue_capacity));
-  writer.put(static_cast<std::uint64_t>(inline_cutoff(config.execution)));
   config.batching.serialize(writer);
   writer.put(config.heartbeat.interval_ns);
   writer.put(config.heartbeat.timeout_ns);
-  writer.put(static_cast<std::uint8_t>(config.zero_copy));
   writer.put(static_cast<std::int32_t>(config.handshake_timeout_ms));
   writer.put_string(config.rendezvous);
   writer.put_string(config.parent);
@@ -174,12 +160,9 @@ NodeConfig decode_node_config(std::span<const std::byte> bytes) {
   config.execution.num_workers = reader.get<std::uint32_t>();
   config.execution.stream_queue_capacity =
       static_cast<std::size_t>(reader.get<std::uint64_t>());
-  set_inline_cutoff(config.execution,
-                    static_cast<std::size_t>(reader.get<std::uint64_t>()));
   config.batching = BatchingOptions::deserialize(reader);
   config.heartbeat.interval_ns = reader.get<std::int64_t>();
   config.heartbeat.timeout_ns = reader.get<std::int64_t>();
-  config.zero_copy = reader.get<std::uint8_t>() != 0;
   config.handshake_timeout_ms = reader.get<std::int32_t>();
   config.rendezvous = reader.get_string();
   config.parent = reader.get_string();

@@ -38,8 +38,10 @@ namespace tbon::net {
 
 inline constexpr std::uint32_t kLinkMagic = 0x544C4E4Bu;  // "TLNK"
 inline constexpr std::uint32_t kBootMagic = 0x54424F4Fu;  // "TBOO"
-inline constexpr std::uint8_t kProtoMin = 1;
-inline constexpr std::uint8_t kProtoMax = 1;
+/// Version 2 changed the NodeConfig layout: a version-1 peer fails
+/// negotiation at its hello instead of decoding shifted fields.
+inline constexpr std::uint8_t kProtoMin = 2;
+inline constexpr std::uint8_t kProtoMax = 2;
 
 /// Upper bound on any frame read before a handshake completes.  The packet
 /// plane allows frames up to 1 GiB; an unauthenticated peer does not.
@@ -109,7 +111,6 @@ struct NodeConfig {
   ExecutionOptions execution;
   BatchingOptions batching;
   HeartbeatConfig heartbeat;
-  bool zero_copy = true;          ///< the front-end's fd_zero_copy() toggle
   int handshake_timeout_ms = 10'000;
   std::string rendezvous;         ///< "host:port" for re-adoption; "" = off
   std::string parent;             ///< "host:port" of this node's parent listener

@@ -35,7 +35,6 @@ void accumulate(NodeTelemetry& total, const NodeTelemetry& r) {
   total.fc_invalid_grants += r.fc_invalid_grants;
   total.exec_tasks += r.exec_tasks;
   total.exec_task_ns += r.exec_task_ns;
-  total.exec_inline += r.exec_inline;
   total.filter_custom_events += r.filter_custom_events;
   total.net_accepts += r.net_accepts;
   total.net_connects += r.net_connects;
@@ -146,7 +145,6 @@ void json_record(std::ostringstream& out, const NodeTelemetry& r) {
       << ",\"fc_invalid_grants\":" << r.fc_invalid_grants
       << ",\"exec_tasks\":" << r.exec_tasks
       << ",\"exec_task_ns\":" << r.exec_task_ns
-      << ",\"exec_inline\":" << r.exec_inline
       << ",\"filter_custom_events\":" << r.filter_custom_events
       << ",\"net_accepts\":" << r.net_accepts
       << ",\"net_connects\":" << r.net_connects

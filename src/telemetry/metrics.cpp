@@ -49,7 +49,6 @@ void put_record(BinaryWriter& writer, const NodeTelemetry& r) {
   writer.put(r.fc_invalid_grants);
   writer.put(r.exec_tasks);
   writer.put(r.exec_task_ns);
-  writer.put(r.exec_inline);
   writer.put(r.filter_custom_events);
   writer.put(r.net_accepts);
   writer.put(r.net_connects);
@@ -135,7 +134,6 @@ NodeTelemetry get_record(BinaryReader& reader) {
   r.fc_invalid_grants = reader.get<std::uint64_t>();
   r.exec_tasks = reader.get<std::uint64_t>();
   r.exec_task_ns = reader.get<std::uint64_t>();
-  r.exec_inline = reader.get<std::uint64_t>();
   r.filter_custom_events = reader.get<std::uint64_t>();
   r.net_accepts = reader.get<std::uint64_t>();
   r.net_connects = reader.get<std::uint64_t>();

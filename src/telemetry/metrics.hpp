@@ -61,7 +61,7 @@ struct NodeTelemetry {
   std::uint64_t bytes_up = 0;
   std::uint64_t bytes_down = 0;
   std::uint64_t waves = 0;      ///< sync batches run through the upstream filter
-  std::uint64_t filter_ns = 0;  ///< total time inside transform()
+  std::uint64_t filter_ns = 0;  ///< total time inside filter()
   std::uint64_t telemetry_packets = 0;  ///< telemetry-stream packets handled
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t heartbeats_received = 0;
@@ -84,7 +84,6 @@ struct NodeTelemetry {
   // Parallel filter execution (src/core/executor.hpp).
   std::uint64_t exec_tasks = 0;      ///< filter tasks run on worker threads
   std::uint64_t exec_task_ns = 0;    ///< total worker busy time (utilization)
-  std::uint64_t exec_inline = 0;     ///< packets run inline via inline_below_bytes
   std::uint64_t filter_custom_events = 0;  ///< TelemetryScope::count() bumps
 
   // Remote connection subsystem (src/net/; zero everywhere else).
@@ -200,7 +199,6 @@ class MetricsRegistry {
 
   Counter exec_tasks{0};
   Counter exec_task_ns{0};
-  Counter exec_inline{0};
   Counter filter_custom_events{0};
 
   Counter net_accepts{0};
@@ -302,7 +300,6 @@ class MetricsRegistry {
     r.fc_invalid_grants = fc_invalid_grants.load(std::memory_order_relaxed);
     r.exec_tasks = exec_tasks.load(std::memory_order_relaxed);
     r.exec_task_ns = exec_task_ns.load(std::memory_order_relaxed);
-    r.exec_inline = exec_inline.load(std::memory_order_relaxed);
     r.filter_custom_events = filter_custom_events.load(std::memory_order_relaxed);
     r.net_accepts = net_accepts.load(std::memory_order_relaxed);
     r.net_connects = net_connects.load(std::memory_order_relaxed);

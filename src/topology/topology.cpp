@@ -189,10 +189,6 @@ Topology Topology::from_parents(std::span<const NodeId> parents) {
   return Topology(std::move(nodes));
 }
 
-Topology Topology::parse(std::string_view spec) {
-  return TopologyOptions::from_spec(spec).build();
-}
-
 // ---- TopologyOptions --------------------------------------------------------
 
 TopologyOptions TopologyOptions::single() { return {}; }

@@ -31,7 +31,7 @@ struct TopologyNode {
   NodeId parent = kNoNode;            ///< kNoNode for the root.
   std::vector<NodeId> children;       ///< ordered; empty for back-ends.
   /// Placement: "host" or "host:port".  Informational for the threaded and
-  /// multi-process instantiations; for create_remote it names the machine
+  /// multi-process instantiations; in remote mode it names the machine
   /// the node's process is launched on and (optionally) the fixed port its
   /// child-facing listener binds (omitted/0 -> ephemeral).
   std::string host = "localhost";
@@ -69,9 +69,6 @@ class Topology {
 
   /// Build from explicit parent links (parent[0] must be kNoNode).
   static Topology from_parents(std::span<const NodeId> parents);
-
-  [[deprecated("use TopologyOptions::from_spec (or a typed TopologyOptions builder)")]]
-  static Topology parse(std::string_view spec);
 
   // ---- queries ------------------------------------------------------------
 
@@ -144,10 +141,9 @@ class Topology {
   std::vector<NodeId> leaves_;
 };
 
-/// Typed topology specification — the replacement for the stringly
-/// `Topology::parse` specs.  Pick a shape with a named factory, then pass the
-/// options anywhere a `Topology` is expected (the implicit conversion runs
-/// the builder), e.g.
+/// Typed topology specification.  Pick a shape with a named factory, then
+/// pass the options anywhere a `Topology` is expected (the implicit
+/// conversion runs the builder), e.g.
 ///
 ///   Network::create({.topology = TopologyOptions::balanced(16, 2)});
 ///
@@ -190,7 +186,7 @@ class TopologyOptions {
   static TopologyOptions from_spec(std::string_view spec);
 
   /// Place one node: `host_port` is "host" or "host:port" (the port fixes
-  /// the node's child-facing listener for create_remote; otherwise the OS
+  /// the node's child-facing listener in remote mode; otherwise the OS
   /// assigns one).  Unplaced nodes default to "localhost".
   TopologyOptions& at(NodeId node, std::string host_port);
 

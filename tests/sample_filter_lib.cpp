@@ -15,8 +15,8 @@ using namespace tbon;
 /// built-in set does not provide, proving the filter really came from here.
 class GeometricMeanFilter final : public TransformFilter {
  public:
-  void transform(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
-                 const FilterContext&) override {
+  void filter(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
+              FilterContext&) override {
     // Tree-safe encoding: carry (sum of logs, count) and let the front-end
     // exponentiate; format "f64 u64".
     double log_sum = 0.0;
@@ -35,10 +35,10 @@ class GeometricMeanFilter final : public TransformFilter {
 /// filters are extensible too (MRNet's built-ins are not the ceiling).
 class PairSync final : public SyncPolicy {
  public:
-  void on_packet(std::size_t, PacketPtr packet) override {
+  void on_packet(std::size_t, PacketPtr packet, FilterContext&) override {
     pending_.push_back(std::move(packet));
   }
-  std::vector<Batch> drain_ready(std::int64_t) override {
+  std::vector<Batch> drain_ready(std::int64_t, FilterContext&) override {
     std::vector<Batch> batches;
     while (pending_.size() >= 2) {
       batches.push_back(Batch{pending_[0], pending_[1]});
@@ -46,7 +46,7 @@ class PairSync final : public SyncPolicy {
     }
     return batches;
   }
-  std::vector<Batch> flush() override {
+  std::vector<Batch> flush(FilterContext&) override {
     std::vector<Batch> batches;
     if (!pending_.empty()) batches.push_back(std::move(pending_));
     pending_.clear();

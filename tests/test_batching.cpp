@@ -1,8 +1,8 @@
 // Adaptive small-packet batching: BatchingOptions builder semantics, every
 // CoalescingLink flush trigger (size, deadline, credit pressure, eager
-// bypass), byte-identity between batched and unbatched runs in threaded and
-// process modes, interior frame size under a credit-bound flood, the batch
-// send API, and the TCP_NODELAY pin.
+// bypass), the default filter_batch, byte-identity between batched and
+// unbatched runs in threaded and process modes, interior frame size under a
+// credit-bound flood, the batch send API, and the TCP_NODELAY pin.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -19,7 +19,6 @@
 #include "core/coalesce.hpp"
 #include "core/flow_control.hpp"
 #include "core/network.hpp"
-#include "core/process_network.hpp"
 #include "filters/register.hpp"
 #include "interior_flood.hpp"
 #include "transport/tcp.hpp"
@@ -301,6 +300,34 @@ TEST(CoalescingLink, FlowControlledBatchDrainingTheWindowIsOneFrame) {
   ASSERT_EQ(calls[0].size(), 8u);
   for (std::int64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(calls[0][static_cast<std::size_t>(i)]->get_i64(0), i);
+  }
+}
+
+// ---- TransformFilter::filter_batch default ---------------------------------
+
+TEST(FilterBatch, DefaultRunsEachPacketAsItsOwnWaveInOrder) {
+  // A filter overriding only filter() must see a coalesced run as
+  // independent single-packet waves, in order, through the default
+  // filter_batch.
+  class Negate final : public TransformFilter {
+   public:
+    void filter(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
+                FilterContext&) override {
+      EXPECT_EQ(in.size(), 1u);  // one wave per packet, never the whole run
+      out.push_back(Packet::make(in[0]->stream_id(), in[0]->tag(), kFrontEndRank,
+                                 "i64", {-in[0]->get_i64(0)}));
+    }
+  };
+  Negate negate;
+  TransformFilter& filter = negate;
+  FilterContext ctx;
+  std::vector<PacketPtr> run;
+  for (std::int64_t i = 1; i <= 4; ++i) run.push_back(tiny(i));
+  std::vector<PacketPtr> out;
+  filter.filter_batch(run, out, ctx);
+  ASSERT_EQ(out.size(), 4u);
+  for (std::int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)]->get_i64(0), -(i + 1));
   }
 }
 

@@ -90,7 +90,17 @@ TEST(DataFormat, MatchChecksTypesAndArity) {
 }
 
 // Property-style sweep: every format token round-trips through pack/unpack.
-class ValueRoundTrip : public ::testing::TestWithParam<std::pair<const char*, DataValue>> {};
+struct ValueCase {
+  const char* format;
+  DataValue value;
+};
+
+// gtest_discover_tests puts the printed parameter into the ctest name; the
+// default printer would include the address of `format`, which changes from
+// run to run.
+void PrintTo(const ValueCase& param, std::ostream* os) { *os << param.format; }
+
+class ValueRoundTrip : public ::testing::TestWithParam<ValueCase> {};
 
 TEST_P(ValueRoundTrip, PackUnpack) {
   const auto& [format_string, value] = GetParam();
@@ -107,16 +117,13 @@ TEST_P(ValueRoundTrip, PackUnpack) {
 INSTANTIATE_TEST_SUITE_P(
     AllTypes, ValueRoundTrip,
     ::testing::Values(
-        std::pair<const char*, DataValue>{"i32", std::int32_t{-7}},
-        std::pair<const char*, DataValue>{"i64", std::int64_t{1} << 40},
-        std::pair<const char*, DataValue>{"u64", std::uint64_t{0xffffffffffffffffULL}},
-        std::pair<const char*, DataValue>{"f64", 2.718281828},
-        std::pair<const char*, DataValue>{"str", std::string("packet")},
-        std::pair<const char*, DataValue>{"bytes", Bytes{std::byte{1}, std::byte{255}}},
-        std::pair<const char*, DataValue>{"vi64", std::vector<std::int64_t>{1, 2, 3}},
-        std::pair<const char*, DataValue>{"vf64", std::vector<double>{0.5, -0.5}},
-        std::pair<const char*, DataValue>{"vstr",
-                                          std::vector<std::string>{"a", "", "c"}}));
+        ValueCase{"i32", std::int32_t{-7}}, ValueCase{"i64", std::int64_t{1} << 40},
+        ValueCase{"u64", std::uint64_t{0xffffffffffffffffULL}}, ValueCase{"f64", 2.718281828},
+        ValueCase{"str", std::string("packet")},
+        ValueCase{"bytes", Bytes{std::byte{1}, std::byte{255}}},
+        ValueCase{"vi64", std::vector<std::int64_t>{1, 2, 3}},
+        ValueCase{"vf64", std::vector<double>{0.5, -0.5}},
+        ValueCase{"vstr", std::vector<std::string>{"a", "", "c"}}));
 
 TEST(DataValue, PayloadBytes) {
   EXPECT_EQ(value_payload_bytes(DataValue{std::int32_t{1}}), 4u);

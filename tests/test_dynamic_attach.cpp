@@ -2,8 +2,7 @@
 // more dynamic topology model in which ... back-end processes may join
 // after the internal tree has been instantiated").
 //
-// Joins go through the typed reconfiguration API; the deprecated
-// Network::attach_backend spelling is pinned in test_compat_api.cpp.
+// Joins go through the typed reconfiguration API.
 #include <gtest/gtest.h>
 
 #include "core/network.hpp"
@@ -16,7 +15,7 @@ using namespace std::chrono_literals;
 constexpr std::int32_t kTag = kFirstAppTag;
 
 /// Join one back-end under `parent` via FrontEnd::reconfigure and return its
-/// handle (the migrated spelling of the deprecated Network::attach_backend).
+/// handle.
 BackEnd& add_leaf(Network& net, NodeId parent) {
   const ReconfigResult result =
       net.front_end().reconfigure(TopologyDelta().add_leaf(parent));

@@ -368,29 +368,6 @@ TEST_F(ExecutorFilters, TelemetryAggregatesExecutorMetricsTreeWide) {
   EXPECT_NE(net->front_end().metrics_json().find("\"exec_queue_peak\""), std::string::npos);
 }
 
-TEST_F(ExecutorFilters, InlineBelowBytesKeepsSmallPacketsOnTheLoop) {
-  // inline_below_bytes is deprecated (superseded by adaptive batching) but
-  // must keep its semantics until removed; see also tests/test_compat_api.cpp.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto net = Network::create(
-      {.topology = Topology::flat(2),
-       .execution = {.num_workers = 2, .inline_below_bytes = 1 << 20}});
-#pragma GCC diagnostic pop
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  for (int wave = 0; wave < 5; ++wave) {
-    net->run_backends([&](BackEnd& be) {
-      be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-    });
-    const auto result = stream.recv_for(20s);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ((*result)->get_i64(0), 2);
-  }
-  net->shutdown();
-  const NodeMetricsSnapshot root = net->node_metrics(net->topology().root());
-  EXPECT_GT(root.exec_inline, 0u);
-}
-
 TEST_F(ExecutorFilters, ProcessModeSumReductionWithWorkers) {
   auto net = Network::create(
       {.mode = NetworkMode::kProcess,

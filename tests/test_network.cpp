@@ -174,8 +174,8 @@ TEST(Network, CustomFilterViaRegistry) {
   class DoubleSum final : public TransformFilter {
    public:
     DoubleSum() { instances.fetch_add(1); }
-    void transform(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
-                   const FilterContext&) override {
+    void filter(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
+                FilterContext&) override {
       std::int64_t total = 0;
       for (const auto& packet : in) total += packet->get_i64(0);
       out.push_back(Packet::make(in.front()->stream_id(), in.front()->tag(),

@@ -93,8 +93,8 @@ TEST(StreamSemantics, MultiOutputFilterFansOutUpstream) {
   if (!registry.has_transform(kName)) {
     class Splitter final : public TransformFilter {
      public:
-      void transform(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
-                     const FilterContext&) override {
+      void filter(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
+                  FilterContext&) override {
         // Emit one packet per input, doubled, plus a count marker.
         for (const auto& packet : in) {
           out.push_back(Packet::make(packet->stream_id(), packet->tag(),
@@ -182,6 +182,26 @@ TEST(StreamSemantics, DownstreamOnlyStreamNeverSurfacesUpstream) {
   EXPECT_EQ(got.load(), 4);
   EXPECT_EQ(control.recv_for(std::chrono::milliseconds(0)).status(), RecvStatus::kTimeout);
   net->shutdown();
+}
+
+TEST(StreamSemantics, ZeroTimeoutRecvPollsUntilDataThenReportsShutdown) {
+  // recv_for(0ms) is the polling spelling: kTimeout while nothing is
+  // buffered, the packet once it lands, kShutdown after teardown.
+  auto net = Network::create({.topology = Topology::flat(2)});
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  EXPECT_EQ(stream.recv_for(0ms).status(), RecvStatus::kTimeout);
+  net->run_backends([&](BackEnd& be) {
+    be.send(stream.id(), kTag, "i64", {std::int64_t{be.rank() + 1}});
+  });
+  RecvResult result{RecvStatus::kTimeout};
+  const auto give_up = std::chrono::steady_clock::now() + 20s;
+  while (!result.ok() && std::chrono::steady_clock::now() < give_up) {
+    result = stream.recv_for(0ms);
+  }
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ((*result)->get_i64(0), 3);
+  net->shutdown();
+  EXPECT_EQ(stream.recv_for(0ms).status(), RecvStatus::kShutdown);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for packets and the control protocol.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+#include "core/filter_params.hpp"
 #include "core/packet.hpp"
 #include "core/protocol.hpp"
 
@@ -116,6 +118,14 @@ TEST(StreamSpec, ParamParsing) {
   const Config config = spec.parsed_params();
   EXPECT_EQ(config.get_int("window_ms"), 25);
   EXPECT_EQ(config.get("kernel"), "gaussian");
+}
+
+TEST(StreamSpec, TypedParamsSerializeSortedByKey) {
+  const FilterParams params = FilterParams().set("k", 2).set("chain", "topk,passthrough");
+  EXPECT_EQ(params.to_wire(), "chain=topk,passthrough k=2");
+  EXPECT_TRUE(params.has("k"));
+  EXPECT_FALSE(params.has("window_ms"));
+  EXPECT_THROW(FilterParams().set("bad key", 1), ParseError);
 }
 
 TEST(ControlPackets, Shapes) {

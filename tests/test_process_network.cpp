@@ -5,7 +5,7 @@
 // every test builds its network first thing.
 #include <gtest/gtest.h>
 
-#include "core/process_network.hpp"
+#include "core/network.hpp"
 #include "filters/equivalence.hpp"
 #include "filters/register.hpp"
 
@@ -16,12 +16,10 @@ using namespace std::chrono_literals;
 constexpr std::int32_t kTag = kFirstAppTag;
 
 std::unique_ptr<Network> process_net(Topology topology,
-                                     std::function<void(BackEnd&)> backend_main,
-                                     bool tcp_edges = false) {
+                                     std::function<void(BackEnd&)> backend_main) {
   return Network::create({.mode = NetworkMode::kProcess,
                           .topology = std::move(topology),
-                          .backend_main = std::move(backend_main),
-                          .tcp_edges = tcp_edges});
+                          .backend_main = std::move(backend_main)});
 }
 
 TEST(ProcessNetwork, SumReductionFlat) {
@@ -102,34 +100,20 @@ TEST(ProcessNetwork, MultipleWaves) {
   net->shutdown();
 }
 
-TEST(ProcessNetwork, TcpEdgesSumReduction) {
-  // Every edge is a loopback TCP connection — MRNet's actual transport.
-  auto net = process_net(
-      Topology::balanced(2, 2),
-      [](BackEnd& be) { be.send(1, kTag, "i64", {std::int64_t{be.rank() * 2}}); },
-      /*tcp_edges=*/true);
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  const auto result = stream.recv_for(10s);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ((*result)->get_i64(0), 0 + 2 + 4 + 6);
-  net->shutdown();
-}
-
-TEST(ProcessNetwork, TcpEdgesBroadcastAndPeers) {
-  auto net = process_net(
-      Topology::flat(3),
-      [](BackEnd& be) {
-        const auto command = be.recv_for(10s);
-        if (!command) return;
-        if (be.rank() == 0) {
-          be.send_to(2, kTag, "str", {std::string("over tcp")});
-        } else if (be.rank() == 2) {
-          const auto peer = be.recv_peer_for(10s);
-          be.send(1, kTag, "i64",
-                  {std::int64_t{peer && (*peer)->get_str(0) == "over tcp"}});
-        }
-      },
-      /*tcp_edges=*/true);
+TEST(ProcessNetwork, BroadcastThenPeerSendTo) {
+  // A downstream command triggers a tree-routed peer message; the receiver
+  // reports it upstream.
+  auto net = process_net(Topology::flat(3), [](BackEnd& be) {
+    const auto command = be.recv_for(10s);
+    if (!command) return;
+    if (be.rank() == 0) {
+      be.send_to(2, kTag, "str", {std::string("peer hello")});
+    } else if (be.rank() == 2) {
+      const auto peer = be.recv_peer_for(10s);
+      be.send(1, kTag, "i64",
+              {std::int64_t{peer && (*peer)->get_str(0) == "peer hello"}});
+    }
+  });
   Stream& stream = net->front_end().open_stream({.up_sync = "null"});
   stream.send(kTag, "str", {std::string("go")});
   const auto verdict = stream.recv_for(10s);

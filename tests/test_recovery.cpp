@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/network.hpp"
-#include "core/process_network.hpp"
 #include "filters/time_aligned.hpp"
 #include "recovery/adoption.hpp"
 #include "recovery/fault_injector.hpp"
@@ -461,18 +460,17 @@ TEST(RecoveryProcess, KilledInteriorProcessOrphansReconnect) {
   net->shutdown();
 }
 
-/// Process-mode over loopback TCP with an explicit kill_node (kTagDie rides
-/// the control stream down to the victim).
-TEST(RecoveryProcess, KillNodeOverTcpEdges) {
+/// Process-mode with an explicit kill_node (kTagDie rides the control stream
+/// down to the victim) instead of a fault plan.
+TEST(RecoveryProcess, ExplicitKillNodeOrphansReadopt) {
   constexpr std::uint32_t kDataStream = 1;
   RecoveryOptions recovery;
   recovery.auto_readopt = true;
   auto net = Network::create(
       {.mode = NetworkMode::kProcess,
-       .topology = Topology::balanced(2, 2),  // 4 leaves: keep the TCP variant small
+       .topology = Topology::balanced(2, 2),
        .recovery = recovery,
-       .backend_main = [](BackEnd& be) { pumping_backend(be, kDataStream, /*echo=*/9999); },
-       .tcp_edges = true});
+       .backend_main = [](BackEnd& be) { pumping_backend(be, kDataStream, /*echo=*/9999); }});
   Stream& data = net->front_end().open_stream(
       {.up_transform = "wavg", .up_sync = "wait_for_all"});
   ASSERT_EQ(data.id(), kDataStream);

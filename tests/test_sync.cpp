@@ -80,7 +80,7 @@ TEST(WaitForAll, ChildFailureDegradesToSurvivors) {
   sync.on_packet(0, packet_from(0, 1.0), ctx);
   sync.on_packet(1, packet_from(1, 2.0), ctx);
   EXPECT_TRUE(sync.drain_ready(now_ns(), ctx).empty());
-  sync.child_failed(2);
+  sync.membership_changed({.child = 2, .added = false, .num_children = 2}, ctx);
   const auto batches = sync.drain_ready(now_ns(), ctx);
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].size(), 2u);
@@ -90,8 +90,8 @@ TEST(WaitForAll, AllChildrenFailedStillDrains) {
   FilterContext ctx = context_with_children(2);
   WaitForAllSync sync(ctx);
   sync.on_packet(0, packet_from(0, 1.0), ctx);
-  sync.child_failed(0);
-  sync.child_failed(1);
+  sync.membership_changed({.child = 0, .added = false, .num_children = 1}, ctx);
+  sync.membership_changed({.child = 1, .added = false, .num_children = 0}, ctx);
   const auto batches = sync.drain_ready(now_ns(), ctx);
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].size(), 1u);

@@ -11,7 +11,6 @@
 #include "core/executor.hpp"
 #include "core/flow_control.hpp"
 #include "core/network.hpp"
-#include "core/process_network.hpp"
 #include "core/protocol.hpp"
 #include "core/tenant.hpp"
 
