@@ -21,6 +21,14 @@ Bytes payload_of(std::size_t size) {
   return bytes;
 }
 
+/// Open `fd` on `pump` as a channel into `inbox`; returns its raw send link.
+std::shared_ptr<Link> open_channel(SocketPump& pump, Fd fd, InboxPtr inbox) {
+  std::shared_ptr<Link> raw;
+  pump.open(std::move(fd), {.inbox = std::move(inbox)},
+            [&raw](std::shared_ptr<Link> link) { raw = std::move(link); });
+  return raw;
+}
+
 /// Echo thread: reads frames and writes them straight back.
 std::jthread start_echo(int fd) {
   return std::jthread([fd] {
@@ -67,23 +75,26 @@ BENCHMARK(BM_TcpFrameRoundTrip)->Arg(64)->Arg(4096)->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
 /// Full packet path over a socketpair: serialize -> frame -> deserialize,
-/// using the same FdLink/reader machinery as the multi-process network.
+/// through the reader-thread pump the multi-process network runs on.
 void BM_FdLinkPacketSend(benchmark::State& state) {
   auto [mine, theirs] = make_socketpair();
   auto inbox = std::make_shared<Inbox>(4096);
-  auto reader = start_fd_reader(theirs.get(), inbox, Origin::kChild, 0);
-  FdLink link(mine.get());
+  ReaderPump pump;
+  const auto link = open_channel(pump, std::move(mine), std::make_shared<Inbox>(16));
+  const auto back = open_channel(pump, std::move(theirs), inbox);
 
   const PacketPtr packet = Packet::make(
       1, 100, 0, "vf64",
       {std::vector<double>(static_cast<std::size_t>(state.range(0)), 1.0)});
   for (auto _ : state) {
-    link.send(packet);
+    link->send(packet);
     benchmark::DoNotOptimize(inbox->pop());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(packet->payload_bytes()));
-  link.close();
+  link->close();
+  back->close();
+  pump.stop();
 }
 BENCHMARK(BM_FdLinkPacketSend)->Arg(8)->Arg(512)->Arg(8192)
     ->Unit(benchmark::kMicrosecond);
@@ -119,19 +130,20 @@ void BM_CopyCountPassThroughHop(benchmark::State& state) {
   auto [down_w, down_r] = make_socketpair();  // hop -> consumer
   auto hop_inbox = std::make_shared<Inbox>(4096);
   auto sink_inbox = std::make_shared<Inbox>(4096);
-  auto hop_reader = start_fd_reader(up_r.get(), hop_inbox, Origin::kChild, 0);
-  auto sink_reader = start_fd_reader(down_r.get(), sink_inbox, Origin::kParent, 0);
-  FdLink ingress(up_w.get());
-  FdLink egress(down_w.get());
+  ReaderPump pump;
+  const auto ingress = open_channel(pump, std::move(up_w), std::make_shared<Inbox>(16));
+  const auto hop_return = open_channel(pump, std::move(up_r), hop_inbox);
+  const auto egress = open_channel(pump, std::move(down_w), std::make_shared<Inbox>(16));
+  const auto sink_return = open_channel(pump, std::move(down_r), sink_inbox);
 
   const PacketPtr original =
       Packet::make_view(1, 100, 0, BufferView(payload_of(payload_size)));
   std::uint64_t packets = 0;
   CopyStats::reset();
   for (auto _ : state) {
-    ingress.send(original);
+    ingress->send(original);
     Envelope arrived = *hop_inbox->pop();
-    egress.send(arrived.packet);  // the pass-through relay
+    egress->send(arrived.packet);  // the pass-through relay
     benchmark::DoNotOptimize(sink_inbox->pop());
     ++packets;
   }
@@ -141,8 +153,11 @@ void BM_CopyCountPassThroughHop(benchmark::State& state) {
       static_cast<double>(CopyStats::bytes_copied()) / static_cast<double>(packets));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(payload_size));
-  ingress.close();
-  egress.close();
+  ingress->close();
+  egress->close();
+  hop_return->close();
+  sink_return->close();
+  pump.stop();
 }
 BENCHMARK(BM_CopyCountPassThroughHop)
     ->ArgNames({"bytes"})

@@ -2,11 +2,11 @@
 // instantiations.
 //
 // A tree edge is a pair of FIFO channels (paper §2.1), one per direction.
-// Whatever carries a direction — an in-process inbox queue (threaded), a
-// socketpair or TCP fd drained by a reader thread (process), or a socket on
-// the node's event loop (remote) — and whenever the edge was made — start-up,
-// dynamic attach, re-adoption after a failure, planned re-home — its sender
-// sends through the same decorator stack:
+// Whatever carries a direction — an in-process inbox queue (threaded), or a
+// socket moved by the node process's socket pump (process and remote; see
+// core/socket_pump.hpp) — and whenever the edge was made — start-up, dynamic
+// attach, re-adoption after a failure, planned re-home — its sender sends
+// through the same decorator stack:
 //
 //     FlowControlledLink( CoalescingLink( raw ) )   + the direction's CreditGate
 //
@@ -23,7 +23,7 @@
 //  * kernel socket-buffer sizing on fd and TCP edges;
 //  * how the receiver returns credits: a direct call into the shared gate
 //    when both ends share an address space, an in-band kTagCredit frame on
-//    the socket otherwise (the sender's reader applies it to the gate).
+//    the socket otherwise (the sender's pump applies it to the gate).
 #pragma once
 
 #include <cstdint>
@@ -71,9 +71,8 @@ class ChannelFactory {
                                bool app_edge = false) const;
 
   /// The gate of a socket channel `sender` sends on, made before the raw
-  /// link: the peer's grant frames arrive on the same socket, and the reader
-  /// thread or event loop that applies them (CreditSink) needs the gate
-  /// first.  Sizes the socket's kernel buffers for one window.  `reuse`
+  /// link: the peer's grant frames arrive on the same socket, and the pump
+  /// that applies them (CreditSink) needs the gate first.  Sizes the socket's kernel buffers for one window.  `reuse`
   /// re-baselines an existing gate to a full window instead (an orphan's new
   /// parent edge: its back-end handle may be parked on that gate mid-send).
   /// Null when flow control is off.
@@ -81,7 +80,8 @@ class ChannelFactory {
       int fd, NodeRuntime& sender,
       const std::shared_ptr<CreditGate>& reuse = nullptr) const;
 
-  /// The stack over a socket channel's raw link (FdLink or NetLink).
+  /// The stack over a socket channel's raw link (the one its pump's open()
+  /// hands out).
   std::shared_ptr<Link> socket_stack(std::shared_ptr<Link> raw, NodeRuntime& sender,
                                      const std::shared_ptr<CreditGate>& gate,
                                      bool app_edge = false) const;

@@ -1,13 +1,33 @@
 #include "core/fd_link.hpp"
 
-#include "common/buffer.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "core/coalesce.hpp"
-#include "core/flow_control.hpp"
-#include "core/protocol.hpp"
 
 namespace tbon {
+namespace {
+
+/// Sends packets as serialized frames on a file descriptor.  Thread-safe: a
+/// back-end's application thread and its runtime share one.  Does not own
+/// the fd; the pump keeps it open until its reader is done.
+class FdLink final : public Link {
+ public:
+  /// `metrics`, when given, receives wire_bytes_out accounting (frame
+  /// payload bytes actually written); it must outlive the link.
+  FdLink(int fd, MetricsRegistry* metrics) : fd_(fd), metrics_(metrics) {}
+
+  bool send(const PacketPtr& packet) override;
+  /// Write all packets as one multi-packet batch frame (single syscall); the
+  /// peer's reader delivers them as one batch envelope.
+  bool send_batch(std::span<const PacketPtr> packets) override;
+  void close() override;
+
+ private:
+  std::mutex mutex_;
+  int fd_;
+  MetricsRegistry* metrics_;
+  bool closed_ = false;
+};
 
 bool FdLink::send(const PacketPtr& packet) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -61,82 +81,46 @@ void FdLink::close() {
   }
 }
 
-namespace {
-
-/// Apply (or reject) an in-band credit grant on the reader thread.
-void consume_credit_frame(const Packet& packet, const CreditSink& sink,
-                          MetricsRegistry* metrics) {
+/// A reader thread's whole life: frames from `fd` become envelopes until EOF
+/// or a transport or decode error, then the EOF envelope.
+void read_channel(int fd, const ChannelOptions& channel, MetricsRegistry* metrics) {
   try {
-    const std::uint32_t count = credit_packet_count(packet);
-    const std::uint32_t channel = credit_packet_channel(packet);
-    if (!sink.gate || channel != sink.channel_id) {
-      throw CodecError("stale or unsinkable credit grant");
+    while (auto frame = read_frame(fd)) {
+      if (metrics != nullptr) {
+        metrics->wire_bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
+      }
+      if (auto envelope = decode_channel_frame(std::move(*frame), channel, metrics)) {
+        channel.inbox->push(std::move(*envelope));
+      }
     }
-    sink.gate->grant(count);
   } catch (const std::exception& error) {
-    // Malformed, stale or unsinkable: count and drop.  Never let a hostile
-    // grant frame tear down the reader (and with it the whole channel).
-    TBON_DEBUG("rejecting credit grant: " << error.what());
-    if (metrics != nullptr) {
-      metrics->fc_invalid_grants.fetch_add(1, std::memory_order_relaxed);
-    }
+    TBON_DEBUG("fd reader stopping: " << error.what());
   }
+  // EOF (orderly or not): tell the runtime the peer is gone.
+  channel.inbox->push(Envelope{channel.origin, channel.slot, nullptr});
 }
 
 }  // namespace
 
-std::jthread start_fd_reader(int fd, InboxPtr inbox, Origin origin,
-                             std::uint32_t child_slot, MetricsRegistry* metrics,
-                             CreditSink credit_sink) {
-  return std::jthread([fd, inbox = std::move(inbox), origin, child_slot, metrics,
-                       credit_sink = std::move(credit_sink)] {
-    try {
-      while (auto frame = read_frame(fd)) {
-        if (metrics != nullptr) {
-          metrics->wire_bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
-        }
-        if (is_batch_frame(*frame)) {
-          std::vector<PacketPtr> packets;
-          try {
-            packets = decode_batch_frame(std::move(*frame));
-          } catch (const CodecError& error) {
-            // Frame boundaries are intact (length-prefixed stream), so a
-            // malformed batch is dropped whole — no envelopes, no credits —
-            // and the reader keeps going.
-            TBON_DEBUG("dropping malformed batch frame: " << error.what());
-            if (metrics != nullptr) {
-              metrics->batch_frames_rejected.fetch_add(1, std::memory_order_relaxed);
-            }
-            continue;
-          }
-          if (metrics != nullptr) {
-            metrics->batch_frames_in.fetch_add(1, std::memory_order_relaxed);
-            metrics->batch_packets_in.fetch_add(packets.size(),
-                                                std::memory_order_relaxed);
-          }
-          inbox->push(Envelope{
-              origin, child_slot, nullptr,
-              std::make_shared<const std::vector<PacketPtr>>(std::move(packets))});
-          continue;
-        }
-        // Promote the frame to a refcounted buffer and let the packet alias
-        // it: no payload copy here, and none later if the packet is only
-        // routed onward (the frame is relayed verbatim).
-        auto buffer = std::make_shared<const Buffer>(std::move(*frame));
-        const PacketPtr packet =
-            Packet::deserialize_view(BufferView(buffer, 0, buffer->size()));
-        if (packet->stream_id() == kControlStream && packet->tag() == kTagCredit) {
-          consume_credit_frame(*packet, credit_sink, metrics);
-          continue;
-        }
-        inbox->push(Envelope{origin, child_slot, packet});
-      }
-    } catch (const std::exception& error) {
-      TBON_DEBUG("fd reader stopping: " << error.what());
-    }
-    // EOF (orderly or not): tell the runtime the peer is gone.
-    inbox->push(Envelope{origin, child_slot, nullptr});
+void ReaderPump::open(Fd fd, ChannelOptions channel, const Install& install) {
+  const int raw = fd.get();
+  if (install) install(std::make_shared<FdLink>(raw, metrics_));
+  std::lock_guard<std::mutex> lock(mutex_);
+  fds_.push_back(std::move(fd));
+  readers_.emplace_back([raw, channel = std::move(channel), metrics = metrics_] {
+    read_channel(raw, channel, metrics);
   });
+}
+
+void ReaderPump::stop() {
+  std::vector<std::jthread> readers;
+  std::vector<Fd> fds;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    readers.swap(readers_);
+    fds.swap(fds_);
+  }
+  readers.clear();  // join before the fds close under them
 }
 
 }  // namespace tbon

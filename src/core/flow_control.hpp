@@ -4,10 +4,10 @@
 // of send credits.  The sender consumes one credit per application packet;
 // the receiving NodeRuntime returns credits after consuming packets (in
 // grant_quantum() chunks, so grants cost O(window) not O(packet)).  Threaded
-// channels share the gate object and grant by direct call; process-mode
-// channels return credits in-band with kTagCredit control frames that the
-// sender's fd reader thread applies (never the possibly-blocked event-loop
-// thread — this is what keeps the control plane deadlock-free).
+// channels share the gate object and grant by direct call; socket channels
+// return credits in-band with kTagCredit control frames that the sender's
+// socket pump applies (never the possibly-blocked event-loop thread — this
+// is what keeps the control plane deadlock-free).
 //
 // Control-stream and telemetry-stream packets are exempt: shutdown,
 // heartbeats, credit grants themselves and metrics always flow, so a
@@ -88,7 +88,7 @@ struct FlowControlOptions {
 
 /// The credit window of one channel direction.  Shared between the sender
 /// (acquires) and whoever applies grants for the receiver — the receiving
-/// runtime itself (threaded) or the sender-side fd reader thread (process).
+/// runtime itself (threaded) or the sender's socket pump (process, remote).
 class CreditGate {
  public:
   /// kThrottled: credits remain in the window, but this request's tenant

@@ -1,10 +1,8 @@
 #include "core/network.hpp"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -94,7 +92,7 @@ BackEnd& Network::dynamic_backend(std::size_t index) {
 }
 
 BackEnd& Network::attach_backend_at(NodeId parent) {
-  if ((process_mode_ || remote_mode_) && parent != topology_.root()) {
+  if (forked() && parent != topology_.root()) {
     // Only the root runtime shares the front-end's address space in these
     // modes, so a dynamic leaf service can splice in nowhere else.
     throw ProtocolError(
@@ -535,7 +533,11 @@ bool BackEnd::shutting_down() const {
 
 // ---- Network ----------------------------------------------------------------
 
-Network::Network(const Topology& topology) : topology_(topology) {
+Network::Network(const NetworkOptions& options)
+    : topology_(options.topology),
+      channels_(options.flow_control, options.batching),
+      recovery_(options.recovery),
+      mode_(options.mode) {
   current_parent_.resize(topology_.num_nodes());
   for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
     current_parent_[id] = topology_.is_root(id) ? id : topology_.node(id).parent;
@@ -600,10 +602,8 @@ void Network::start_telemetry(const TelemetryOptions& telemetry) {
 }
 
 std::unique_ptr<Network> Network::create_threaded_impl(const NetworkOptions& options) {
-  const Topology& topology = options.topology;
-  auto network = std::unique_ptr<Network>(new Network(topology));
+  auto network = std::unique_ptr<Network>(new Network(options));
   Network& net = *network;
-  net.recovery_ = options.recovery;
   // NodeRuntime instances keep a reference to the topology for the lifetime
   // of the network, so wire them to the Network's own copy, never to the
   // caller's (possibly temporary) argument.
@@ -636,7 +636,6 @@ std::unique_ptr<Network> Network::create_threaded_impl(const NetworkOptions& opt
   if (options.flow_control.enabled) {
     for (auto& runtime : net.runtimes_) runtime->set_flow_control(options.flow_control);
   }
-  net.channels_ = ChannelFactory(options.flow_control, options.batching);
   // Parallel filter execution: every runtime learns the options; leaves
   // ignore them (they run no filters), so only non-leaf nodes build pools.
   for (auto& runtime : net.runtimes_) runtime->set_execution(options.execution);
@@ -837,7 +836,7 @@ std::vector<NodeLoad> Network::node_loads() const {
   // gauges through the telemetry stream when it is enabled; a node that has
   // not reported yet simply is not a placement candidate.
   std::optional<TreeMetricsSnapshot> tree;
-  if ((process_mode_ || remote_mode_) && collector_) tree = collector_->snapshot();
+  if (forked() && collector_) tree = collector_->snapshot();
   for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
     if (topology_.is_leaf(id)) continue;
     NodeLoad load;
@@ -882,7 +881,7 @@ std::vector<NodeId> Network::effective_children_locked(NodeId node) const {
 
 NodeId Network::resolve_parent(NodeId requested) const {
   if (requested != kAutoPlacement) return requested;
-  if (process_mode_ || remote_mode_) return topology_.root();
+  if (forked()) return topology_.root();
   const std::vector<NodeLoad> loads = node_loads();
   const NodeId chosen = reconfig_.policy->choose_parent(loads);
   return chosen == kAutoPlacement ? topology_.root() : chosen;
@@ -1030,7 +1029,7 @@ ReconfigOpResult Network::reconfig_move_subtree(const ReconfigOp& op) {
   };
 
   NodeId target = op.target;
-  if (process_mode_ || remote_mode_) {
+  if (forked()) {
     if (!recovery_.auto_readopt) {
       r.message =
           "move_subtree needs RecoveryOptions::auto_readopt in process/remote "
@@ -1223,7 +1222,7 @@ ReconfigOpResult Network::migrate_children(const ReconfigOp& op, bool merge_all)
   ReconfigOpResult r;
   r.op = op;
   const char* verb = merge_all ? "merge" : "split";
-  if (process_mode_ || remote_mode_) {
+  if (forked()) {
     r.message = std::string(verb) + ": rebalancing interiors is threaded-mode only";
     return r;
   }
@@ -1336,7 +1335,7 @@ BackEnd& Network::backend(std::uint32_t rank) {
   const std::uint32_t static_ranks =
       static_cast<std::uint32_t>(topology_.num_leaves());
   if (rank < static_ranks) {
-    if (process_mode_ || remote_mode_) {
+    if (forked()) {
       throw ProtocolError(
           "back-end handles live in their own processes in process/remote mode");
     }
@@ -1356,7 +1355,7 @@ std::size_t Network::num_backends() const {
 }
 
 void Network::run_backends(const std::function<void(BackEnd&)>& body) {
-  if (process_mode_ || remote_mode_) {
+  if (forked()) {
     throw ProtocolError("run_backends is unavailable in process/remote mode; "
                         "pass NetworkOptions::backend_main instead");
   }
@@ -1371,7 +1370,7 @@ void Network::kill_node(NodeId id) {
   if (id == topology_.root()) throw ProtocolError("cannot kill the front-end");
   if (id >= topology_.num_nodes()) throw ProtocolError("node id out of range");
   TBON_INFO("injecting failure at node " << id);
-  if (process_mode_ || remote_mode_) {
+  if (forked()) {
     // The victim lives in another process: send a targeted die request down
     // the tree; the node crashes abruptly on receipt (no handshakes).
     send_to_root(make_die_packet(id));
@@ -1494,29 +1493,16 @@ void Network::shutdown() {
   }
   lock.unlock();
   // Stop accepting orphans before tearing down transport state; after this
-  // join no adoption callback can touch reader_threads_/process_child_fds_.
+  // join no adoption can open a channel on the pump.
   if (rendezvous_) rendezvous_->stop();
   threads_.clear();  // join all service threads
-  if (remote_stop_) {
-    // Remote mode: stop the front-end's event loop (closing every tree
-    // socket, so surviving node processes see EOF and exit) and reap
-    // locally spawned node processes.
-    auto stop = std::move(remote_stop_);
-    remote_stop_ = nullptr;
-    stop();
-    remote_state_.reset();
-  }
-  if (process_mode_) {
-    // The root runtime shut down its child links on exit, so every child
-    // process sees EOF, finishes and exits; reap them and drop the fds.
-    reader_threads_.clear();  // join (EOF when children exit)
-    for (const int pid : child_pids_) {
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-    }
-    child_pids_.clear();
-    for (const int fd : process_child_fds_) ::close(fd);
-    process_child_fds_.clear();
+  if (pump_) {
+    // The root runtime shut down its child links on exit, so every node
+    // process finishes and closes its end; stopping the pump releases the
+    // root's sockets, then the processes this one forked are reaped.
+    pump_->stop();
+    pump_.reset();
+    reap_children(std::exchange(child_pids_, {}), /*force=*/false);
   }
 }
 

@@ -14,7 +14,8 @@
 // inside this process, moving packets by reference (zero copy).  The
 // multi-process instantiation (process_network.cpp) forks one OS process per
 // tree node connected by socketpairs, and the remote one (src/net/) connects
-// node processes over TCP; all three share NodeRuntime, so the TBON
+// node processes over TCP; both run one node-process body over a socket pump
+// (core/socket_pump.hpp).  All three share NodeRuntime, so the TBON
 // semantics are identical.
 #pragma once
 
@@ -51,6 +52,7 @@ struct NodeConfig;  // src/net/wire.hpp — what every node process runs under
 class Network;
 class FrontEnd;
 class BackEnd;
+class SocketPump;
 
 /// Fault-tolerance options (part of NetworkOptions).  Everything defaults
 /// to off: a network built without options behaves exactly as before the
@@ -529,10 +531,10 @@ class Network {
       const std::function<void(BackEnd&)>& backend_main);
 
   /// True when this network runs in NetworkMode::kProcess.
-  bool is_process_mode() const noexcept { return process_mode_; }
+  bool is_process_mode() const noexcept { return mode_ == NetworkMode::kProcess; }
 
   /// True when this network runs in NetworkMode::kRemote.
-  bool is_remote_mode() const noexcept { return remote_mode_; }
+  bool is_remote_mode() const noexcept { return mode_ == NetworkMode::kRemote; }
 
   ~Network();
   Network(const Network&) = delete;
@@ -586,7 +588,10 @@ class Network {
   class LeafDelegate;
   class DynamicLeafService;
 
-  explicit Network(const Topology& topology);
+  /// Topology, mode, recovery options and channel factory; no runtimes yet.
+  explicit Network(const NetworkOptions& options);
+  /// Process or remote mode: every node except the root is its own process.
+  bool forked() const noexcept { return mode_ != NetworkMode::kThreaded; }
   static std::unique_ptr<Network> create_threaded_impl(const NetworkOptions& options);
   static std::unique_ptr<Network> create_process_impl(const NetworkOptions& options);
   static std::unique_ptr<Network> create_remote_impl(const NetworkOptions& options);
@@ -647,11 +652,11 @@ class Network {
                             NodeId old_parent, NodeId new_parent);
   void apply_recovery_threaded();
   bool readopt_threaded(NodeRuntime& orphan);
-  void adopt_process_orphan(Fd connection, const OrphanHello& hello);
-  void adopt_remote_orphan(Fd connection, const OrphanHello& hello);
+  /// Graft an orphan that reached the rendezvous onto the root, on pump_
+  /// (process and remote mode).
+  void adopt_orphan(Fd connection, const OrphanHello& hello);
 
-  // Node processes of the process and remote instantiations (defined in
-  // process_network.cpp).
+  // The process and remote instantiations (defined in process_network.cpp).
   /// What every node process runs under, built from `options` (plus the
   /// rendezvous endpoint once auto_readopt made one): shipped to remote
   /// nodes in the bootstrap NodeConfig frame, handed to forked process-mode
@@ -661,6 +666,26 @@ class Network {
   /// heartbeats, its own fault injector, and — in node processes, never at
   /// the front-end's root — an injected crash that exits the process.
   static void configure_runtime(NodeRuntime& runtime, const net::NodeConfig& config);
+  /// Before the forks: the root runtime, set up from `config` like every
+  /// node process.
+  NodeRuntime& make_root(const net::NodeConfig& config);
+  /// Once the root's children are wired on pump_: the front-end handle, the
+  /// orphan rendezvous's acceptor, the root's thread and telemetry.
+  void start_root(const TelemetryOptions& telemetry);
+  /// Reap node processes this process forked.  Without `force` each gets a
+  /// grace period to finish its shutdown before it is killed.
+  static void reap_children(const std::vector<int>& pids, bool force);
+  using PumpFactory = std::function<std::unique_ptr<SocketPump>(MetricsRegistry*)>;
+  /// The body of every process- and remote-mode node process once its tree
+  /// edges are connected sockets: build the runtime and its pump (from
+  /// `make_pump`, given the runtime's metrics), wire `parent` and
+  /// `children` (slot order) on it, re-adopt through the rendezvous after a
+  /// parent failure, run until the tree shuts down, then flush and stop the
+  /// pump.  `on_ready` runs once every edge is wired.
+  static void run_node(const net::NodeConfig& config, NodeId id, Fd parent,
+                       std::vector<Fd> children, const PumpFactory& make_pump,
+                       const std::function<void(BackEnd&)>& backend_main,
+                       const std::function<void()>& on_ready);
   [[noreturn]] static void run_child_process(
       const net::NodeConfig& config, NodeId id, int parent_fd,
       const std::function<void(BackEnd&)>& backend_main);
@@ -749,17 +774,12 @@ class Network {
   std::condition_variable adoption_cv_;
   std::size_t adoptions_ = 0;
 
-  // Multi-process mode state (empty in threaded mode).
-  bool process_mode_ = false;
-  std::vector<int> process_child_fds_;   ///< root's ends, owned
+  NetworkMode mode_;  ///< the instantiation; fixed at creation
+  // Process and remote mode (null/empty in threaded mode): the root's socket
+  // pump, which owns the root's tree sockets, and the node processes this
+  // process forked.
+  std::shared_ptr<SocketPump> pump_;
   std::vector<int> child_pids_;
-  std::vector<std::jthread> reader_threads_;
-
-  // Remote mode state (defined in src/net/remote_network.cpp; opaque here
-  // so core stays independent of the net subsystem's types).
-  bool remote_mode_ = false;
-  std::shared_ptr<void> remote_state_;
-  std::function<void()> remote_stop_;  ///< invoked once, at end of shutdown()
 };
 
 }  // namespace tbon

@@ -522,7 +522,7 @@ void NodeRuntime::handle_control(const Envelope& envelope) {
       metrics_.heartbeats_received.fetch_add(1, std::memory_order_relaxed);
       break;
     case kTagCredit:
-      // Credit grants are consumed by fd reader threads (process mode) or
+      // Credit grants are consumed by socket pumps (process and remote) or
       // granted through shared gates (threaded); one reaching the event loop
       // is stale or crafted.  Count and drop — never forward.
       metrics_.fc_invalid_grants.fetch_add(1, std::memory_order_relaxed);

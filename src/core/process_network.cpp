@@ -8,18 +8,25 @@
 // front-end.  Call Network::create before spawning threads in the parent
 // (fork), and register custom filters first so children inherit them.
 //
-// This file also holds what process and remote node processes share:
-// node_config() and configure_runtime().
+// This file also holds what process and remote mode share above their
+// socket pumps: the node-process body run_node(), the front-end's root and
+// its orphan adopter, node_config() and configure_runtime().
 #include "core/network.hpp"
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/timer.hpp"
 #include "core/channel.hpp"
 #include "core/delegates.hpp"
 #include "core/fd_link.hpp"
@@ -31,20 +38,22 @@
 namespace tbon {
 namespace {
 
-/// Wire `runtime`'s child `slot` on socket `fd`: `install` hands the runtime
-/// the channel stack (add_child_link at start-up, request_adopt for an
-/// orphan), and only then does the reader start, so the wiring is queued in
-/// the FIFO inbox ahead of the child's first frame.
-std::jthread wire_child(const ChannelFactory& channels, NodeRuntime& runtime, int fd,
-                        std::uint32_t slot, const std::function<void(LinkPtr)>& install) {
-  const auto gate = channels.socket_gate(fd, runtime);
-  auto raw = std::make_shared<FdLink>(fd, &runtime.metrics());
-  // Grants ride the raw link: exempt control frames that must never wait
-  // behind a coalescer buffer.
-  channels.grant_in_band(runtime, Origin::kChild, slot, raw);
-  install(std::make_unique<SharedLink>(channels.socket_stack(raw, runtime, gate)));
-  return start_fd_reader(fd, runtime.inbox(), Origin::kChild, slot, &runtime.metrics(),
-                         CreditSink{gate, 0});
+/// Open socket `fd` on `pump` as `runtime`'s child channel `slot`.
+/// `install` receives the channel stack (add_child_link at start-up,
+/// request_adopt for an orphan) before the child's first frame is read.
+void open_child(SocketPump& pump, const ChannelFactory& channels, NodeRuntime& runtime,
+                Fd fd, std::uint32_t slot, const std::function<void(LinkPtr)>& install) {
+  const auto gate = channels.socket_gate(fd.get(), runtime);
+  pump.open(std::move(fd),
+            {.inbox = runtime.inbox(), .origin = Origin::kChild, .slot = slot,
+             .credits = {gate, 0}},
+            [&](std::shared_ptr<Link> raw) {
+              // Grants ride the raw link: exempt control frames that must
+              // never wait behind a coalescer buffer.
+              channels.grant_in_band(runtime, Origin::kChild, slot, raw);
+              install(std::make_unique<SharedLink>(
+                  channels.socket_stack(std::move(raw), runtime, gate)));
+            });
 }
 
 }  // namespace
@@ -78,6 +87,166 @@ void Network::configure_runtime(NodeRuntime& runtime, const net::NodeConfig& con
     // flushes, no handshakes.
     runtime.set_crash_handler([] { std::_Exit(0); });
   }
+}
+
+void Network::run_node(const net::NodeConfig& config, NodeId id, Fd parent,
+                       std::vector<Fd> children, const PumpFactory& make_pump,
+                       const std::function<void(BackEnd&)>& backend_main,
+                       const std::function<void()>& on_ready) {
+  const Topology& topology = config.topology;
+  const bool leaf = topology.is_leaf(id);
+  std::unique_ptr<BackEnd> backend;
+  std::unique_ptr<BackEndDelegate> delegate;
+  if (leaf) {
+    backend.reset(new BackEnd(topology.leaf_rank(id), nullptr));
+    delegate = std::make_unique<BackEndDelegate>(*backend);
+  }
+  NodeRuntime runtime(topology, id, FilterRegistry::instance(), delegate.get());
+  configure_runtime(runtime, config);
+  // Each process services its own coalescer deadlines (the flusher thread
+  // starts on the first stack built, safely after every fork).
+  const ChannelFactory channels(config.flow_control, config.batching);
+  // Declared after the runtime, so the pump stops first if an exception
+  // unwinds.
+  const std::unique_ptr<SocketPump> pump = make_pump(&runtime.metrics());
+
+  // The upstream gate survives re-adoption (reset to a full window when
+  // the edge is replaced) so a back-end handle never dangles mid-send.
+  std::shared_ptr<CreditGate> gate_up;
+  std::shared_ptr<RelinkableLink> relink;
+  // Open the parent edge on `fd`: at start-up (epoch 0), and again on
+  // re-adoption.
+  const auto open_parent = [&](Fd fd, std::uint32_t epoch) {
+    gate_up = channels.socket_gate(fd.get(), runtime, gate_up);
+    pump->open(std::move(fd),
+               {.inbox = runtime.inbox(), .origin = Origin::kParent, .slot = epoch,
+                .credits = {gate_up, 0}},
+               [&](std::shared_ptr<Link> raw) {
+                 auto up = channels.socket_stack(raw, runtime, gate_up, /*app_edge=*/leaf);
+                 if (!leaf) {
+                   runtime.set_parent_link(std::make_unique<SharedLink>(std::move(up)));
+                   channels.grant_in_band(runtime, Origin::kParent, 0, std::move(raw));
+                 } else if (relink) {
+                   relink->relink(std::move(up));
+                 } else {
+                   // The back-end handle and the runtime share one stack
+                   // behind a relinkable seam: re-adoption swaps the channel
+                   // underneath both.  Grants ride the seam too, so they
+                   // follow the live edge.
+                   relink = std::make_shared<RelinkableLink>(std::move(up));
+                   backend->up_link_ = std::make_unique<SharedLink>(relink);
+                   runtime.set_parent_link(std::make_unique<SharedLink>(relink));
+                   channels.grant_in_band(runtime, Origin::kParent, 0, relink);
+                 }
+               });
+  };
+  open_parent(std::move(parent), 0);
+  if (!config.rendezvous.empty()) {
+    runtime.set_orphan_handler([&](NodeRuntime& self) {
+      try {
+        const std::uint32_t epoch = self.bump_parent_epoch();
+        // The hello frame is already on the wire (FIFO), so the front-end
+        // wires our slot before any data sent from here on.
+        open_parent(orphan_reconnect(parse_endpoint(config.rendezvous),
+                                     OrphanHello{id, topology.subtree_leaf_ranks(id)}),
+                    epoch);
+        self.metrics().net_reconnects.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      } catch (const std::exception& error) {
+        TBON_WARN("node " << id << " re-adoption failed: " << error.what());
+        return false;
+      }
+    });
+  }
+  for (std::uint32_t slot = 0; slot < children.size(); ++slot) {
+    open_child(*pump, channels, runtime, std::move(children[slot]), slot,
+               [&](LinkPtr link) { runtime.add_child_link(std::move(link)); });
+  }
+  pump->start();
+  if (on_ready) on_ready();
+  if (leaf) {
+    std::jthread service([&runtime] { runtime.run(); });
+    if (backend_main) backend_main(*backend);
+    // The runtime exits when the shutdown handshake completes.
+  } else {
+    runtime.run();
+  }
+  // The runtime's last sends (final telemetry record, shutdown ack) may only
+  // be queued on the pump; flush them to the kernel before it stops.
+  pump->drain(5'000);
+  pump->stop();
+}
+
+void Network::reap_children(const std::vector<int>& pids, bool force) {
+  if (force) {
+    for (const int pid : pids) ::kill(pid, SIGKILL);
+  }
+  const std::int64_t deadline = now_ns() + 5'000'000'000LL;
+  // Back off from a short first nap: a node usually exits within a
+  // millisecond of closing its parent edge, and every tree level reaps its
+  // own children, so a fixed long nap would add up along the depth.
+  auto nap = std::chrono::microseconds(50);
+  for (const int pid : pids) {
+    for (;;) {
+      int status = 0;
+      const pid_t reaped = ::waitpid(pid, &status, force ? 0 : WNOHANG);
+      if (reaped == pid || (reaped < 0 && errno == ECHILD)) break;
+      if (now_ns() >= deadline) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+        break;
+      }
+      std::this_thread::sleep_for(nap);
+      nap = std::min(nap * 2, std::chrono::microseconds(5'000));
+    }
+  }
+}
+
+// ---- the front-end's root (process and remote modes) ------------------------
+
+NodeRuntime& Network::make_root(const net::NodeConfig& config) {
+  root_delegate_ = std::make_unique<RootDelegate>(*this);
+  runtimes_.resize(topology_.num_nodes());
+  runtimes_[topology_.root()] = std::make_unique<NodeRuntime>(
+      topology_, topology_.root(), registry_, root_delegate_.get());
+  NodeRuntime& root = *runtimes_[topology_.root()];
+  configure_runtime(root, config);
+  return root;
+}
+
+void Network::start_root(const TelemetryOptions& telemetry) {
+  front_end_ = std::unique_ptr<FrontEnd>(new FrontEnd(*this));
+  next_dynamic_rank_ = static_cast<std::uint32_t>(topology_.num_leaves());
+  if (rendezvous_) {
+    rendezvous_->start([this](Fd connection, const OrphanHello& hello) {
+      adopt_orphan(std::move(connection), hello);
+    });
+  }
+  NodeRuntime& root = *runtimes_[topology_.root()];
+  threads_.emplace_back([&root] { root.run(); });
+  start_telemetry(telemetry);
+}
+
+void Network::adopt_orphan(Fd connection, const OrphanHello& hello) {
+  {
+    std::lock_guard<std::mutex> lock(shutdown_mutex_);
+    // Dropping the connection EOFs the orphan, which then gives up and dies;
+    // its subtree drains through the normal teardown path.
+    if (shutdown_requested_) return;
+  }
+  std::lock_guard<std::mutex> lock(recovery_mutex_);
+  NodeRuntime& root = *runtimes_[topology_.root()];
+  const std::uint32_t slot = root.reserve_child_slot();
+  TBON_INFO("front-end adopting orphan node " << hello.node << " at slot " << slot);
+  if (hello.node < current_parent_.size()) {
+    current_parent_[hello.node] = topology_.root();
+  }
+  open_child(*pump_, channels_, root, std::move(connection), slot, [&](LinkPtr link) {
+    root.request_adopt(slot, hello.ranks, std::move(link));
+  });
+  root.metrics().net_reconnects.fetch_add(1, std::memory_order_relaxed);
+  ++adoptions_;
+  adoption_cv_.notify_all();
 }
 
 // ---- process mode -------------------------------------------------------------
@@ -127,95 +296,13 @@ Network::SpawnedChildren Network::spawn_children(
 
 void Network::run_child_process(const net::NodeConfig& config, NodeId id, int parent_fd,
                                 const std::function<void(BackEnd&)>& backend_main) {
-  const Topology& topology = config.topology;
   try {
     SpawnedChildren spawned = spawn_children(config, id, parent_fd,
                                              /*rendezvous_listener_fd=*/-1, backend_main);
-
-    const bool leaf = topology.is_leaf(id);
-    std::unique_ptr<BackEnd> backend;
-    std::unique_ptr<BackEndDelegate> delegate;
-    if (leaf) {
-      backend.reset(new BackEnd(topology.leaf_rank(id), nullptr));
-      delegate = std::make_unique<BackEndDelegate>(*backend);
-    }
-    NodeRuntime runtime(topology, id, FilterRegistry::instance(), delegate.get());
-    configure_runtime(runtime, config);
-    // Each process services its own coalescer deadlines (the flusher thread
-    // starts on the first stack built, safely after all the forks above).
-    const ChannelFactory channels(config.flow_control, config.batching);
-
-    // Connections opened by re-adoption; must outlive the reader threads
-    // and links that borrow the raw fds, hence declared first.
-    std::vector<Fd> adopted_fds;
-    std::vector<std::jthread> readers;
-    // The upstream gate survives re-adoption (reset to a full window when
-    // the edge is replaced) so a back-end handle never dangles mid-send.
-    std::shared_ptr<CreditGate> gate_up;
-    std::shared_ptr<RelinkableLink> relink;
-    // Wire the parent edge on `fd`: at start-up, and again on re-adoption.
-    const auto wire_parent = [&](int fd, std::uint32_t epoch) {
-      gate_up = channels.socket_gate(fd, runtime, gate_up);
-      auto raw = std::make_shared<FdLink>(fd, &runtime.metrics());
-      auto up = channels.socket_stack(raw, runtime, gate_up, /*app_edge=*/leaf);
-      if (!leaf) {
-        runtime.set_parent_link(std::make_unique<SharedLink>(std::move(up)));
-        channels.grant_in_band(runtime, Origin::kParent, 0, raw);
-      } else if (relink) {
-        relink->relink(std::move(up));
-      } else {
-        // The back-end handle and the runtime share one stack behind a
-        // relinkable seam: re-adoption swaps the channel underneath both.
-        // Grants ride the seam too, so they follow the live edge.
-        relink = std::make_shared<RelinkableLink>(std::move(up));
-        backend->up_link_ = std::make_unique<SharedLink>(relink);
-        runtime.set_parent_link(std::make_unique<SharedLink>(relink));
-        channels.grant_in_band(runtime, Origin::kParent, 0, relink);
-      }
-      readers.push_back(start_fd_reader(fd, runtime.inbox(), Origin::kParent, epoch,
-                                        &runtime.metrics(), CreditSink{gate_up, 0}));
-    };
-    wire_parent(parent_fd, 0);
-    if (!config.rendezvous.empty()) {
-      runtime.set_orphan_handler([&](NodeRuntime& self) {
-        try {
-          const std::uint32_t epoch = self.bump_parent_epoch();
-          Fd fd = orphan_reconnect(parse_endpoint(config.rendezvous),
-                                   OrphanHello{id, topology.subtree_leaf_ranks(id)});
-          // The hello frame is already on the wire (FIFO), so the front-end
-          // wires our slot before any data sent from here on.
-          wire_parent(fd.get(), epoch);
-          adopted_fds.push_back(std::move(fd));
-          return true;
-        } catch (const std::exception& error) {
-          TBON_WARN("node " << id << " re-adoption failed: " << error.what());
-          return false;
-        }
-      });
-    }
-    for (std::uint32_t slot = 0; slot < spawned.fds.size(); ++slot) {
-      readers.push_back(
-          wire_child(channels, runtime, spawned.fds[slot].get(), slot,
-                     [&](LinkPtr link) { runtime.add_child_link(std::move(link)); }));
-    }
-    if (leaf) {
-      std::jthread service([&runtime] { runtime.run(); });
-      backend_main(*backend);
-      // The runtime exits when the shutdown handshake completes.
-    } else {
-      runtime.run();
-    }
-
-    // Reap our direct children.  Their exit closes the far end of every
-    // child edge, and our parent shut its end of ours down when its runtime
-    // exited, so every reader reaches EOF: join them before closing the fds
-    // they read.
-    for (const int pid : spawned.pids) {
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-    }
-    readers.clear();  // join
-    spawned.fds.clear();
+    run_node(config, id, Fd(parent_fd), std::move(spawned.fds),
+             [](MetricsRegistry* metrics) { return std::make_unique<ReaderPump>(metrics); },
+             backend_main, /*on_ready=*/nullptr);
+    reap_children(spawned.pids, /*force=*/false);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "tbon child process %u failed: %s\n", id, error.what());
     std::fflush(stderr);
@@ -224,81 +311,36 @@ void Network::run_child_process(const net::NodeConfig& config, NodeId id, int pa
   std::_Exit(0);
 }
 
-void Network::adopt_process_orphan(Fd connection, const OrphanHello& hello) {
-  {
-    std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    // Dropping the connection EOFs the orphan, which then gives up and dies;
-    // its subtree drains through the normal teardown path.
-    if (shutdown_requested_) return;
-  }
-  std::lock_guard<std::mutex> lock(recovery_mutex_);
-  NodeRuntime& root = *runtimes_[topology_.root()];
-  const std::uint32_t slot = root.reserve_child_slot();
-  const int raw = connection.release();
-  TBON_INFO("front-end adopting orphan node " << hello.node << " at slot " << slot);
-  if (hello.node < current_parent_.size()) {
-    current_parent_[hello.node] = topology_.root();
-  }
-  reader_threads_.push_back(wire_child(channels_, root, raw, slot, [&](LinkPtr link) {
-    root.request_adopt(slot, hello.ranks, std::move(link));
-  }));
-  process_child_fds_.push_back(raw);
-  ++adoptions_;
-  adoption_cv_.notify_all();
-}
-
 std::unique_ptr<Network> Network::create_process_impl(const NetworkOptions& options) {
   if (!options.backend_main) {
     throw ProtocolError("NetworkOptions::backend_main is required in process mode");
   }
-  auto network = std::unique_ptr<Network>(new Network(options.topology));
+  // The channel factory's deadline-service thread starts on the first stack
+  // built, which happens only after every fork below (threads don't survive
+  // fork).
+  auto network = std::unique_ptr<Network>(new Network(options));
   Network& net = *network;
-  net.process_mode_ = true;
-  net.recovery_ = options.recovery;
-  // The deadline-service thread starts on the first stack built, which
-  // happens only after every fork below (threads don't survive fork).
-  net.channels_ = ChannelFactory(options.flow_control, options.batching);
-  const Topology& topo = net.topology_;
-
   if (net.recovery_.auto_readopt) {
     // The listener binds now so the port is known to every forked child;
-    // the acceptor thread starts only after all forks (threads don't
-    // survive fork).
+    // the acceptor thread starts only after all forks.
     net.rendezvous_ = std::make_unique<RendezvousServer>();
   }
   // Every descendant reads this through the reference spawn_children hands
   // down; it lives in this frame, which no forked child ever leaves.
   const net::NodeConfig config = net.node_config(options);
-
-  net.root_delegate_ = std::make_unique<RootDelegate>(net);
-  net.runtimes_.resize(topo.num_nodes());
-  net.runtimes_[topo.root()] =
-      std::make_unique<NodeRuntime>(topo, topo.root(), net.registry_,
-                                    net.root_delegate_.get());
-  NodeRuntime& root = *net.runtimes_[topo.root()];
-  configure_runtime(root, config);
+  NodeRuntime& root = net.make_root(config);
 
   SpawnedChildren spawned =
-      spawn_children(config, topo.root(), -1,
+      spawn_children(config, net.topology_.root(), -1,
                      net.rendezvous_ ? net.rendezvous_->listener_fd() : -1,
                      options.backend_main);
+  net.pump_ = std::make_shared<ReaderPump>(&root.metrics());
   for (std::uint32_t slot = 0; slot < spawned.fds.size(); ++slot) {
-    net.reader_threads_.push_back(
-        wire_child(net.channels_, root, spawned.fds[slot].get(), slot,
-                   [&](LinkPtr link) { root.add_child_link(std::move(link)); }));
+    open_child(*net.pump_, net.channels_, root, std::move(spawned.fds[slot]), slot,
+               [&root](LinkPtr link) { root.add_child_link(std::move(link)); });
   }
-  for (Fd& fd : spawned.fds) net.process_child_fds_.push_back(fd.release());
   net.child_pids_ = std::move(spawned.pids);
-
-  net.front_end_ = std::unique_ptr<FrontEnd>(new FrontEnd(net));
-  net.next_dynamic_rank_ = static_cast<std::uint32_t>(topo.num_leaves());
-  if (net.rendezvous_) {
-    net.rendezvous_->start([&net](Fd connection, const OrphanHello& hello) {
-      net.adopt_process_orphan(std::move(connection), hello);
-    });
-  }
-  net.threads_.emplace_back([&root] { root.run(); });
-  net.start_telemetry(options.telemetry);
+  net.start_root(options.telemetry);
   return network;
 }
 

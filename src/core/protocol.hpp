@@ -45,9 +45,9 @@ enum ControlTag : std::int32_t {
   /// records, merged on the way up by the `metrics_merge` built-in filter.
   kTagTelemetry = 10,
   /// Flow-control credit grant: the receiver of a channel returns `count`
-  /// send credits to the channel's sender (process mode; threaded channels
-  /// grant through a shared CreditGate instead).  Payload: "i64 i64" =
-  /// (count, channel id).  Consumed by the sender's fd reader thread, never
+  /// send credits to the channel's sender (process and remote mode; threaded
+  /// channels grant through a shared CreditGate instead).  Payload: "i64
+  /// i64" = (count, channel id).  Consumed by the sender's socket pump, never
   /// enqueued or forwarded.
   kTagCredit = 11,
   /// Topic subscription: src_rank is the subscribing back-end rank (or

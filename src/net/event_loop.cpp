@@ -20,7 +20,6 @@
 #include "common/timer.hpp"
 #include "core/coalesce.hpp"
 #include "core/flow_control.hpp"
-#include "core/protocol.hpp"
 
 namespace tbon::net {
 namespace {
@@ -35,7 +34,7 @@ constexpr std::size_t kMaxWireFrame = std::size_t{1} << 30;
 /// How often the loop refreshes the net_threads gauge from /proc.
 constexpr std::int64_t kThreadSampleNs = 250'000'000;
 
-/// iovec entries per writev call (comfortably under IOV_MAX).
+/// iovec entries per sendmsg call (comfortably under IOV_MAX).
 constexpr std::size_t kIovBatch = 64;
 
 std::string errno_string(int err) { return std::strerror(err); }
@@ -142,8 +141,9 @@ void EventLoop::stop() {
     conn->queue_.clear();
     conn->queued_bytes_ = 0;
     conn->budget_.notify_all();
-    if (conn->channel_ && !conn->eof_notified_ && conn->inbox_) {
-      if (conn->inbox_->try_push(Envelope{conn->origin_, conn->slot_, nullptr})) {
+    const ChannelOptions& target = conn->target_;
+    if (conn->channel_ && !conn->eof_notified_ && target.inbox) {
+      if (target.inbox->try_push(Envelope{target.origin, target.slot, nullptr})) {
         conn->eof_notified_ = true;
       }
     }
@@ -233,41 +233,22 @@ ConnRef EventLoop::add_connection(Fd fd, ConnectionOptions options) {
   return conn;
 }
 
-std::shared_ptr<Link> EventLoop::add_channel(Fd fd, ChannelOptions options,
-                                             ConnRef* out_conn) {
+void EventLoop::open(Fd fd, ChannelOptions channel, const Install& install) {
   auto conn = std::make_shared<NetConn>();
   conn->fd_ = std::move(fd);
   conn->loop_ = this;
-  apply_channel_options(*conn, std::move(options));
-  if (out_conn != nullptr) *out_conn = conn;
+  promote(conn, std::move(channel));
+  if (install) install(std::make_shared<NetLink>(conn));
   submit([this, conn] { register_conn(conn); });
-  return std::make_shared<NetLink>(conn);
 }
 
-void EventLoop::resume(const ConnRef& conn) {
-  submit([this, conn] {
-    if (conn->closed() || conn->read_enabled_) return;
-    conn->read_enabled_ = true;
-    update_interest(*conn);
-    handle_readable(conn);
-  });
-}
-
-void EventLoop::apply_channel_options(NetConn& conn, ChannelOptions options) {
-  conn.channel_ = true;
-  conn.inbox_ = std::move(options.inbox);
-  conn.origin_ = options.origin;
-  conn.slot_ = options.slot;
-  conn.credits_ = std::move(options.credits);
-  conn.max_frame_ = options.max_frame;
-  if (options.paused) conn.read_enabled_ = false;
-  conn.on_frame_ = nullptr;
-  conn.on_close_ = nullptr;
-  conn.deadline_ns_ = 0;
-}
-
-void EventLoop::promote(const ConnRef& conn, ChannelOptions options) {
-  apply_channel_options(*conn, std::move(options));
+void EventLoop::promote(const ConnRef& conn, ChannelOptions channel) {
+  conn->channel_ = true;
+  conn->target_ = std::move(channel);
+  conn->max_frame_ = kMaxWireFrame;
+  conn->on_frame_ = nullptr;
+  conn->on_close_ = nullptr;
+  conn->deadline_ns_ = 0;
 }
 
 std::shared_ptr<Link> EventLoop::link(const ConnRef& conn) {
@@ -463,7 +444,13 @@ void EventLoop::handle_writable(const ConnRef& conn) {
       iov[iovcnt].iov_len = seg.size - skip;
       ++iovcnt;
     }
-    const ssize_t n = ::writev(conn->fd(), iov, static_cast<int>(iovcnt));
+    // MSG_NOSIGNAL: a peer that exited is an EPIPE, which takes the
+    // connection_dead -> EOF envelope -> recovery path, not a SIGPIPE that
+    // kills this process.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iovcnt;
+    const ssize_t n = ::sendmsg(conn->fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -605,38 +592,8 @@ bool EventLoop::deliver_frame(const ConnRef& conn, Bytes frame) {
     return !conn->closed();
   }
   try {
-    if (is_batch_frame(frame)) {
-      std::vector<PacketPtr> packets;
-      try {
-        packets = decode_batch_frame(std::move(frame));
-      } catch (const CodecError& error) {
-        // Frame boundaries are intact (length-prefixed stream), so a
-        // malformed batch is dropped whole — no envelopes, no credits — and
-        // the connection lives on.
-        TBON_DEBUG("dropping malformed batch frame: " << error.what());
-        if (metrics_ != nullptr) {
-          metrics_->batch_frames_rejected.fetch_add(1, std::memory_order_relaxed);
-        }
-        return !conn->closed();
-      }
-      if (metrics_ != nullptr) {
-        metrics_->batch_frames_in.fetch_add(1, std::memory_order_relaxed);
-        metrics_->batch_packets_in.fetch_add(packets.size(),
-                                             std::memory_order_relaxed);
-      }
-      return deliver_envelope(
-          conn, Envelope{conn->origin_, conn->slot_, nullptr,
-                         std::make_shared<const std::vector<PacketPtr>>(
-                             std::move(packets))});
-    }
-    auto buffer = std::make_shared<const Buffer>(std::move(frame));
-    const PacketPtr packet =
-        Packet::deserialize_view(BufferView(buffer, 0, buffer->size()));
-    if (packet->stream_id() == kControlStream && packet->tag() == kTagCredit) {
-      consume_credit(*conn, *packet);
-      return true;
-    }
-    return deliver_envelope(conn, Envelope{conn->origin_, conn->slot_, packet});
+    auto envelope = decode_channel_frame(std::move(frame), conn->target_, metrics_);
+    return !envelope || deliver_envelope(conn, std::move(*envelope));
   } catch (const std::exception& error) {
     TBON_DEBUG("net frame decode failed: " << error.what());
     connection_dead(conn, false);
@@ -644,27 +601,8 @@ bool EventLoop::deliver_frame(const ConnRef& conn, Bytes frame) {
   }
 }
 
-void EventLoop::consume_credit(NetConn& conn, const Packet& packet) {
-  // Mirrors the fd reader's consume_credit_frame.  Applying grants here is
-  // safe because the loop never *waits* for credits: blocking acquisition
-  // happens in FlowControlledLink on sender threads, which grant() wakes.
-  try {
-    const std::uint32_t count = credit_packet_count(packet);
-    const std::uint32_t channel = credit_packet_channel(packet);
-    if (!conn.credits_.gate || channel != conn.credits_.channel_id) {
-      throw CodecError("stale or unsinkable credit grant");
-    }
-    conn.credits_.gate->grant(count);
-  } catch (const std::exception& error) {
-    TBON_DEBUG("rejecting credit grant: " << error.what());
-    if (metrics_ != nullptr) {
-      metrics_->fc_invalid_grants.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
 bool EventLoop::deliver_envelope(const ConnRef& conn, Envelope envelope) {
-  if (conn->inbox_->try_push(envelope)) return true;
+  if (conn->target_.inbox->try_push(envelope)) return true;
   // Inbox full: park the envelope and mask EPOLLIN so the kernel buffer
   // (and then the peer's credit window) absorbs the backlog.  retry_parked
   // re-enables reads once the runtime drains.
@@ -681,7 +619,7 @@ void EventLoop::retry_parked() {
     std::vector<ConnRef> ready;
     for (ConnRef& conn : parked_) {
       if (conn->closed() || !conn->parked_) continue;
-      if (conn->inbox_->try_push(*conn->parked_)) {
+      if (conn->target_.inbox->try_push(*conn->parked_)) {
         conn->parked_.reset();
         conn->read_enabled_ = true;
         update_interest(*conn);
@@ -729,8 +667,9 @@ void EventLoop::connection_dead(const ConnRef& conn, bool handshake_failure) {
       // The EOF envelope is what triggers recovery; it must not be lost,
       // and it must not block the loop — best effort now, retried from the
       // loop until the inbox has room.
-      if (!conn->inbox_->try_push(Envelope{conn->origin_, conn->slot_, nullptr})) {
-        pending_eof_.push_back(PendingEof{conn->inbox_, conn->origin_, conn->slot_});
+      const ChannelOptions& target = conn->target_;
+      if (!target.inbox->try_push(Envelope{target.origin, target.slot, nullptr})) {
+        pending_eof_.push_back(PendingEof{target.inbox, target.origin, target.slot});
       }
     }
   } else if (conn->on_close_) {
@@ -897,11 +836,11 @@ void EventLoop::run() {
         // handle_readable no-ops while reads are masked — level-triggered,
         // the event would repeat every epoll_wait and spin the loop hot
         // until the inbox drains.  Drop the fd from the interest set
-        // instead; resume()/retry_parked() re-add it via update_interest
-        // and then drain whatever the peer left behind before the EOF
-        // surfaces.  (With want_write_ set the interest mask is non-zero
-        // and the write path consumes the event: the next writev fails and
-        // tears the connection down.)
+        // instead; retry_parked() re-adds it via update_interest and then
+        // drains whatever the peer left behind before the EOF surfaces.
+        // (With want_write_ set the interest mask is non-zero and the write
+        // path consumes the event: the next sendmsg fails and tears the
+        // connection down.)
         if (::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, conn->fd(), nullptr) ==
             0) {
           conn->registered_ = false;

@@ -1,21 +1,23 @@
 // The per-node socket engine of the remote instantiation.
 //
 // One EventLoop per process owns ALL of that node's socket I/O on a single
-// epoll-driven thread — where the multi-process instantiation spawns one
-// blocking reader thread per fd, a remote node's fd count no longer shows
-// up in its thread count (test_net.cpp asserts exactly that).  Filter work
-// never runs here: packets are delivered into the NodeRuntime's inbox and
-// filters execute on the runtime thread or the FilterExecutor pool, so the
-// loop's only job is moving frames.
+// epoll-driven thread — it is remote mode's SocketPump (core/socket_pump.hpp),
+// where process mode's ReaderPump spawns one blocking reader thread per fd,
+// so a remote node's fd count never shows up in its thread count
+// (test_net.cpp asserts exactly that).  Filter work never runs here: packets
+// are delivered into the NodeRuntime's inbox and filters execute on the
+// runtime thread or the FilterExecutor pool, so the loop's only job is
+// moving frames.
 //
 // The loop never blocks:
 //  * reads are non-blocking with an incremental header/payload state
 //    machine; a full inbox parks the envelope and masks EPOLLIN for that
 //    connection until the runtime drains (short-timeout retry);
 //  * writes go through a per-connection send queue drained with
-//    scatter-gather writev (the zero-copy lanes: owned payload segments are
+//    scatter-gather sendmsg (the zero-copy lanes: owned payload segments are
 //    written in place, wire-backed relays verbatim); partial writes keep a
-//    segment cursor and arm EPOLLOUT;
+//    segment cursor and arm EPOLLOUT, and a dead peer is an EPIPE that
+//    surfaces as the channel's EOF, never a SIGPIPE;
 //  * senders on other threads (runtime, back-end application code) enqueue
 //    via NetLink and block only against a byte budget — the moral
 //    equivalent of a full kernel socket buffer — never against the loop;
@@ -27,10 +29,10 @@
 // Connections start in *frame-callback* mode (used for handshakes: small
 // max-frame cap, optional deadline, whole frames handed to a callback on
 // the loop thread) and are promoted to *channel* mode once the handshake
-// completes; channel frames become inbox envelopes exactly like
-// start_fd_reader produces, so NodeRuntime cannot tell the transports
-// apart.  An eventfd wake channel makes enqueues and cross-thread posts
-// visible to a sleeping epoll_wait.
+// completes; open() registers an already-handshaked socket straight in
+// channel mode.  Channel frames go through decode_channel_frame, as in the
+// reader pump.  An eventfd wake channel makes enqueues and cross-thread
+// posts visible to a sleeping epoll_wait.
 #pragma once
 
 #include <array>
@@ -47,8 +49,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/fd_link.hpp"
 #include "core/runtime.hpp"
+#include "core/socket_pump.hpp"
 #include "net/wire.hpp"
 #include "telemetry/metrics.hpp"
 #include "transport/fd.hpp"
@@ -72,23 +74,6 @@ struct ConnectionOptions {
   /// Absolute now_ns() deadline for promotion; 0 = none.  Expiry counts
   /// into net_handshakes_failed and closes the connection.
   std::int64_t deadline_ns = 0;
-};
-
-/// Options promoting a connection to channel (packet-plane) mode.
-struct ChannelOptions {
-  InboxPtr inbox;
-  Origin origin = Origin::kChild;
-  /// Child slot (Origin::kChild) or parent-channel epoch (Origin::kParent).
-  std::uint32_t slot = 0;
-  /// Gate credited by in-band kTagCredit grants arriving on this socket.
-  CreditSink credits;
-  std::size_t max_frame = std::size_t{1} << 30;  ///< fd.hpp's kMaxFrame
-  /// Register with reads masked; no frame is delivered until resume().
-  /// Lets an adopter queue its wiring marker (request_adopt) before the
-  /// orphan's first data frame can possibly reach the inbox — the same
-  /// marker-before-data FIFO the fd-reader path gets by starting the
-  /// reader thread last.
-  bool paused = false;
 };
 
 /// One socket owned by the loop.  Opaque outside this subsystem: callers
@@ -137,10 +122,7 @@ class NetConn {
 
   // Mode (loop thread only).
   bool channel_ = false;
-  InboxPtr inbox_;
-  Origin origin_ = Origin::kChild;
-  std::uint32_t slot_ = 0;
-  CreditSink credits_;
+  ChannelOptions target_;  ///< where channel frames go
   std::function<void(const ConnRef&, Bytes)> on_frame_;
   std::function<void(const ConnRef&)> on_close_;
   std::int64_t deadline_ns_ = 0;
@@ -163,7 +145,8 @@ class NetConn {
   bool eof_notified_ = false;
   // In the epoll interest set.  Cleared when the loop deregisters a
   // read-masked conn on EPOLLHUP/EPOLLERR (the events are level-triggered
-  // and ignore a 0 interest mask); update_interest re-adds on resume.
+  // and ignore a 0 interest mask); update_interest re-adds it once reads
+  // are unmasked.
   bool registered_ = false;
 
   std::atomic<bool> closed_{false};
@@ -183,23 +166,23 @@ class NetLink final : public Link {
   ConnRef conn_;
 };
 
-class EventLoop {
+class EventLoop final : public SocketPump {
  public:
   /// `metrics`, when given, receives the net_* counters and gauges and must
   /// outlive the loop.
   explicit EventLoop(MetricsRegistry* metrics = nullptr);
-  ~EventLoop();
+  ~EventLoop() override;
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Spawn the loop thread.  Connections and listeners may be added both
   /// before (wiring a child process's tree edges) and after (adoption).
-  void start();
+  void start() override;
 
   /// Stop and join (idempotent).  Pending queues are dropped; blocked
   /// senders are woken and fail.
-  void stop();
+  void stop() override;
 
   /// Block until every connection's send queue and in-flight frame have
   /// been handed to the kernel, or `timeout_ms` elapses.  Call before
@@ -209,23 +192,18 @@ class EventLoop {
   /// Bytes accepted by the kernel survive process exit — TCP flushes the
   /// socket buffer before FIN — so queue-empty is the full guarantee.
   /// Returns false on timeout or if the loop stopped underneath us.
-  bool drain(std::int64_t timeout_ms);
+  bool drain(std::int64_t timeout_ms) override;
 
   /// Take ownership of a connected socket in frame-callback mode.
   ConnRef add_connection(Fd fd, ConnectionOptions options);
 
   /// Take ownership of a connected, handshaked socket directly in channel
-  /// mode, returning its send link.  `out_conn`, when given, receives the
-  /// connection handle (needed to resume() a paused channel).
-  std::shared_ptr<Link> add_channel(Fd fd, ChannelOptions options,
-                                    ConnRef* out_conn = nullptr);
-
-  /// Unmask reads on a channel registered with ChannelOptions::paused.
-  void resume(const ConnRef& conn);
+  /// mode.  The socket joins the epoll set only after `install` returns.
+  void open(Fd fd, ChannelOptions channel, const Install& install) override;
 
   /// Promote a frame-callback connection to channel mode.  Loop thread (a
   /// frame callback) or pre-start only.
-  void promote(const ConnRef& conn, ChannelOptions options);
+  void promote(const ConnRef& conn, ChannelOptions channel);
 
   /// The send link of any connection (usable in either mode).
   std::shared_ptr<Link> link(const ConnRef& conn);
@@ -263,11 +241,9 @@ class EventLoop {
   /// else post it.
   void submit(std::function<void()> fn);
   void register_conn(const ConnRef& conn);
-  static void apply_channel_options(NetConn& conn, ChannelOptions options);
   void handle_readable(const ConnRef& conn);
   void handle_writable(const ConnRef& conn);
   bool deliver_frame(const ConnRef& conn, Bytes frame);
-  void consume_credit(NetConn& conn, const Packet& packet);
   bool deliver_envelope(const ConnRef& conn, Envelope envelope);
   void retry_parked();
   bool build_outgoing(const ConnRef& conn);

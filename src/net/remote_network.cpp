@@ -9,13 +9,13 @@
 // only then reports BootReady.  The front-end drives its half of all those
 // handshakes from one epoll EventLoop; each node likewise runs exactly one
 // EventLoop for all of its sockets (no thread-per-fd readers — test_net.cpp
-// asserts the thread count).  The packet plane on top of those sockets is
-// the same NodeRuntime machinery as the other two instantiations: flow
-// control, recovery, telemetry and filters behave identically.
+// asserts the thread count).  Once its edges are connected, a node process
+// runs the same body as a process-mode node (Network::run_node) with the
+// EventLoop as its socket pump, and the front-end shares process mode's root
+// set-up and orphan adopter: flow control, recovery, telemetry and filters
+// behave identically.
 #include "net/remote.hpp"
 
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,7 +35,6 @@
 #include "common/log.hpp"
 #include "common/timer.hpp"
 #include "core/channel.hpp"
-#include "core/delegates.hpp"
 #include "core/fd_link.hpp"
 #include "core/protocol.hpp"
 #include "net/event_loop.hpp"
@@ -46,18 +45,6 @@
 
 namespace tbon {
 namespace {
-
-/// A packet-plane channel delivering into `runtime`'s inbox as (origin,
-/// slot), crediting `gate` with the grant frames the peer sends on it.
-net::ChannelOptions channel_into(NodeRuntime& runtime, Origin origin, std::uint32_t slot,
-                                 const std::shared_ptr<CreditGate>& gate) {
-  net::ChannelOptions options;
-  options.inbox = runtime.inbox();
-  options.origin = origin;
-  options.slot = slot;
-  options.credits = CreditSink{gate, 0};
-  return options;
-}
 
 /// The host part of a placement spec ("host" or "host:port").
 std::string host_of(const std::string& spec) { return parse_endpoint(spec, 0).host; }
@@ -93,12 +80,13 @@ void spawn_command(const std::vector<std::string>& argv) {
 
 // ---- front-end side state ---------------------------------------------------
 
-/// Everything the front-end's side of the remote instantiation owns, stored
-/// type-erased in Network::remote_state_ so core headers stay independent of
-/// the net subsystem.  The EventLoop must be constructed after every fork
-/// (its epoll/eventfd/thread must not leak into children), so construction
-/// of this whole struct happens post-spawn; the listeners bind pre-fork and
-/// are moved in.
+/// Everything the front-end's side of the remote instantiation owns.  Its
+/// EventLoop is the Network's pump; the Network holds it through an aliasing
+/// pointer that keeps the whole struct alive until shutdown, so core headers
+/// stay independent of the net subsystem.  The EventLoop must be constructed
+/// after every fork (its epoll/eventfd/thread must not leak into children),
+/// so construction of this whole struct happens post-spawn; the listeners
+/// bind pre-fork and are moved in.
 struct RemoteState {
   net::EventLoop loop;
   const ChannelFactory* channels = nullptr;  ///< the Network's
@@ -128,8 +116,6 @@ struct RemoteState {
   std::size_t link_count = 0;
   bool failed = false;
   std::string failure;
-
-  std::vector<pid_t> pids;
 
   explicit RemoteState(MetricsRegistry* metrics) : loop(metrics) {}
 };
@@ -262,7 +248,8 @@ void fe_link_hello(RemoteState* st, const net::ConnRef& conn, const Bytes& frame
   st->loop.send_frame(conn, net::encode_link_welcome(net::LinkWelcome{
                                 *version, st->topology.root(), slot, window}));
   const auto gate = st->channels->socket_gate(conn->fd(), *st->root);
-  st->loop.promote(conn, channel_into(*st->root, Origin::kChild, slot, gate));
+  st->loop.promote(conn, {.inbox = st->root->inbox(), .origin = Origin::kChild,
+                          .slot = slot, .credits = {gate, 0}});
   // Granter and pump registration are thread-safe; the link itself joins
   // the root runtime later, in slot order.
   const auto raw = st->loop.link(conn);
@@ -273,39 +260,6 @@ void fe_link_hello(RemoteState* st, const net::ConnRef& conn, const Bytes& frame
     ++st->link_count;
   }
   st->cv.notify_all();
-}
-
-/// Failure/shutdown teardown: stop the loop, then make sure no node process
-/// outlives the tree.
-void remote_teardown(RemoteState* st, bool force) {
-  st->loop.stop();
-  if (force) {
-    for (const pid_t pid : st->pids) ::kill(pid, SIGKILL);
-    for (const pid_t pid : st->pids) {
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-    }
-  } else {
-    // Orderly path: the shutdown handshake already told every node to exit;
-    // give stragglers a grace period, then escalate.
-    const std::int64_t deadline = now_ns() + 5'000'000'000LL;
-    for (const pid_t pid : st->pids) {
-      for (;;) {
-        int status = 0;
-        const pid_t reaped = ::waitpid(pid, &status, WNOHANG);
-        if (reaped == pid || (reaped < 0 && errno == ECHILD)) break;
-        if (now_ns() >= deadline) {
-          ::kill(pid, SIGKILL);
-          ::waitpid(pid, &status, 0);
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    }
-  }
-  st->pids.clear();
-  st->boot_listener.reset();
-  st->link_listener.reset();
 }
 
 }  // namespace
@@ -331,10 +285,9 @@ void Network::run_remote_node(NodeId id, const std::string& bootstrap,
     }
     const bool leaf = topo.is_leaf(id);
     const auto& children = topo.node(id).children;
-    // Each node process services its own coalescer deadlines (the flusher
-    // thread starts on the first stack built).
-    const ChannelFactory channels(config.flow_control, config.batching);
-    const std::uint32_t window = channels.credit_window();
+    // Both ends of every link handshake must agree on it; the channel stacks
+    // themselves come from run_node's factory.
+    const std::uint32_t window = ChannelFactory(config.flow_control, {}).credit_window();
 
     // Bind the child-facing listener before reporting it, then report it
     // before dialing the parent: our children can be told where to find us
@@ -404,88 +357,15 @@ void Network::run_remote_node(NodeId id, const std::string& bootstrap,
       child_listener->close();
     }
 
-    // All edges are sockets now; build the runtime and hand every fd to one
-    // EventLoop, declared after the runtime so the loop stops first if an
-    // exception unwinds.
-    std::unique_ptr<BackEnd> backend;
-    std::unique_ptr<BackEndDelegate> delegate;
-    if (leaf) {
-      backend.reset(new BackEnd(topo.leaf_rank(id), nullptr));
-      delegate = std::make_unique<BackEndDelegate>(*backend);
-    }
-    NodeRuntime runtime(topo, id, FilterRegistry::instance(), delegate.get());
-    configure_runtime(runtime, config);
-    net::EventLoop loop(&runtime.metrics());
-
-    // The upstream gate survives re-adoption (reset to a full window when
-    // the edge is replaced) so a back-end handle never dangles mid-send.
-    std::shared_ptr<CreditGate> gate_up;
-    std::shared_ptr<RelinkableLink> relink;
-    // Wire the parent edge over `fd`: at start-up (epoch 0), and again on
-    // re-adoption, where the channel registers paused until it is wired.
-    const auto wire_parent = [&](Fd fd, std::uint32_t epoch) {
-      gate_up = channels.socket_gate(fd.get(), runtime, gate_up);
-      net::ChannelOptions options =
-          channel_into(runtime, Origin::kParent, epoch, gate_up);
-      options.paused = epoch != 0;
-      net::ConnRef conn;
-      auto raw = loop.add_channel(std::move(fd), std::move(options), &conn);
-      auto up = channels.socket_stack(raw, runtime, gate_up, /*app_edge=*/leaf);
-      if (!leaf) {
-        runtime.set_parent_link(std::make_unique<SharedLink>(std::move(up)));
-        channels.grant_in_band(runtime, Origin::kParent, 0, raw);
-      } else if (relink) {
-        relink->relink(std::move(up));
-      } else {
-        // The back-end handle and the runtime share one stack behind a
-        // relinkable seam: re-adoption swaps the channel underneath both.
-        // Grants ride the seam too, so they follow the live edge.
-        relink = std::make_shared<RelinkableLink>(std::move(up));
-        backend->up_link_ = std::make_unique<SharedLink>(relink);
-        runtime.set_parent_link(std::make_unique<SharedLink>(relink));
-        channels.grant_in_band(runtime, Origin::kParent, 0, relink);
-      }
-      if (epoch != 0) loop.resume(conn);
-    };
-    wire_parent(std::move(parent_fd), 0);
-    if (!config.rendezvous.empty()) {
-      runtime.set_orphan_handler([&](NodeRuntime& self) {
-        try {
-          const std::uint32_t epoch = self.bump_parent_epoch();
-          wire_parent(orphan_reconnect(parse_endpoint(config.rendezvous),
-                                       OrphanHello{id, topo.subtree_leaf_ranks(id)}),
-                      epoch);
-          self.metrics().net_reconnects.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        } catch (const std::exception& error) {
-          TBON_WARN("node " << id << " re-adoption failed: " << error.what());
-          return false;
-        }
-      });
-    }
-    for (std::uint32_t slot = 0; slot < child_fds.size(); ++slot) {
-      const auto gate = channels.socket_gate(child_fds[slot].get(), runtime);
-      auto raw = loop.add_channel(std::move(child_fds[slot]),
-                                  channel_into(runtime, Origin::kChild, slot, gate));
-      channels.grant_in_band(runtime, Origin::kChild, slot, raw);
-      runtime.add_child_link(
-          std::make_unique<SharedLink>(channels.socket_stack(raw, runtime, gate)));
-    }
-    loop.start();
-    write_frame(boot.get(), net::encode_boot_ready(net::BootReady{true, ""}));
-    boot.reset();
-    if (leaf) {
-      std::jthread service([&runtime] { runtime.run(); });
-      if (backend_main) backend_main(*backend);
-      // The runtime exits when the shutdown handshake completes.
-    } else {
-      runtime.run();
-    }
-    // The runtime's last sends (final telemetry record, shutdown ack) are
-    // only *enqueued* on the loop; flush them to the kernel before stop()
-    // drops the queues.
-    loop.drain(5'000);
-    loop.stop();
+    // All edges are sockets now: run the node body with one EventLoop
+    // owning every one of them.
+    run_node(
+        config, id, std::move(parent_fd), std::move(child_fds),
+        [](MetricsRegistry* metrics) { return std::make_unique<net::EventLoop>(metrics); },
+        backend_main, [&boot] {
+          write_frame(boot.get(), net::encode_boot_ready(net::BootReady{true, ""}));
+          boot.reset();
+        });
   } catch (const std::exception& error) {
     std::fprintf(stderr, "tbon remote node %u failed: %s\n", id, error.what());
     std::fflush(stderr);
@@ -510,13 +390,10 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
         "NetworkOptions::backend_main is required in remote mode unless a "
         "custom RemoteOptions::spawn launches back-end binaries");
   }
-  auto network = std::unique_ptr<Network>(new Network(options.topology));
+  // The channel factory's deadline-service thread starts on the first stack
+  // built: on the event loop, after every fork below.
+  auto network = std::unique_ptr<Network>(new Network(options));
   Network& self = *network;
-  self.remote_mode_ = true;
-  self.recovery_ = options.recovery;
-  // The deadline-service thread starts on the first stack built: on the
-  // event loop, after every fork below.
-  self.channels_ = ChannelFactory(options.flow_control, options.batching);
   const Topology& topo = self.topology_;
 
   // Listeners bind before any fork so children know the ports and can close
@@ -532,17 +409,11 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
   }
 
   net::NodeConfig base = self.node_config(options);
-
-  self.root_delegate_ = std::make_unique<RootDelegate>(self);
-  self.runtimes_.resize(topo.num_nodes());
-  self.runtimes_[topo.root()] = std::make_unique<NodeRuntime>(
-      topo, topo.root(), self.registry_, self.root_delegate_.get());
-  NodeRuntime& root = *self.runtimes_[topo.root()];
-  configure_runtime(root, base);
+  NodeRuntime& root = self.make_root(base);
   const std::string bootstrap =
       ropts.bind_host + ":" + std::to_string(boot_listener->port());
 
-  std::vector<pid_t> pids;
+  std::vector<int> pids;
   for (NodeId id = 0; id < static_cast<NodeId>(topo.num_nodes()); ++id) {
     if (id == topo.root()) continue;
     if (ropts.spawn) {
@@ -575,7 +446,6 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
   st->base_config = std::move(base);
   st->root = &root;
   st->root_children.resize(topo.node(topo.root()).children.size());
-  st->pids = std::move(pids);
 
   // The TcpListener keeps the canonical fd (port() needs it); the loop gets
   // a dup.  Making the shared file description non-blocking is fine — these
@@ -610,7 +480,6 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
     st->loop.add_connection(std::move(client), std::move(conn));
   });
   st->loop.start();
-  self.remote_state_ = state;
 
   const std::size_t want_ready = topo.num_nodes() - 1;
   const std::size_t want_links = st->root_children.size();
@@ -626,7 +495,8 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
       const std::string why =
           st->failed ? st->failure : "timed out waiting for remote nodes";
       lock.unlock();
-      remote_teardown(st, /*force=*/true);
+      st->loop.stop();
+      reap_children(pids, /*force=*/true);
       {
         // Mark the network already shut down so ~Network does not wait for
         // acknowledgements from a tree that never existed.
@@ -643,51 +513,10 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
   for (const std::shared_ptr<Link>& channel : st->root_children) {
     root.add_child_link(std::make_unique<SharedLink>(channel));
   }
-
-  self.front_end_ = std::unique_ptr<FrontEnd>(new FrontEnd(self));
-  self.next_dynamic_rank_ = static_cast<std::uint32_t>(topo.num_leaves());
-  if (self.rendezvous_) {
-    self.rendezvous_->start([&self](Fd connection, const OrphanHello& hello) {
-      self.adopt_remote_orphan(std::move(connection), hello);
-    });
-  }
-  self.threads_.emplace_back([&root] { root.run(); });
-  self.remote_stop_ = [state] { remote_teardown(state.get(), /*force=*/false); };
-  self.start_telemetry(options.telemetry);
+  self.pump_ = std::shared_ptr<SocketPump>(state, &st->loop);
+  self.child_pids_ = std::move(pids);
+  self.start_root(options.telemetry);
   return network;
-}
-
-void Network::adopt_remote_orphan(Fd connection, const OrphanHello& hello) {
-  {
-    std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    // Dropping the connection EOFs the orphan, which then gives up and
-    // dies; its subtree drains through the normal teardown path.
-    if (shutdown_requested_) return;
-  }
-  std::lock_guard<std::mutex> lock(recovery_mutex_);
-  auto state = std::static_pointer_cast<RemoteState>(remote_state_);
-  if (!state) return;
-  NodeRuntime& root = *runtimes_[topology_.root()];
-  const std::uint32_t slot = root.reserve_child_slot();
-  TBON_INFO("front-end adopting remote orphan node " << hello.node
-                                                     << " at slot " << slot);
-  if (hello.node < current_parent_.size()) {
-    current_parent_[hello.node] = topology_.root();
-  }
-  const auto gate = channels_.socket_gate(connection.get(), root);
-  net::ChannelOptions down = channel_into(root, Origin::kChild, slot, gate);
-  // Register paused: the wiring marker (request_adopt) must reach the root
-  // inbox before the orphan's first data frame possibly can.
-  down.paused = true;
-  net::ConnRef conn;
-  auto raw = state->loop.add_channel(std::move(connection), std::move(down), &conn);
-  channels_.grant_in_band(root, Origin::kChild, slot, raw);
-  root.request_adopt(slot, hello.ranks,
-                     std::make_unique<SharedLink>(channels_.socket_stack(raw, root, gate)));
-  state->loop.resume(conn);
-  root.metrics().net_reconnects.fetch_add(1, std::memory_order_relaxed);
-  ++adoptions_;
-  adoption_cv_.notify_all();
 }
 
 // ---- launchers --------------------------------------------------------------

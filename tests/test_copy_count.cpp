@@ -3,7 +3,7 @@
 // view packets (writev references the payload in place), the hop's reader
 // decodes frames into packets aliasing the receive buffer, the hop relays
 // that packet verbatim, and the sink's reader aliases again — zero copies
-// end to end.  Checked on both socket wirings the tree uses: per-fd reader
+// end to end.  Checked on both socket pumps the tree uses: per-fd reader
 // threads (process mode) and the epoll event loop (remote mode).
 #include <gtest/gtest.h>
 
@@ -11,9 +11,8 @@
 #include <chrono>
 
 #include "common/buffer.hpp"
-#include "core/fd_link.hpp"
 #include "core/packet.hpp"
-#include "net/event_loop.hpp"
+#include "socket_pumps.hpp"
 #include "transport/fd.hpp"
 
 namespace tbon {
@@ -70,41 +69,29 @@ void expect_zero_copy_relay(Hop& hop, std::size_t size) {
 
 TEST(CopyCount, PassThroughHopCopiesNoPayloadBytes) {
   for (const std::size_t size : {std::size_t{4096}, std::size_t{65536}}) {
-    // Process-mode wiring: FdLink -> start_fd_reader -> FdLink ->
-    // start_fd_reader (the micro_transport copy-count bench's pipeline).
-    {
+    for (const pumps::Kind kind : pumps::kAll) {
+      SCOPED_TRACE(pumps::name(kind));
       auto [up_w, up_r] = make_socketpair();
       auto [down_w, down_r] = make_socketpair();
       Hop hop;
-      hop.ingress = std::make_shared<FdLink>(up_w.get());
-      hop.egress = std::make_shared<FdLink>(down_w.get());
-      auto hop_reader = start_fd_reader(up_r.get(), hop.hop_inbox, Origin::kChild, 0);
-      auto sink_reader =
-          start_fd_reader(down_r.get(), hop.sink_inbox, Origin::kParent, 0);
-      expect_zero_copy_relay(hop, size);
-      hop.ingress->close();
-      hop.egress->close();
-    }
-    // Remote-mode wiring: the same hop built from EventLoop channels.
-    {
-      auto [up_w, up_r] = make_socketpair();
-      auto [down_w, down_r] = make_socketpair();
-      Hop hop;
-      net::EventLoop loop;
-      const auto channel = [](const InboxPtr& inbox) {
-        net::ChannelOptions options;
-        options.inbox = inbox;
-        return options;
+      const auto pump = pumps::make(kind);
+      // Only the receiving ends need a real inbox; the sending ends' inboxes
+      // see nothing but their peer's EOF at teardown.
+      const auto end = [&](Fd fd, InboxPtr inbox) {
+        return pumps::open(*pump, std::move(fd), {.inbox = std::move(inbox)});
       };
-      // Only the receiving ends need a channel inbox; the sending ends'
-      // inboxes see nothing but their peer's EOF at teardown.
-      hop.ingress = loop.add_channel(std::move(up_w), channel(std::make_shared<Inbox>(16)));
-      loop.add_channel(std::move(up_r), channel(hop.hop_inbox));
-      hop.egress = loop.add_channel(std::move(down_w), channel(std::make_shared<Inbox>(16)));
-      loop.add_channel(std::move(down_r), channel(hop.sink_inbox));
-      loop.start();
+      hop.ingress = end(std::move(up_w), std::make_shared<Inbox>(16));
+      const auto hop_return = end(std::move(up_r), hop.hop_inbox);
+      hop.egress = end(std::move(down_w), std::make_shared<Inbox>(16));
+      const auto sink_return = end(std::move(down_r), hop.sink_inbox);
+      pump->start();
       expect_zero_copy_relay(hop, size);
-      loop.stop();
+      // Close both directions of both edges, as the tree does at shutdown,
+      // so every reader reaches EOF.
+      for (const auto& link : {hop.ingress, hop_return, hop.egress, sink_return}) {
+        link->close();
+      }
+      pump->stop();
     }
   }
 }

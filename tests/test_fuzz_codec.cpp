@@ -8,7 +8,6 @@
 
 #include "common/rng.hpp"
 #include "core/coalesce.hpp"
-#include "core/fd_link.hpp"
 #include "core/flow_control.hpp"
 #include "core/network.hpp"
 #include "core/packet.hpp"
@@ -19,6 +18,7 @@
 #include "meanshift/agglomerative.hpp"
 #include "meanshift/distributed.hpp"
 #include "net/wire.hpp"
+#include "socket_pumps.hpp"
 
 namespace tbon {
 namespace {
@@ -333,64 +333,74 @@ TEST(FuzzCredit, AccessorsRejectMalformedGrantPayloads) {
 }
 
 TEST(FuzzCredit, ReaderSurvivesHostileGrantFrames) {
-  auto [reader_fd, writer_fd] = make_socketpair();
-  auto inbox = std::make_shared<Inbox>(64);
-  auto gate = std::make_shared<CreditGate>(4);
-  // Drain the window so applied grants are observable as refills.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(gate->try_acquire(), CreditGate::Acquire::kOk);
+  for (const pumps::Kind kind : pumps::kAll) {
+    SCOPED_TRACE(pumps::name(kind));
+    auto [reader_fd, writer_fd] = make_socketpair();
+    auto inbox = std::make_shared<Inbox>(64);
+    auto gate = std::make_shared<CreditGate>(4);
+    // Drain the window so applied grants are observable as refills.
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(gate->try_acquire(), CreditGate::Acquire::kOk);
+    }
+    MetricsRegistry metrics;
+    const auto pump = pumps::make(kind, &metrics);
+    pump->open(std::move(reader_fd),
+               {.inbox = inbox, .origin = Origin::kParent, .credits = {gate, 0}}, nullptr);
+    pump->start();
+
+    auto send = [&](const PacketPtr& packet) {
+      BinaryWriter writer;
+      packet->serialize(writer);
+      write_frame(writer_fd.get(), writer.bytes());
+    };
+    send(make_credit_packet(2, 0));             // valid: refills two credits
+    send(make_credit_packet(1, 99));            // stale channel id: rejected
+    send(Packet::make(kControlStream, kTagCredit, kFrontEndRank, "i64 i64",
+                      {std::int64_t{0}, std::int64_t{0}}));  // zero-capacity window
+    send(Packet::make(kControlStream, kTagCredit, kFrontEndRank, "i64 i64",
+                      {std::int64_t{1} << 40, std::int64_t{0}}));  // absurd count
+    send(Packet::make(kControlStream, kTagCredit, kFrontEndRank, "i64",
+                      {std::int64_t{3}}));      // truncated grant payload
+    send(data_ignored_probe());                 // reader must still be alive
+    writer_fd.reset();                          // EOF
+
+    // Only the probe and the EOF marker reach the inbox; every credit frame
+    // — valid or hostile — is consumed on the pump's thread.
+    const auto probe = inbox->pop();
+    ASSERT_TRUE(probe.has_value());
+    ASSERT_NE(probe->packet, nullptr);
+    EXPECT_EQ(probe->packet->tag(), kFirstAppTag);
+    const auto eof = inbox->pop();
+    ASSERT_TRUE(eof.has_value());
+    EXPECT_EQ(eof->packet, nullptr);
+    pump->stop();
+
+    EXPECT_EQ(gate->available(), 2u);  // exactly the one valid grant applied
+    EXPECT_EQ(metrics.fc_invalid_grants.load(), 4u);
   }
-  MetricsRegistry metrics;
-  auto reader = start_fd_reader(reader_fd.get(), inbox, Origin::kParent, 0,
-                                &metrics, CreditSink{gate, 0});
-
-  auto send = [&](const PacketPtr& packet) {
-    BinaryWriter writer;
-    packet->serialize(writer);
-    write_frame(writer_fd.get(), writer.bytes());
-  };
-  send(make_credit_packet(2, 0));             // valid: refills two credits
-  send(make_credit_packet(1, 99));            // stale channel id: rejected
-  send(Packet::make(kControlStream, kTagCredit, kFrontEndRank, "i64 i64",
-                    {std::int64_t{0}, std::int64_t{0}}));  // zero-capacity window
-  send(Packet::make(kControlStream, kTagCredit, kFrontEndRank, "i64 i64",
-                    {std::int64_t{1} << 40, std::int64_t{0}}));  // absurd count
-  send(Packet::make(kControlStream, kTagCredit, kFrontEndRank, "i64",
-                    {std::int64_t{3}}));      // truncated grant payload
-  send(data_ignored_probe());                 // reader must still be alive
-  writer_fd.reset();                          // EOF
-
-  // Only the probe and the EOF marker reach the inbox; every credit frame —
-  // valid or hostile — is consumed on the reader thread.
-  const auto probe = inbox->pop();
-  ASSERT_TRUE(probe.has_value());
-  ASSERT_NE(probe->packet, nullptr);
-  EXPECT_EQ(probe->packet->tag(), kFirstAppTag);
-  const auto eof = inbox->pop();
-  ASSERT_TRUE(eof.has_value());
-  EXPECT_EQ(eof->packet, nullptr);
-  reader.join();
-
-  EXPECT_EQ(gate->available(), 2u);  // exactly the one valid grant applied
-  EXPECT_EQ(metrics.fc_invalid_grants.load(), 4u);
 }
 
 TEST(FuzzCredit, ReaderWithoutSinkDropsGrantsInsteadOfEnqueueing) {
-  auto [reader_fd, writer_fd] = make_socketpair();
-  auto inbox = std::make_shared<Inbox>(64);
-  MetricsRegistry metrics;
-  auto reader = start_fd_reader(reader_fd.get(), inbox, Origin::kParent, 0,
-                                &metrics, CreditSink{});
-  BinaryWriter writer;
-  make_credit_packet(3, 0)->serialize(writer);
-  write_frame(writer_fd.get(), writer.bytes());
-  writer_fd.reset();
+  for (const pumps::Kind kind : pumps::kAll) {
+    SCOPED_TRACE(pumps::name(kind));
+    auto [reader_fd, writer_fd] = make_socketpair();
+    auto inbox = std::make_shared<Inbox>(64);
+    MetricsRegistry metrics;
+    const auto pump = pumps::make(kind, &metrics);
+    pump->open(std::move(reader_fd), {.inbox = inbox, .origin = Origin::kParent},
+               nullptr);
+    pump->start();
+    BinaryWriter writer;
+    make_credit_packet(3, 0)->serialize(writer);
+    write_frame(writer_fd.get(), writer.bytes());
+    writer_fd.reset();
 
-  const auto eof = inbox->pop();  // the grant never becomes an envelope
-  ASSERT_TRUE(eof.has_value());
-  EXPECT_EQ(eof->packet, nullptr);
-  reader.join();
-  EXPECT_EQ(metrics.fc_invalid_grants.load(), 1u);
+    const auto eof = inbox->pop();  // the grant never becomes an envelope
+    ASSERT_TRUE(eof.has_value());
+    EXPECT_EQ(eof->packet, nullptr);
+    pump->stop();
+    EXPECT_EQ(metrics.fc_invalid_grants.load(), 1u);
+  }
 }
 
 TEST(FuzzCredit, RandomGrantPayloadsNeverMintCreditsBeyondTheWindow) {
@@ -683,61 +693,66 @@ TEST(FuzzBatch, RandomPayloadsAfterMarkerNeverCrash) {
 }
 
 TEST(FuzzBatch, ReaderSurvivesTornBatchFramesAndMintsNoCredits) {
-  auto [reader_fd, writer_fd] = make_socketpair();
-  auto inbox = std::make_shared<Inbox>(64);
-  auto gate = std::make_shared<CreditGate>(4);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(gate->try_acquire(), CreditGate::Acquire::kOk);  // drain window
+  for (const pumps::Kind kind : pumps::kAll) {
+    SCOPED_TRACE(pumps::name(kind));
+    auto [reader_fd, writer_fd] = make_socketpair();
+    auto inbox = std::make_shared<Inbox>(64);
+    auto gate = std::make_shared<CreditGate>(4);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(gate->try_acquire(), CreditGate::Acquire::kOk);  // drain window
+    }
+    MetricsRegistry metrics;
+    const auto pump = pumps::make(kind, &metrics);
+    pump->open(std::move(reader_fd),
+               {.inbox = inbox, .origin = Origin::kChild, .credits = {gate, 0}}, nullptr);
+    pump->start();
+
+    // Hostile batch frames: zero count, hungry count, corrupt entry length,
+    // and a smuggled credit grant.  Each must be dropped on the pump's
+    // thread without killing the channel or granting anything.
+    Bytes zero = encode_batch_frame(small_batch(2));
+    poke_u32(zero, 4, 0);
+    write_frame(writer_fd.get(), zero);
+    Bytes hungry = encode_batch_frame(small_batch(2));
+    poke_u32(hungry, 4, 3);
+    write_frame(writer_fd.get(), hungry);
+    Bytes shrunk = encode_batch_frame(small_batch(2));
+    std::uint32_t length = 0;
+    std::memcpy(&length, shrunk.data() + 8, sizeof(length));
+    poke_u32(shrunk, 8, length - 1);
+    write_frame(writer_fd.get(), shrunk);
+    const std::vector<PacketPtr> smuggle = {
+        Packet::make(5, kFirstAppTag, 0, "i64", {std::int64_t{1}}),
+        make_credit_packet(1000, 0)};
+    write_frame(writer_fd.get(), encode_batch_frame(smuggle));
+
+    // A healthy batch and a plain probe prove the channel is still consumed.
+    write_frame(writer_fd.get(), encode_batch_frame(small_batch(3)));
+    BinaryWriter probe;
+    data_ignored_probe()->serialize(probe);
+    write_frame(writer_fd.get(), probe.bytes());
+    writer_fd.reset();  // EOF
+
+    const auto batch = inbox->pop();
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_NE(batch->batch, nullptr);
+    EXPECT_EQ(batch->batch->size(), 3u);
+    EXPECT_EQ(batch->origin, Origin::kChild);
+    const auto plain = inbox->pop();
+    ASSERT_TRUE(plain.has_value());
+    ASSERT_NE(plain->packet, nullptr);
+    EXPECT_EQ(plain->packet->tag(), kFirstAppTag);
+    const auto eof = inbox->pop();
+    ASSERT_TRUE(eof.has_value());
+    EXPECT_EQ(eof->packet, nullptr);
+    EXPECT_EQ(eof->batch, nullptr);
+    pump->stop();
+
+    EXPECT_EQ(gate->available(), 0u);  // the smuggled grant minted nothing
+    EXPECT_EQ(metrics.batch_frames_rejected.load(), 4u);
+    EXPECT_EQ(metrics.batch_frames_in.load(), 1u);
+    EXPECT_EQ(metrics.batch_packets_in.load(), 3u);
   }
-  MetricsRegistry metrics;
-  auto reader = start_fd_reader(reader_fd.get(), inbox, Origin::kChild, 0,
-                                &metrics, CreditSink{gate, 0});
-
-  // Hostile batch frames: zero count, hungry count, corrupt entry length,
-  // and a smuggled credit grant.  Each must be dropped on the reader thread
-  // without killing it or granting anything.
-  Bytes zero = encode_batch_frame(small_batch(2));
-  poke_u32(zero, 4, 0);
-  write_frame(writer_fd.get(), zero);
-  Bytes hungry = encode_batch_frame(small_batch(2));
-  poke_u32(hungry, 4, 3);
-  write_frame(writer_fd.get(), hungry);
-  Bytes shrunk = encode_batch_frame(small_batch(2));
-  std::uint32_t length = 0;
-  std::memcpy(&length, shrunk.data() + 8, sizeof(length));
-  poke_u32(shrunk, 8, length - 1);
-  write_frame(writer_fd.get(), shrunk);
-  const std::vector<PacketPtr> smuggle = {
-      Packet::make(5, kFirstAppTag, 0, "i64", {std::int64_t{1}}),
-      make_credit_packet(1000, 0)};
-  write_frame(writer_fd.get(), encode_batch_frame(smuggle));
-
-  // A healthy batch and a plain probe prove the reader is still consuming.
-  write_frame(writer_fd.get(), encode_batch_frame(small_batch(3)));
-  BinaryWriter probe;
-  data_ignored_probe()->serialize(probe);
-  write_frame(writer_fd.get(), probe.bytes());
-  writer_fd.reset();  // EOF
-
-  const auto batch = inbox->pop();
-  ASSERT_TRUE(batch.has_value());
-  ASSERT_NE(batch->batch, nullptr);
-  EXPECT_EQ(batch->batch->size(), 3u);
-  EXPECT_EQ(batch->origin, Origin::kChild);
-  const auto plain = inbox->pop();
-  ASSERT_TRUE(plain.has_value());
-  ASSERT_NE(plain->packet, nullptr);
-  EXPECT_EQ(plain->packet->tag(), kFirstAppTag);
-  const auto eof = inbox->pop();
-  ASSERT_TRUE(eof.has_value());
-  EXPECT_EQ(eof->packet, nullptr);
-  EXPECT_EQ(eof->batch, nullptr);
-  reader.join();
-
-  EXPECT_EQ(gate->available(), 0u);  // the smuggled grant minted nothing
-  EXPECT_EQ(metrics.batch_frames_rejected.load(), 4u);
-  EXPECT_EQ(metrics.batch_frames_in.load(), 1u);
-  EXPECT_EQ(metrics.batch_packets_in.load(), 3u);
 }
 
 TEST(FuzzCodec, FormatStringFuzz) {

@@ -20,11 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <optional>
@@ -414,44 +416,104 @@ TEST(RemoteNetwork, MalformedHandshakesNeverWedgeTheEventLoop) {
   EXPECT_EQ(server.accepted.load(), 2);
 }
 
-TEST(RemoteNetwork, PeerHangupOnPausedChannelDoesNotSpinTheLoop) {
+TEST(RemoteNetwork, PeerHangupOnReadMaskedChannelDoesNotSpinTheLoop) {
   // EPOLLHUP is level-triggered and delivered even with a 0 interest mask.
-  // A paused channel used to route it through handle_readable, which no-ops
-  // while reads are masked — the loop re-woke on the same un-consumable
-  // event every epoll_wait, burning a core until resume().  The loop now
-  // drops the fd from its interest set instead, and resume() must re-arm it
-  // so the peer's EOF still surfaces.
+  // A channel whose reads are masked — its inbox is full, so the loop has
+  // parked the next envelope — used to route it through handle_readable,
+  // which no-ops while reads are masked: the loop re-woke on the same
+  // un-consumable event every epoll_wait, burning a core until the inbox
+  // drained.  The loop now drops the fd from its interest set instead, and
+  // must re-arm it once the inbox has room so the peer's EOF still surfaces.
   MetricsRegistry metrics;
   net::EventLoop loop{&metrics};
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  net::ChannelOptions options;
-  options.inbox = std::make_shared<Inbox>(16);
-  options.slot = 3;
-  options.paused = true;
-  const InboxPtr inbox = options.inbox;
-  net::ConnRef conn;
-  auto link = loop.add_channel(Fd(sv[0]), std::move(options), &conn);
+  auto [mine, peer] = make_socketpair();
+  const InboxPtr inbox = std::make_shared<Inbox>(1);
+  loop.open(std::move(mine), {.inbox = inbox, .slot = 3}, nullptr);
+  // The first frame fills the one-slot inbox and the second parks, masking
+  // reads; the hangup then lands on a connection with an empty interest mask.
+  for (std::int64_t i = 0; i < 2; ++i) {
+    BinaryWriter writer;
+    Packet::make(1, kTag, 0, "i64", {i})->serialize(writer);
+    write_frame(peer.get(), writer.bytes());
+  }
+  peer.reset();
   loop.start();
-  ::close(sv[1]);  // HUP lands on a connection with an empty interest mask
 
-  // Masked means masked: no envelope may surface yet, and the loop must
-  // idle rather than spin (the pre-fix busy loop burns the entire window;
-  // the threshold is generous for loaded CI).
+  // Masked means masked: nothing more may surface while the inbox is full,
+  // and the loop must idle rather than spin (the pre-fix busy loop burns
+  // the entire window; the threshold is generous for loaded CI).
+  const auto until = std::chrono::steady_clock::now() + 5s;
+  while (inbox->size() == 0 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(1ms);
+  }
   const std::clock_t cpu_before = std::clock();
   std::this_thread::sleep_for(500ms);
   const double cpu_ms =
       1000.0 * static_cast<double>(std::clock() - cpu_before) / CLOCKS_PER_SEC;
-  EXPECT_FALSE(inbox->try_pop().has_value());
+  EXPECT_EQ(inbox->size(), 1u);
   EXPECT_LT(cpu_ms, 250.0);
 
-  // resume() re-arms the deregistered fd and the EOF envelope comes through.
-  loop.resume(conn);
+  // Draining the inbox re-arms the deregistered fd: the parked frame, then
+  // the EOF envelope come through.
+  for (std::int64_t i = 0; i < 2; ++i) {
+    const auto data = inbox->pop_for(5s);
+    ASSERT_TRUE(data.has_value());
+    ASSERT_NE(data->packet, nullptr);
+    EXPECT_EQ(data->packet->get_i64(0), i);
+  }
   const auto eof = inbox->pop_for(5s);
   ASSERT_TRUE(eof.has_value());
   EXPECT_EQ(eof->packet, nullptr);
   EXPECT_EQ(eof->child_slot, 3u);
   loop.stop();
+}
+
+/// An event-loop channel whose peer is gone before eight sends are flushed,
+/// over a socketpair or loopback TCP.  True when exactly one envelope — the
+/// EOF — reaches the inbox.
+bool sends_to_departed_peer_surface_eof(bool tcp) {
+  std::pair<Fd, Fd> ends;
+  if (tcp) {
+    TcpListener listener;
+    Fd client = tcp_connect(listener.port());
+    ends = {std::move(client), listener.accept()};
+  } else {
+    ends = make_socketpair();
+  }
+  const InboxPtr inbox = std::make_shared<Inbox>(16);
+  net::EventLoop loop;
+  std::shared_ptr<Link> link;
+  loop.open(std::move(ends.first), {.inbox = inbox},
+            [&link](std::shared_ptr<Link> raw) { link = std::move(raw); });
+  ends.second.reset();
+  // Queued before the loop starts, so its first pass writes them into the
+  // dead socket before it ever polls the hangup.
+  for (std::int64_t i = 0; i < 8; ++i) {
+    link->send(Packet::make(1, kTag, 0, "i64", {i}));
+  }
+  loop.start();
+  const auto eof = inbox->pop_for(5s);
+  loop.stop();
+  return eof.has_value() && eof->packet == nullptr && eof->batch == nullptr &&
+         !inbox->try_pop().has_value();
+}
+
+TEST(RemoteNetwork, WritesToAnExitedPeerSurfaceEofInsteadOfSigpipe) {
+  // Writing to a socket whose peer exited fails with EPIPE — and, unless
+  // the write says MSG_NOSIGNAL, raises SIGPIPE, which kills the whole node
+  // process instead of taking the EOF -> recovery path.  Each case runs in a
+  // forked child so that a SIGPIPE costs only the child.
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "loopback TCP" : "socketpair");
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) std::_Exit(sends_to_departed_peer_surface_eof(tcp) ? 0 : 1);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_FALSE(WIFSIGNALED(status)) << "child killed by signal " << WTERMSIG(status);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "expected exactly one EOF envelope";
+  }
 }
 
 // ---- option validation ------------------------------------------------------
