@@ -4,8 +4,9 @@
 //   ./fig4_meanshift [scales=16,32,48,64,128,256,324] [points=150]
 //                    [clusters=6] [reps=1] [full=0]
 //
-// Methodology (DESIGN.md §5): this machine has one core, so raw wall-clock
-// over hundreds of worker threads would measure serialized execution.  For
+// Methodology (DESIGN.md §5): the host has far fewer cores than tree
+// nodes, so raw wall-clock over hundreds of node threads would measure
+// serialized execution.  For
 // the distributed configurations we therefore run the *real* TBON stack
 // (threaded transport, real filters, real data) with per-node compute
 // tracing, and report the critical-path makespan under a Gigabit-Ethernet

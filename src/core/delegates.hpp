@@ -73,21 +73,4 @@ class BackEndDelegate final : public NodeRuntime::Delegate {
   BackEnd& backend_;
 };
 
-class Network::LeafDelegate final : public NodeRuntime::Delegate {
- public:
-  explicit LeafDelegate(BackEnd& backend) : impl_(backend) {}
-  void on_downstream(PacketPtr packet) override { impl_.on_downstream(std::move(packet)); }
-  void on_stream_known(const StreamSpec& spec) override { impl_.on_stream_known(spec); }
-  void on_stream_deleted(std::uint32_t id) override { impl_.on_stream_deleted(id); }
-  void on_shutdown() override { impl_.on_shutdown(); }
-  void on_peer_message(PacketPtr inner) override {
-    impl_.on_peer_message(std::move(inner));
-  }
-  void on_reconfig_pause() override { impl_.on_reconfig_pause(); }
-  void on_reconfig_resume() override { impl_.on_reconfig_resume(); }
-
- private:
-  BackEndDelegate impl_;
-};
-
 }  // namespace tbon

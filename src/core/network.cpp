@@ -627,7 +627,7 @@ std::unique_ptr<Network> Network::create_threaded_impl(const NetworkOptions& opt
       // The BackEnd's upstream link is wired after the parent runtime exists;
       // create the handle first with a placeholder.
       net.backends_[rank] = std::unique_ptr<BackEnd>(new BackEnd(rank, nullptr));
-      net.leaf_delegates_[rank] = std::make_unique<LeafDelegate>(*net.backends_[rank]);
+      net.leaf_delegates_[rank] = std::make_unique<BackEndDelegate>(*net.backends_[rank]);
       delegate = net.leaf_delegates_[rank].get();
     }
     net.runtimes_[id] = std::make_unique<NodeRuntime>(topo, id, net.registry_, delegate);

@@ -52,6 +52,7 @@ struct NodeConfig;  // src/net/wire.hpp — what every node process runs under
 class Network;
 class FrontEnd;
 class BackEnd;
+class BackEndDelegate;
 class SocketPump;
 
 /// Fault-tolerance options (part of NetworkOptions).  Everything defaults
@@ -583,9 +584,7 @@ class Network {
  private:
   friend class Stream;
   friend class FrontEnd;
-  friend class BackEndDelegate;
   class RootDelegate;
-  class LeafDelegate;
   class DynamicLeafService;
 
   /// Topology, mode, recovery options and channel factory; no runtimes yet.
@@ -732,7 +731,7 @@ class Network {
   /// effective-topology chains (recovery_mutex_).
   std::map<std::pair<NodeId, NodeId>, std::uint32_t> edge_slots_;
   std::unique_ptr<RootDelegate> root_delegate_;
-  std::vector<std::unique_ptr<LeafDelegate>> leaf_delegates_;
+  std::vector<std::unique_ptr<BackEndDelegate>> leaf_delegates_;
   std::unique_ptr<FrontEnd> front_end_;
   std::vector<std::jthread> threads_;
 

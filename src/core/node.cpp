@@ -7,7 +7,6 @@
 
 #include "common/log.hpp"
 #include "common/timer.hpp"
-#include "common/trace.hpp"
 
 namespace tbon {
 
@@ -362,11 +361,12 @@ void NodeRuntime::run() {
       if (crashed_) return;
     } else if (inbox_->closed() && inbox_->size() == 0) {
       // The node was killed (failure injection) or orphaned: signal EOF to
-      // all peers and stop.
+      // all peers, release a leaf's back-end (as crash() does) and stop.
       TBON_DEBUG("node " << id_ << " inbox closed; exiting");
       dead_.store(true, std::memory_order_release);
       if (executor_) executor_->stop();
       close_all_links();
+      if (role_ == NodeRole::kLeaf && delegate_ != nullptr) delegate_->on_shutdown();
       return;
     } else if (fc_.enabled) {
       flush_partial_grants();  // idle: return sub-quantum credits
@@ -418,8 +418,10 @@ void NodeRuntime::handle_envelope(Envelope&& envelope) {
     // A coalesced run of data packets (the coalescer exempts control and
     // telemetry traffic, and wire decoding rejects them inside batch frames).
     // Checked before the EOF interpretation: a batch envelope also carries a
-    // null `packet`.  With fault injection armed, take the per-packet path so
-    // kill-at-data-packet-N hits the same packet batched or unbatched.
+    // null `packet`.  With fault injection armed, split the batch into packet
+    // envelopes so the injector counts each packet, and kill-at-data-packet-N
+    // hits the same packet batched or unbatched; each is then consumed as a
+    // run of one.
     const auto batch = std::move(envelope.batch);
     if (injector_) {
       for (const PacketPtr& packet : *batch) {
@@ -466,8 +468,9 @@ void NodeRuntime::handle_envelope(Envelope&& envelope) {
   // Crediting happens inside the data handlers: inline/dropped packets are
   // credited immediately, executor-dispatched ones when their filter work
   // completes (so worker-queue occupancy counts against the credit window).
+  // An upstream packet envelope is a run of one.
   if (envelope.origin == Origin::kChild) {
-    handle_upstream_data(envelope.child_slot, envelope.packet);
+    consume_upstream_run(envelope.child_slot, {&envelope.packet, 1});
   } else {
     handle_downstream_data(envelope.packet);
   }
@@ -1051,6 +1054,10 @@ void NodeRuntime::crash() {
   if (executor_) executor_->stop();
   close_all_links();
   crashed_ = true;
+  // A back-end must stop waiting on a runtime that is gone: a send for a
+  // stream that never reached this leaf would wait out the announcement
+  // timeout.
+  if (role_ == NodeRole::kLeaf && delegate_ != nullptr) delegate_->on_shutdown();
   if (crash_handler_) crash_handler_();  // may not return (process: _Exit)
 }
 
@@ -1183,83 +1190,6 @@ void NodeRuntime::note_child_gone(std::uint32_t slot) {
   }
 }
 
-void NodeRuntime::handle_upstream_data(std::uint32_t slot, const PacketPtr& packet) {
-  const bool deferred = consume_upstream_data(slot, packet);
-  // The packet is consumed from its channel whatever happened (filtered,
-  // forwarded or dropped): return the credit.  Telemetry rides exempt;
-  // executor-dispatched packets return theirs when the completion is
-  // delivered instead.
-  if (!deferred && packet->stream_id() != kTelemetryStream) {
-    note_consumed(Origin::kChild, slot, 1, grant_share(packet->stream_id()));
-  }
-}
-
-/// Returns true when the packet was dispatched to the executor (its credit
-/// is deferred to completion delivery), false when handled to completion.
-bool NodeRuntime::consume_upstream_data(std::uint32_t slot, const PacketPtr& packet) {
-  if (packet->stream_id() == kTelemetryStream) {
-    // Telemetry traffic is accounted separately so application counters
-    // stay exact whether or not telemetry is enabled.
-    metrics_.telemetry_packets.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    metrics_.packets_up.fetch_add(1, std::memory_order_relaxed);
-    metrics_.bytes_up.fetch_add(packet->payload_bytes(), std::memory_order_relaxed);
-  }
-
-  if (slot < child_alive_.size() && !child_alive_[slot]) {
-    // Data raced with the failure declaration (e.g. a heartbeat timeout
-    // fired while packets were in flight); the sync policy no longer has a
-    // live index for this child.
-    metrics_.packets_dropped.fetch_add(1, std::memory_order_relaxed);
-    TBON_DEBUG("node " << id_ << " dropping packet from dead child slot " << slot);
-    return false;
-  }
-  const auto it = streams_.find(packet->stream_id());
-  if (it == streams_.end()) {
-    metrics_.packets_dropped.fetch_add(1, std::memory_order_relaxed);
-    TBON_WARN("node " << id_ << " dropping packet for unknown stream "
-                      << packet->stream_id());
-    return false;
-  }
-  StreamLocal& stream = it->second;
-  if (slot >= stream.slot_to_sync_index.size()) {
-    metrics_.packets_dropped.fetch_add(1, std::memory_order_relaxed);
-    TBON_WARN("node " << id_ << " dropping packet from unwired child slot " << slot);
-    return false;
-  }
-  const auto sync_index = stream.slot_to_sync_index[slot];
-  if (sync_index < 0) {
-    metrics_.packets_dropped.fetch_add(1, std::memory_order_relaxed);
-    TBON_WARN("node " << id_ << " dropping packet from non-participating child");
-    return false;
-  }
-  if (stream.fast_up) {
-    // Fast pass-through lane: identity sync + identity transform, so the
-    // packet goes straight to the parent (or root delegate).  A wire-backed
-    // packet is relayed verbatim by the fd link — zero payload memcpys on
-    // this hop.  Counters mirror the slow path: one wave per packet, the
-    // forwarding overhead observed as filter latency.
-    const auto start = now_ns();
-    emit_upstream(stream, {&packet, 1});
-    const auto elapsed = static_cast<std::uint64_t>(now_ns() - start);
-    metrics_.waves.fetch_add(1, std::memory_order_relaxed);
-    metrics_.filter_ns.fetch_add(elapsed, std::memory_order_relaxed);
-    metrics_.observe_filter_latency(elapsed);
-    if (auto& tracer = TraceRecorder::instance(); tracer.enabled()) {
-      tracer.record({id_, start, start + static_cast<std::int64_t>(elapsed),
-                     packet->payload_bytes(), "up:" + stream.spec.up_transform});
-    }
-    return false;
-  }
-  if (stream.exec) {
-    exec_dispatch_upstream(stream, static_cast<std::size_t>(sync_index), packet, slot);
-    return true;
-  }
-  stream.sync->on_packet(static_cast<std::size_t>(sync_index), packet, stream.ctx);
-  process_batches(stream, stream.sync->drain_ready(now_ns(), stream.ctx));
-  return false;
-}
-
 void NodeRuntime::handle_upstream_batch(std::uint32_t slot,
                                         std::span<const PacketPtr> packets) {
   // Group consecutive same-stream packets into runs: one coalesced frame
@@ -1302,14 +1232,14 @@ void NodeRuntime::consume_upstream_run(std::uint32_t slot,
 
   if (slot < child_alive_.size() && !child_alive_[slot]) {
     metrics_.packets_dropped.fetch_add(run.size(), std::memory_order_relaxed);
-    TBON_DEBUG("node " << id_ << " dropping batch from dead child slot " << slot);
+    TBON_DEBUG("node " << id_ << " dropping run from dead child slot " << slot);
     credit_run();
     return;
   }
   const auto it = streams_.find(stream_id);
   if (it == streams_.end()) {
     metrics_.packets_dropped.fetch_add(run.size(), std::memory_order_relaxed);
-    TBON_WARN("node " << id_ << " dropping batch for unknown stream " << stream_id);
+    TBON_WARN("node " << id_ << " dropping run for unknown stream " << stream_id);
     credit_run();
     return;
   }
@@ -1317,7 +1247,7 @@ void NodeRuntime::consume_upstream_run(std::uint32_t slot,
   if (slot >= stream.slot_to_sync_index.size() ||
       stream.slot_to_sync_index[slot] < 0) {
     metrics_.packets_dropped.fetch_add(run.size(), std::memory_order_relaxed);
-    TBON_WARN("node " << id_ << " dropping batch from non-participating child slot "
+    TBON_WARN("node " << id_ << " dropping run from non-participating child slot "
                       << slot);
     credit_run();
     return;
@@ -1325,23 +1255,14 @@ void NodeRuntime::consume_upstream_run(std::uint32_t slot,
   const auto sync_index = static_cast<std::size_t>(stream.slot_to_sync_index[slot]);
 
   if (stream.fast_up) {
-    // Fast pass-through lane, batch form: the run is relayed toward the
-    // parent (whose link re-coalesces it when batching is on) or the root
-    // delegate.  Counters mirror the single-packet lane: one wave per
-    // packet, the forwarding overhead observed as filter latency once per
-    // run.
-    const auto start = now_ns();
+    // Fast pass-through lane: identity sync + identity transform, so the run
+    // is relayed toward the parent (whose link re-coalesces it when batching
+    // is on) or the root delegate, and a wire-backed packet crosses this hop
+    // with zero payload memcpys.  No filter code runs and no clock is read:
+    // one wave per packet, one zero-length filter observation per run.
     emit_upstream(stream, run);
-    const auto elapsed = static_cast<std::uint64_t>(now_ns() - start);
     metrics_.waves.fetch_add(run.size(), std::memory_order_relaxed);
-    metrics_.filter_ns.fetch_add(elapsed, std::memory_order_relaxed);
-    metrics_.observe_filter_latency(elapsed);
-    if (auto& tracer = TraceRecorder::instance(); tracer.enabled()) {
-      std::uint64_t bytes = 0;
-      for (const PacketPtr& packet : run) bytes += packet->payload_bytes();
-      tracer.record({id_, start, start + static_cast<std::int64_t>(elapsed), bytes,
-                     "up:" + stream.spec.up_transform});
-    }
+    metrics_.observe_filter_latency(0);
     credit_run();
     return;
   }
@@ -1376,17 +1297,11 @@ std::vector<PacketPtr> NodeRuntime::run_upstream_filter_batch(
   std::vector<PacketPtr> outputs;
   const auto start = now_ns();
   stream.up_filter->filter_batch(run, outputs, stream.ctx);
-  const auto end = now_ns();
   if (!telemetry) {
+    const auto elapsed = static_cast<std::uint64_t>(now_ns() - start);
     metrics_.waves.fetch_add(run.size(), std::memory_order_relaxed);
-    const auto elapsed = static_cast<std::uint64_t>(end - start);
     metrics_.filter_ns.fetch_add(elapsed, std::memory_order_relaxed);
     metrics_.observe_filter_latency(elapsed);
-    if (auto& tracer = TraceRecorder::instance(); tracer.enabled()) {
-      std::uint64_t bytes_out = 0;
-      for (const PacketPtr& packet : outputs) bytes_out += packet->payload_bytes();
-      tracer.record({id_, start, end, bytes_out, "up:" + stream.spec.up_transform});
-    }
   }
   return outputs;
 }
@@ -1399,31 +1314,37 @@ void NodeRuntime::process_batches(StreamLocal& stream,
 std::vector<PacketPtr> NodeRuntime::run_upstream_batches(
     StreamLocal& stream, std::vector<SyncPolicy::Batch> batches) {
   // Runs on the stream's shard under the executor, inline on the event loop
-  // otherwise.  Metrics are relaxed atomics and the tracer locks internally,
-  // so the accounting is identical either way.  The telemetry stream's own
-  // merge work is excluded from the application wave/latency instruments it
-  // feeds.
+  // otherwise.  Metrics are relaxed atomics, so the accounting is identical
+  // either way.  The telemetry stream's own merge work is excluded from the
+  // application wave/latency instruments it feeds.
   const bool telemetry = stream.spec.id == kTelemetryStream;
   std::vector<PacketPtr> outputs;
   for (auto& batch : batches) {
     if (batch.empty()) continue;
     if (!telemetry) metrics_.waves.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t before = outputs.size();
     const auto start = now_ns();
     stream.up_filter->filter(batch, outputs, stream.ctx);
-    const auto end = now_ns();
     if (!telemetry) {
-      const auto elapsed = static_cast<std::uint64_t>(end - start);
+      const auto elapsed = static_cast<std::uint64_t>(now_ns() - start);
       metrics_.filter_ns.fetch_add(elapsed, std::memory_order_relaxed);
       metrics_.observe_filter_latency(elapsed);
-      if (auto& tracer = TraceRecorder::instance(); tracer.enabled()) {
-        std::uint64_t bytes_out = 0;
-        for (std::size_t i = before; i < outputs.size(); ++i) {
-          bytes_out += outputs[i]->payload_bytes();
-        }
-        tracer.record({id_, start, end, bytes_out, "up:" + stream.spec.up_transform});
-      }
     }
+  }
+  return outputs;
+}
+
+std::vector<PacketPtr> NodeRuntime::run_downstream_filter(StreamLocal& stream,
+                                                          const PacketPtr& packet) {
+  // Runs on the stream's shard under the executor, inline on the event loop
+  // otherwise, like its upstream counterparts.
+  std::vector<PacketPtr> outputs;
+  const PacketPtr inputs[] = {packet};
+  const auto start = now_ns();
+  stream.down_filter->filter(inputs, outputs, stream.ctx);
+  if (stream.spec.id != kTelemetryStream) {
+    const auto elapsed = static_cast<std::uint64_t>(now_ns() - start);
+    metrics_.filter_ns.fetch_add(elapsed, std::memory_order_relaxed);
+    metrics_.observe_filter_latency(elapsed);
   }
   return outputs;
 }
@@ -1497,37 +1418,15 @@ void NodeRuntime::exec_register_stream(StreamLocal& stream) {
   stream.exec = true;
 }
 
-void NodeRuntime::exec_dispatch_upstream(StreamLocal& stream, std::size_t sync_index,
-                                         PacketPtr packet, std::uint32_t slot) {
-  const std::uint32_t credits = stream.spec.id != kTelemetryStream ? 1 : 0;
-  StreamLocal* sp = &stream;
-  executor_->post(stream.spec.id, [this, sp, sync_index, slot, credits,
-                                   packet = std::move(packet)]() mutable {
-    sp->sync->on_packet(sync_index, std::move(packet), sp->ctx);
-    ExecCompletion completion;
-    completion.stream_id = sp->spec.id;
-    completion.up_outputs =
-        run_upstream_batches(*sp, sp->sync->drain_ready(now_ns(), sp->ctx));
-    const auto deadline = sp->sync->next_deadline();
-    executor_->set_deadline(sp->spec.id, deadline ? *deadline : -1);
-    completion.buffered = sp->sync->buffered();
-    completion.credits = credits;
-    completion.credit_origin = Origin::kChild;
-    completion.credit_slot = slot;
-    exec_enqueue(std::move(completion));
-  });
-}
-
 void NodeRuntime::exec_dispatch_upstream_run(StreamLocal& stream,
                                              std::size_t sync_index,
                                              std::span<const PacketPtr> run,
                                              std::uint32_t slot,
                                              std::uint32_t credits) {
-  // Whole coalesced run → one shard task → one filter invocation (null-sync
-  // streams) or one sync feed + drain.  The task carries the run's full
-  // credit count, returned in one go when its completion is delivered, so
-  // worker-queue occupancy still counts against the credit window exactly as
-  // in the single-packet path.
+  // Whole run → one shard task → one filter invocation (null-sync streams)
+  // or one sync feed + drain.  The task carries the run's full credit count,
+  // returned in one go when its completion is delivered, so worker-queue
+  // occupancy counts against the credit window.
   StreamLocal* sp = &stream;
   std::vector<PacketPtr> packets(run.begin(), run.end());
   executor_->post(stream.spec.id, [this, sp, sync_index, slot, credits,
@@ -1560,14 +1459,7 @@ void NodeRuntime::exec_dispatch_downstream(StreamLocal& stream, PacketPtr packet
                                    packet = std::move(packet)] {
     ExecCompletion completion;
     completion.stream_id = sp->spec.id;
-    const auto start = now_ns();
-    const PacketPtr inputs[] = {packet};
-    sp->down_filter->filter(inputs, completion.down_outputs, sp->ctx);
-    const auto elapsed = static_cast<std::uint64_t>(now_ns() - start);
-    if (!telemetry) {
-      metrics_.filter_ns.fetch_add(elapsed, std::memory_order_relaxed);
-      metrics_.observe_filter_latency(elapsed);
-    }
+    completion.down_outputs = run_downstream_filter(*sp, packet);
     // The sync policy was not touched, but the buffered mirror still needs
     // a truthful value (reads are safe: we are on the stream's shard).
     completion.buffered = sp->sync->buffered();
@@ -1836,28 +1728,17 @@ bool NodeRuntime::consume_downstream_data(const PacketPtr& packet) {
   if (stream.fast_down) {
     // Identity downstream filter: multicast the packet reference as-is
     // (one shared object across all child queues, relayed verbatim by fd
-    // links), accounting the forwarding overhead as filter latency.
-    const auto fast_start = now_ns();
+    // links).  No filter code runs and no clock is read: one zero-length
+    // filter observation per packet.
     forward_down_to_participants(stream, packet);
-    const auto fast_elapsed = static_cast<std::uint64_t>(now_ns() - fast_start);
-    metrics_.filter_ns.fetch_add(fast_elapsed, std::memory_order_relaxed);
-    metrics_.observe_filter_latency(fast_elapsed);
+    metrics_.observe_filter_latency(0);
     return false;
   }
   if (stream.exec) {
     exec_dispatch_downstream(stream, packet);
     return true;
   }
-  std::vector<PacketPtr> outputs;
-  const auto start = now_ns();
-  const PacketPtr inputs[] = {packet};
-  stream.down_filter->filter(inputs, outputs, stream.ctx);
-  const auto elapsed = static_cast<std::uint64_t>(now_ns() - start);
-  if (!telemetry) {
-    metrics_.filter_ns.fetch_add(elapsed, std::memory_order_relaxed);
-    metrics_.observe_filter_latency(elapsed);
-  }
-  for (const PacketPtr& output : outputs) {
+  for (const PacketPtr& output : run_downstream_filter(stream, packet)) {
     forward_down_to_participants(stream, output);
   }
   return false;

@@ -247,13 +247,14 @@ class NodeRuntime {
     /// ("null" sync + "passthrough" transform up; "passthrough" down), the
     /// runtime forwards packets without touching the sync/filter machinery —
     /// a wire-backed packet then crosses the node with zero payload copies.
-    /// Telemetry counters are accounted exactly as on the slow path.
+    /// They count waves like the filter lanes but read no clock: each run or
+    /// packet is one zero-length filter-latency observation.
     bool fast_up = false;
     bool fast_down = false;
-    /// Upstream sync is "null" (one singleton wave per packet): a coalesced
-    /// run of N packets can be handed to the transformation filter as ONE
-    /// filter_batch() call — N independent waves, amortized — with output
-    /// byte-identical to N single-packet invocations.
+    /// Upstream sync is "null" (one singleton wave per packet): a run of N
+    /// packets (N = 1 for a lone packet) is handed to the transformation
+    /// filter as ONE filter_batch() call — N independent waves, amortized —
+    /// with output byte-identical to N single-packet invocations.
     bool null_sync = false;
     /// Executor mode: sync/filter/ctx are only ever touched on the stream's
     /// shard once this is set (the loop dispatches tasks instead of running
@@ -324,21 +325,22 @@ class NodeRuntime {
                                bool added, bool revived = false);
   std::size_t live_participants(const StreamLocal& stream) const;
   void note_child_gone(std::uint32_t slot);
-  void handle_upstream_data(std::uint32_t slot, const PacketPtr& packet);
   void handle_downstream_data(const PacketPtr& packet);
-  bool consume_upstream_data(std::uint32_t slot, const PacketPtr& packet);
   bool consume_downstream_data(const PacketPtr& packet);
   void handle_upstream_batch(std::uint32_t slot, std::span<const PacketPtr> packets);
+  /// The one upstream data path: a packet envelope arrives as a run of one.
   void consume_upstream_run(std::uint32_t slot, std::span<const PacketPtr> run);
+  void process_batches(StreamLocal& stream, std::vector<SyncPolicy::Batch> batches);
+  /// The three filter call sites, each timed into filter_ns once: a
+  /// null-sync run, sync-formed waves, one downstream packet.
   std::vector<PacketPtr> run_upstream_filter_batch(StreamLocal& stream,
                                                    std::span<const PacketPtr> run);
-  void process_batches(StreamLocal& stream, std::vector<SyncPolicy::Batch> batches);
   std::vector<PacketPtr> run_upstream_batches(StreamLocal& stream,
                                               std::vector<SyncPolicy::Batch> batches);
+  std::vector<PacketPtr> run_downstream_filter(StreamLocal& stream,
+                                               const PacketPtr& packet);
   MembershipSnapshot membership_snapshot(const StreamLocal& stream) const;
   void exec_register_stream(StreamLocal& stream);
-  void exec_dispatch_upstream(StreamLocal& stream, std::size_t sync_index,
-                              PacketPtr packet, std::uint32_t slot);
   void exec_dispatch_upstream_run(StreamLocal& stream, std::size_t sync_index,
                                   std::span<const PacketPtr> run, std::uint32_t slot,
                                   std::uint32_t credits);

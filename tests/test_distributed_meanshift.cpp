@@ -2,6 +2,10 @@
 // end-to-end equivalence with the single-node baseline over real networks.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include "common/trace.hpp"
 #include "core/network.hpp"
 #include "meanshift/distributed.hpp"
@@ -194,6 +198,46 @@ TEST_P(DistributedEquivalence, PeaksMatchSingleNode) {
 INSTANTIATE_TEST_SUITE_P(Shapes, DistributedEquivalence,
                          ::testing::Values("flat:4", "bal:2x2", "bal:4x2", "bal:2x3",
                                            "auto:3:5"));
+
+// The Figure 4 critical path sums each node's trace events, so every stage
+// must be recorded once, where it runs: each leaf's leaf_compute and one
+// merge_shift per non-leaf node, both the filter's own CPU time.  The runtime
+// records nothing beside them.
+TEST(DistributedTrace, EachNodeRecordsItsComputeOnce) {
+  register_mean_shift_filter();
+  const Topology topology = Topology::balanced(2, 2);
+  const SynthParams synth = small_synth();
+  auto params = default_params();
+  params.trace = true;
+  auto& recorder = TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+
+  auto net = Network::create({.topology = topology});
+  Stream& stream = net->front_end().open_stream(
+      StreamSpec().up("mean_shift").with_params(to_filter_params(params)));
+  net->run_backends([&](BackEnd& be) {
+    const auto data = generate_leaf_data(be.rank(), synth);
+    const LocalResult local =
+        leaf_compute(data, params, topology.leaves()[be.rank()]);
+    be.send(stream.id(), kTag, MeanShiftCodec::kFormat,
+            MeanShiftCodec::to_values(local));
+  });
+  ASSERT_TRUE(stream.recv_for(30s).has_value());
+  net->shutdown();
+  recorder.set_enabled(false);
+
+  std::map<std::pair<NodeId, std::string>, int> counts;
+  for (const TraceEvent& event : recorder.events()) {
+    ++counts[{event.node_id, event.label}];
+  }
+  recorder.clear();
+  std::map<std::pair<NodeId, std::string>, int> expected;
+  for (NodeId id = 0; id < topology.num_nodes(); ++id) {
+    expected[{id, topology.is_leaf(id) ? "leaf_compute" : "merge_shift"}] = 1;
+  }
+  EXPECT_EQ(counts, expected);
+}
 
 TEST(DistributedMeanShiftProcess, WorksAcrossRealProcesses) {
   // The full case study over fork()ed communication processes: large

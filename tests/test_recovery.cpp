@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -382,6 +383,116 @@ TEST(RecoveryThreaded, MutedNodeIsDetectedByHeartbeatsAndRoutedAround) {
   }
   EXPECT_TRUE(recovered) << "full-weight aggregate never reappeared";
   net->shutdown();
+}
+
+TEST(RecoveryThreaded, KilledBackEndFailsSendsAtOnce) {
+  // The killed leaf's runtime is gone, so no announcement of a later stream
+  // can reach it: its back-end must fail the send promptly and report
+  // shutting_down() instead of waiting out the announcement timeout.
+  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  net->kill_node(net->topology().leaves()[0]);
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  BackEnd& killed = net->backend(0);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(killed.send(stream.id(), kTag, "i64", {std::int64_t{1}}),
+               ProtocolError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+  EXPECT_TRUE(killed.shutting_down());
+  net->shutdown();
+}
+
+// ---- fault injection counts packets, batched or not -------------------------
+//
+// While a fault injector is armed, the runtime splits a coalesced batch back
+// into packets, so kill-at-data-packet-N and mute-at-N hit the same packet
+// whether or not the wire batches.  balanced(2,2): interior node 1 relays
+// rank 0's values 0..15 on a passthrough/null stream (the other ranks send
+// nothing), so a fault at its 6th data packet lets exactly 0..4 through.
+
+struct FaultSplitCase {
+  NetworkMode mode;
+  bool batched;
+};
+
+std::string fault_split_name(const FaultSplitCase& param) {
+  return std::string(param.mode == NetworkMode::kThreaded ? "threaded" : "process") +
+         (param.batched ? "_batched" : "_unbatched");
+}
+
+/// Names the case in test listings (the default prints its raw bytes,
+/// padding included).
+void PrintTo(const FaultSplitCase& param, std::ostream* os) {
+  *os << fault_split_name(param);
+}
+
+/// Values the front-end receives until the stream has been quiet for 500 ms.
+std::vector<std::int64_t> deliveries_under(const FaultSplitCase& param,
+                                           const RecoveryOptions& recovery) {
+  constexpr std::uint32_t kStream = 1;
+  const auto send_values = [](BackEnd& be) {
+    if (be.rank() != 0) return;
+    try {
+      for (std::int64_t value = 0; value < 16; ++value) {
+        be.send(kStream, kTag, "i64", {value});
+      }
+    } catch (const std::exception&) {
+      // The parent died under the send: expected once the fault trips.
+    }
+  };
+  NetworkOptions options{.mode = param.mode,
+                         .topology = Topology::balanced(2, 2),
+                         .recovery = recovery,
+                         .batching = param.batched
+                                         ? BatchingOptions::on().max_delay(1ms)
+                                         : BatchingOptions::off()};
+  if (param.mode != NetworkMode::kThreaded) options.backend_main = send_values;
+  auto net = Network::create(std::move(options));
+  Stream& stream = net->front_end().open_stream({.up_sync = "null"});
+  EXPECT_EQ(stream.id(), kStream);
+  if (param.mode == NetworkMode::kThreaded) net->run_backends(send_values);
+  std::vector<std::int64_t> values;
+  const auto until = std::chrono::steady_clock::now() + 20s;
+  while (std::chrono::steady_clock::now() < until) {
+    const auto result = stream.recv_for(500ms);
+    if (!result) break;
+    values.push_back((*result)->get_i64(0));
+  }
+  net->shutdown();
+  return values;
+}
+
+const std::vector<std::int64_t> kFirstFive = {0, 1, 2, 3, 4};
+
+class FaultSplit : public ::testing::TestWithParam<FaultSplitCase> {};
+
+TEST_P(FaultSplit, KillAtSixthPacketDeliversTheFirstFive) {
+  RecoveryOptions recovery;
+  recovery.fault_plan.kill(1, 6);
+  EXPECT_EQ(deliveries_under(GetParam(), recovery), kFirstFive);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BatchedOrNot, FaultSplit,
+    ::testing::Values(FaultSplitCase{NetworkMode::kThreaded, false},
+                      FaultSplitCase{NetworkMode::kThreaded, true},
+                      FaultSplitCase{NetworkMode::kProcess, false},
+                      FaultSplitCase{NetworkMode::kProcess, true}),
+    [](const ::testing::TestParamInfo<FaultSplitCase>& info) {
+      return fault_split_name(info.param);
+    });
+
+TEST(FaultSplitThreaded, MuteAtSixthPacketDeliversTheFirstFive) {
+  // Heartbeats let the tree declare the muted node dead; without them,
+  // shutdown would wait for its acknowledgement until the timeout.
+  RecoveryOptions recovery;
+  recovery.heartbeat_interval_ms = 50;
+  recovery.failure_timeout_ms = 300;
+  recovery.fault_plan.mute(1, 6);
+  for (const bool batched : {false, true}) {
+    EXPECT_EQ(deliveries_under({NetworkMode::kThreaded, batched}, recovery),
+              kFirstFive)
+        << (batched ? "batched" : "unbatched");
+  }
 }
 
 // ---- multi-process acceptance -----------------------------------------------
