@@ -1,6 +1,7 @@
 #include "core/builtin_filters.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <type_traits>
 
@@ -36,37 +37,146 @@ struct SumOp {
 
 /// Shared implementation for sum/min/max: reduce numeric fields across the
 /// batch with `Op`, preserving the packet format.
+///
+/// Two paths give the same bytes.  When every input is wire-backed (always
+/// the case in the process and remote instantiations), the first input's
+/// frame is copied once and the other inputs' numeric fields are folded
+/// into the copy in place; the result is a wire-backed packet with the first
+/// input's header, which the next hop relays verbatim.  Otherwise the
+/// values are materialized and folded into an owned packet.
 template <typename Op>
 class NumericReduceFilter final : public TransformFilter {
  public:
   void filter(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
               FilterContext&) override {
-    const Packet& first = *in.front();
-    std::vector<DataValue> acc = first.values();
-    for (std::size_t p = 1; p < in.size(); ++p) {
-      const Packet& packet = *in[p];
-      if (packet.format() != first.format()) {
-        throw CodecError("numeric reduction over mixed formats ('" +
-                         first.format().to_string() + "' vs '" +
-                         packet.format().to_string() + "')");
-      }
-      for (std::size_t f = 0; f < acc.size(); ++f) reduce_field(acc[f], packet.values()[f]);
+    // A reduction over one packet is the packet itself (byte-identical).
+    if (in.size() == 1) {
+      out.push_back(in.front());
+      return;
     }
-    out.push_back(std::make_shared<const Packet>(first.stream_id(), first.tag(),
-                                                 first.src_rank(), first.format(),
-                                                 std::move(acc)));
+    const bool on_wire = std::all_of(in.begin(), in.end(),
+                                     [](const PacketPtr& p) { return p->has_wire(); });
+    out.push_back(on_wire ? fold_frames(in) : fold_values(in));
   }
 
   /// Each packet of a coalesced batch is its own single-packet wave, and a
   /// reduction over one packet is the packet itself — forward the inputs
-  /// instead of rebuilding each one (byte-identical: a singleton filter()
-  /// call copies the values into an equal packet).
+  /// instead of rebuilding each one.
   void filter_batch(std::span<const PacketPtr> in, std::vector<PacketPtr>& out,
                     FilterContext&) override {
     out.insert(out.end(), in.begin(), in.end());
   }
 
  private:
+  static void check_format(const Packet& first, const Packet& packet) {
+    if (packet.format() != first.format()) {
+      throw CodecError("numeric reduction over mixed formats ('" +
+                       first.format().to_string() + "' vs '" +
+                       packet.format().to_string() + "')");
+    }
+  }
+
+  static void check_length(std::size_t acc, std::size_t next) {
+    if (next != acc) throw CodecError("numeric reduction over vectors of different lengths");
+  }
+
+  static PacketPtr fold_values(std::span<const PacketPtr> in) {
+    const Packet& first = *in.front();
+    std::vector<DataValue> acc = first.values();
+    for (std::size_t p = 1; p < in.size(); ++p) {
+      const Packet& packet = *in[p];
+      check_format(first, packet);
+      for (std::size_t f = 0; f < acc.size(); ++f) reduce_field(acc[f], packet.values()[f]);
+    }
+    return std::make_shared<const Packet>(first.stream_id(), first.tag(), first.src_rank(),
+                                          first.format(), std::move(acc));
+  }
+
+  static PacketPtr fold_frames(std::span<const PacketPtr> in) {
+    const Packet& first = *in.front();
+    const BufferView& wire = first.wire();
+    const auto frame = std::make_shared_for_overwrite<std::byte[]>(wire.size());
+    std::memcpy(frame.get(), wire.data(), wire.size());
+    CopyStats::note(wire.size());
+    const std::size_t payload_size = first.payload_view().size();
+    const std::size_t payload_offset = wire.size() - payload_size;
+    const std::span<std::byte> acc(frame.get() + payload_offset, payload_size);
+    for (std::size_t p = 1; p < in.size(); ++p) {
+      const Packet& packet = *in[p];
+      check_format(first, packet);
+      fold_payload(first.format(), acc, packet.payload_view());
+    }
+    return std::make_shared<const Packet>(
+        first.stream_id(), first.tag(), first.src_rank(), first.format(),
+        BufferView(frame, frame.get(), wire.size()), payload_offset, first.payload_bytes());
+  }
+
+  /// Fold one serialized value list into another laid out by the same
+  /// format, field by field.  Both were structurally validated when their
+  /// packets were decoded; the readers re-check bounds anyway.  Elements sit
+  /// at arbitrary byte offsets, so every access goes through memcpy or an
+  /// unaligned kernel load.
+  static void fold_payload(const DataFormat& format, std::span<std::byte> acc,
+                           std::span<const std::byte> next) {
+    BinaryReader acc_reader(acc);
+    BinaryReader next_reader(next);
+    for (const DataType type : format.fields()) {
+      switch (type) {
+        case DataType::kInt32:
+          fold_scalar<std::int32_t>(acc, acc_reader, next_reader);
+          break;
+        case DataType::kInt64:
+          fold_scalar<std::int64_t>(acc, acc_reader, next_reader);
+          break;
+        case DataType::kUInt64:
+          fold_scalar<std::uint64_t>(acc, acc_reader, next_reader);
+          break;
+        case DataType::kFloat64:
+          fold_scalar<double>(acc, acc_reader, next_reader);
+          break;
+        case DataType::kVecInt64:
+          fold_vector<std::int64_t>(acc, acc_reader, next_reader);
+          break;
+        case DataType::kVecFloat64:
+          fold_vector<double>(acc, acc_reader, next_reader);
+          break;
+        case DataType::kString:
+        case DataType::kBytes:
+          // Non-numeric fields ride along unchanged (first packet wins).
+          acc_reader.skip(acc_reader.get<std::uint32_t>());
+          next_reader.skip(next_reader.get<std::uint32_t>());
+          break;
+        case DataType::kVecString:
+          for (BinaryReader* reader : {&acc_reader, &next_reader}) {
+            for (auto n = reader->get<std::uint32_t>(); n > 0; --n) {
+              reader->skip(reader->get<std::uint32_t>());
+            }
+          }
+          break;
+      }
+    }
+  }
+
+  template <typename T>
+  static void fold_scalar(std::span<std::byte> acc, BinaryReader& acc_reader,
+                          BinaryReader& next_reader) {
+    std::byte* at = acc.data() + acc_reader.position();
+    const T a = acc_reader.get<T>();
+    const T folded = Op{}(a, next_reader.get<T>());
+    std::memcpy(at, &folded, sizeof(T));
+  }
+
+  template <typename T>
+  static void fold_vector(std::span<std::byte> acc, BinaryReader& acc_reader,
+                          BinaryReader& next_reader) {
+    const auto n = acc_reader.get<std::uint32_t>();
+    check_length(n, next_reader.get<std::uint32_t>());
+    std::byte* at = acc.data() + acc_reader.position();
+    acc_reader.skip(std::size_t{n} * sizeof(T));
+    const std::byte* from = next_reader.take_span(std::size_t{n} * sizeof(T)).data();
+    reduce_array(reinterpret_cast<T*>(at), reinterpret_cast<const T*>(from), n);
+  }
+
   static void reduce_field(DataValue& acc, const DataValue& next) {
     switch (type_of(acc)) {
       case DataType::kInt32:
@@ -102,29 +212,31 @@ class NumericReduceFilter final : public TransformFilter {
 
   template <typename T>
   static void reduce_vector(std::vector<T>& acc, const std::vector<T>& next) {
-    if (next.size() != acc.size()) {
-      throw CodecError("numeric reduction over vectors of different lengths");
-    }
-    // Contiguous numeric fields take the vectorized kernels (bit-exact with
-    // the plain loop below — see simd_kernels.hpp).
+    check_length(acc.size(), next.size());
+    reduce_array(acc.data(), next.data(), acc.size());
+  }
+
+  /// acc[i] = Op(acc[i], next[i]) through the vectorized kernels (bit-exact
+  /// with the scalar Op — see simd_kernels.hpp); the arrays may be misaligned.
+  template <typename T>
+  static void reduce_array(T* acc, const T* next, std::size_t n) {
     if constexpr (std::is_same_v<T, double>) {
       if constexpr (std::is_same_v<Op, SumOp>) {
-        return simd::add_f64(acc.data(), next.data(), acc.size());
+        simd::add_f64(acc, next, n);
       } else if constexpr (std::is_same_v<Op, MinOp>) {
-        return simd::min_f64(acc.data(), next.data(), acc.size());
-      } else if constexpr (std::is_same_v<Op, MaxOp>) {
-        return simd::max_f64(acc.data(), next.data(), acc.size());
+        simd::min_f64(acc, next, n);
+      } else {
+        simd::max_f64(acc, next, n);
       }
-    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    } else {
       if constexpr (std::is_same_v<Op, SumOp>) {
-        return simd::add_i64(acc.data(), next.data(), acc.size());
+        simd::add_i64(acc, next, n);
       } else if constexpr (std::is_same_v<Op, MinOp>) {
-        return simd::min_i64(acc.data(), next.data(), acc.size());
-      } else if constexpr (std::is_same_v<Op, MaxOp>) {
-        return simd::max_i64(acc.data(), next.data(), acc.size());
+        simd::min_i64(acc, next, n);
+      } else {
+        simd::max_i64(acc, next, n);
       }
     }
-    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = Op{}(acc[i], next[i]);
   }
 };
 

@@ -1040,7 +1040,12 @@ void NodeRuntime::handle_parent_lost() {
     return;
   }
   // Legacy behaviour: the subtree can no longer deliver results; shut down.
+  // Close the dead channel first, so the shutdown's last sends upward (the
+  // final telemetry record and the ack) fail at once: a leaf's parent link
+  // is relinkable, and a send on it would otherwise wait out the relink
+  // timeout for a re-adoption that nobody will make.
   TBON_DEBUG("node " << id_ << " lost its parent; shutting down subtree");
+  if (parent_link_) parent_link_->close();
   if (!shutting_down_) handle_shutdown();
   // No parent to ack to: finish immediately once children are gone.
   if (role_ == NodeRole::kLeaf || shutdown_acks_needed_ == 0) done_ = true;

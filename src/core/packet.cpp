@@ -44,9 +44,15 @@ PacketPtr Packet::make_view(std::uint32_t stream_id, std::int32_t tag,
 }
 
 const std::vector<DataValue>& Packet::values() const {
-  std::call_once(values_once_, [this] {
-    if (has_wire()) materialize();
-  });
+  // Owned packets got their values in the constructor.  Not a std::once_flag:
+  // glibc ends the first call on every once flag with a futex-wake system
+  // call, and every packet off the wire makes a first call.
+  if (!has_wire() || materialized_.load(std::memory_order_acquire)) return values_;
+  const std::lock_guard<std::mutex> lock(materialize_mutex_);
+  if (!materialized_.load(std::memory_order_relaxed)) {
+    materialize();
+    materialized_.store(true, std::memory_order_release);
+  }
   return values_;
 }
 

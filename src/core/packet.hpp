@@ -15,6 +15,7 @@
 // frame verbatim — zero payload memcpys per interior hop.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -70,7 +71,8 @@ class Packet {
   std::size_t arity() const noexcept { return format_.arity(); }
 
   /// The field values.  For wire-backed packets this materializes them on
-  /// first access (thread-safe); `bytes` fields alias the retained frame.
+  /// first access (thread-safe, and no system call once materialized or
+  /// when uncontended); `bytes` fields alias the retained frame.
   const std::vector<DataValue>& values() const;
 
   /// Typed field access; throws std::bad_variant_access on a type mismatch
@@ -139,7 +141,10 @@ class Packet {
   std::size_t payload_offset_ = 0;
   std::size_t payload_bytes_ = 0;
   mutable std::vector<DataValue> values_;
-  mutable std::once_flag values_once_;
+  // Wire-backed packets only: set (release) once values_ is filled under
+  // materialize_mutex_, so readers that see it (acquire) skip the lock.
+  mutable std::atomic<bool> materialized_{false};
+  mutable std::mutex materialize_mutex_;
 };
 
 }  // namespace tbon

@@ -14,16 +14,37 @@
 // scalar code evaluates — (b < a) ? b : a — instead of the asymmetric
 // MINPD/MAXPD instructions, whose unordered-operand rule differs from
 // std::min.  The batched-vs-unbatched byte-identity tests rely on this.
+//
+// Alignment: the arrays may sit at any byte offset (the reductions fold
+// values in place inside a received frame, where a batch entry starts
+// wherever the previous one ended).  The vector paths use unaligned
+// loads/stores and the scalar tails go through memcpy, so no misaligned
+// element is ever dereferenced.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #if defined(__SSE2__)
 #include <immintrin.h>
 #endif
 
 namespace tbon::simd {
+
+/// *p, for a possibly misaligned p.
+template <typename T>
+inline T load(const T* p) noexcept {
+  T value{};
+  std::memcpy(&value, p, sizeof(T));
+  return value;
+}
+
+/// *p = value, for a possibly misaligned p.
+template <typename T>
+inline void store(T* p, T value) noexcept {
+  std::memcpy(p, &value, sizeof(T));
+}
 
 /// acc[i] += next[i]
 inline void add_f64(double* acc, const double* next, std::size_t n) {
@@ -39,7 +60,7 @@ inline void add_f64(double* acc, const double* next, std::size_t n) {
                   _mm_add_pd(_mm_loadu_pd(acc + i), _mm_loadu_pd(next + i)));
   }
 #endif
-  for (; i < n; ++i) acc[i] += next[i];
+  for (; i < n; ++i) store(acc + i, load(acc + i) + load(next + i));
 }
 
 /// acc[i] = std::min(acc[i], next[i])  — i.e. (next < acc) ? next : acc
@@ -60,7 +81,10 @@ inline void min_f64(double* acc, const double* next, std::size_t n) {
     _mm_storeu_pd(acc + i, _mm_or_pd(_mm_and_pd(take_b, b), _mm_andnot_pd(take_b, a)));
   }
 #endif
-  for (; i < n; ++i) acc[i] = next[i] < acc[i] ? next[i] : acc[i];
+  for (; i < n; ++i) {
+    const auto a = load(acc + i), b = load(next + i);
+    store(acc + i, b < a ? b : a);
+  }
 }
 
 /// acc[i] = std::max(acc[i], next[i])  — i.e. (acc < next) ? next : acc
@@ -81,7 +105,10 @@ inline void max_f64(double* acc, const double* next, std::size_t n) {
     _mm_storeu_pd(acc + i, _mm_or_pd(_mm_and_pd(take_b, b), _mm_andnot_pd(take_b, a)));
   }
 #endif
-  for (; i < n; ++i) acc[i] = acc[i] < next[i] ? next[i] : acc[i];
+  for (; i < n; ++i) {
+    const auto a = load(acc + i), b = load(next + i);
+    store(acc + i, a < b ? b : a);
+  }
 }
 
 /// acc[i] /= divisor  (IEEE division, lane-wise — used by the avg filter)
@@ -98,7 +125,7 @@ inline void div_f64(double* acc, double divisor, std::size_t n) {
     _mm_storeu_pd(acc + i, _mm_div_pd(_mm_loadu_pd(acc + i), d2));
   }
 #endif
-  for (; i < n; ++i) acc[i] /= divisor;
+  for (; i < n; ++i) store(acc + i, load(acc + i) / divisor);
 }
 
 /// acc[i] += next[i]
@@ -117,7 +144,7 @@ inline void add_i64(std::int64_t* acc, const std::int64_t* next, std::size_t n) 
     _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), _mm_add_epi64(a, b));
   }
 #endif
-  for (; i < n; ++i) acc[i] += next[i];
+  for (; i < n; ++i) store(acc + i, load(acc + i) + load(next + i));
 }
 
 #if defined(__SSE2__) && !defined(__AVX2__)
@@ -162,7 +189,10 @@ inline void min_i64(std::int64_t* acc, const std::int64_t* next, std::size_t n) 
                                   _mm_andnot_si128(take_b, a)));
   }
 #endif
-  for (; i < n; ++i) acc[i] = next[i] < acc[i] ? next[i] : acc[i];
+  for (; i < n; ++i) {
+    const auto a = load(acc + i), b = load(next + i);
+    store(acc + i, b < a ? b : a);
+  }
 }
 
 /// acc[i] = std::max(acc[i], next[i])
@@ -186,7 +216,10 @@ inline void max_i64(std::int64_t* acc, const std::int64_t* next, std::size_t n) 
                                   _mm_andnot_si128(take_b, a)));
   }
 #endif
-  for (; i < n; ++i) acc[i] = acc[i] < next[i] ? next[i] : acc[i];
+  for (; i < n; ++i) {
+    const auto a = load(acc + i), b = load(next + i);
+    store(acc + i, a < b ? b : a);
+  }
 }
 
 }  // namespace tbon::simd

@@ -2,7 +2,11 @@
 // tree-decomposition property that makes TBON aggregation exact.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+
 #include "common/rng.hpp"
+#include "core/coalesce.hpp"
 #include "core/registry.hpp"
 
 namespace tbon {
@@ -264,6 +268,237 @@ TEST(TreeDecomposition, ConcatPreservesOrder) {
   const auto& sequence = level[0]->get_vi64(0);
   ASSERT_EQ(sequence.size(), 64u);
   for (std::int64_t i = 0; i < 64; ++i) EXPECT_EQ(sequence[i], i);
+}
+
+// ---- the in-frame fold equals the value path ----------------------------------
+//
+// When every input is wire-backed, sum/min/max fold inside a copy of the
+// first input's frame; owned or mixed inputs take the value path.  Over
+// random formats of all nine field types, vector lengths 0..70 and 1..9
+// inputs decoded from one batch frame (so the entries sit at misaligned
+// offsets, as on the wire), both paths must give byte-identical packets, or
+// both throw the same CodecError.
+
+constexpr DataType kAllTypes[] = {
+    DataType::kInt32,  DataType::kInt64,    DataType::kUInt64,
+    DataType::kFloat64, DataType::kString,  DataType::kBytes,
+    DataType::kVecInt64, DataType::kVecFloat64, DataType::kVecString};
+
+/// One draw in four is +0, -0, an infinity or (with `nan`) NaN, so min/max
+/// meet unordered and signed-zero operands.  Sums draw no NaN: when two NaNs
+/// of different sign meet in an addition, which one comes out is left to
+/// the compiler's operand order (IEEE 754 does not fix it), in either path.
+double random_f64(Rng& rng, bool nan) {
+  constexpr double kSpecial[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN()};
+  if (rng.next_below(4) == 0) {
+    return kSpecial[rng.next_below(std::size(kSpecial) - (nan ? 0 : 1))];
+  }
+  return rng.uniform(-1e6, 1e6);
+}
+
+/// Small enough that a sum over nine inputs cannot overflow.
+std::int64_t random_i64(Rng& rng) {
+  return static_cast<std::int64_t>(rng.next_below(std::uint64_t{1} << 40)) -
+         (std::int64_t{1} << 39);
+}
+
+std::string random_string(Rng& rng) {
+  std::string s(rng.next_below(12), 'a');
+  for (char& c : s) c = static_cast<char>('a' + rng.next_below(26));
+  return s;
+}
+
+/// Values for `types`; numeric vector field f has `lengths[f]` elements.
+std::vector<DataValue> random_values(const std::vector<DataType>& types,
+                                     const std::vector<std::size_t>& lengths, bool nan,
+                                     Rng& rng) {
+  std::vector<DataValue> values;
+  for (std::size_t f = 0; f < types.size(); ++f) {
+    switch (types[f]) {
+      case DataType::kInt32:
+        values.emplace_back(static_cast<std::int32_t>(rng.next_below(2001)) - 1000);
+        break;
+      case DataType::kInt64:
+        values.emplace_back(random_i64(rng));
+        break;
+      case DataType::kUInt64:
+        values.emplace_back(rng.next_u64());  // sums wrap, which is defined
+        break;
+      case DataType::kFloat64:
+        values.emplace_back(random_f64(rng, nan));
+        break;
+      case DataType::kString:
+        values.emplace_back(random_string(rng));
+        break;
+      case DataType::kBytes: {
+        Bytes bytes(rng.next_below(80));
+        for (std::byte& b : bytes) b = static_cast<std::byte>(rng.next_u64());
+        values.emplace_back(BufferView(std::move(bytes)));
+        break;
+      }
+      case DataType::kVecInt64: {
+        std::vector<std::int64_t> vec(lengths[f]);
+        for (std::int64_t& x : vec) x = random_i64(rng);
+        values.emplace_back(std::move(vec));
+        break;
+      }
+      case DataType::kVecFloat64: {
+        std::vector<double> vec(lengths[f]);
+        for (double& x : vec) x = random_f64(rng, nan);
+        values.emplace_back(std::move(vec));
+        break;
+      }
+      case DataType::kVecString: {
+        std::vector<std::string> vec(rng.next_below(4));
+        for (std::string& x : vec) x = random_string(rng);
+        values.emplace_back(std::move(vec));
+        break;
+      }
+    }
+  }
+  return values;
+}
+
+std::string format_text(const std::vector<DataType>& types) {
+  std::string text;
+  for (const DataType type : types) {
+    if (!text.empty()) text += ' ';
+    text += type_name(type);
+  }
+  return text;
+}
+
+enum class Mismatch { kNone, kFormat, kLength };
+
+/// The same wave twice: owned packets, and the same packets decoded from
+/// one batch frame.
+struct Wave {
+  std::vector<PacketPtr> owned;
+  std::vector<PacketPtr> wire;
+};
+
+/// A mismatch gives one non-first input a different format, or a different
+/// length of a numeric vector field.
+Wave random_wave(Rng& rng, Mismatch mismatch, bool nan) {
+  std::vector<DataType> types(1 + rng.next_below(6));
+  for (DataType& type : types) type = kAllTypes[rng.next_below(std::size(kAllTypes))];
+  if (mismatch == Mismatch::kLength) {
+    types[rng.next_below(types.size())] =
+        rng.next_below(2) == 0 ? DataType::kVecInt64 : DataType::kVecFloat64;
+  }
+  std::vector<std::size_t> lengths(types.size());
+  for (std::size_t& n : lengths) n = rng.next_below(71);
+  const std::size_t inputs = (mismatch == Mismatch::kNone ? 1 : 2) +
+                             rng.next_below(mismatch == Mismatch::kNone ? 9 : 8);
+  const std::size_t odd_one = inputs > 1 ? 1 + rng.next_below(inputs - 1) : 0;
+  Wave wave;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    std::vector<DataType> my_types = types;
+    std::vector<std::size_t> my_lengths = lengths;
+    if (i == odd_one && mismatch == Mismatch::kFormat) {
+      DataType& type = my_types[rng.next_below(my_types.size())];
+      type = kAllTypes[(static_cast<std::size_t>(type) + 1 + rng.next_below(8)) %
+                       std::size(kAllTypes)];
+    }
+    if (i == odd_one && mismatch == Mismatch::kLength) {
+      for (std::size_t f = 0; f < types.size(); ++f) {
+        if (types[f] == DataType::kVecInt64 || types[f] == DataType::kVecFloat64) {
+          my_lengths[f] = (lengths[f] + 1 + rng.next_below(70)) % 71;
+          break;
+        }
+      }
+    }
+    wave.owned.push_back(Packet::make(1, 100, static_cast<std::uint32_t>(i),
+                                      format_text(my_types),
+                                      random_values(my_types, my_lengths, nan, rng)));
+  }
+  wave.wire = decode_batch_frame(encode_batch_frame(wave.owned));
+  return wave;
+}
+
+Bytes serialized(const Packet& packet) {
+  BinaryWriter writer;
+  packet.serialize(writer);
+  return writer.take();
+}
+
+/// The filter's output, or the CodecError message it threw.
+struct Outcome {
+  std::vector<PacketPtr> out;
+  std::string error;
+};
+
+Outcome run_reduction(const char* name, std::span<const PacketPtr> in) {
+  FilterContext ctx = make_context(in.size());
+  Outcome outcome;
+  try {
+    outcome.out = run_filter(name, in, ctx);
+  } catch (const CodecError& error) {
+    outcome.error = error.what();
+  }
+  return outcome;
+}
+
+constexpr const char* kReductions[] = {"sum", "min", "max", "avg"};
+
+bool is_sum(std::string_view name) { return name == "sum" || name == "avg"; }
+
+TEST(WireFold, MatchesTheValuePathByteForByte) {
+  Rng rng(24);
+  for (int round = 0; round < 400; ++round) {
+    for (const char* name : kReductions) {
+      const Wave wave = random_wave(rng, Mismatch::kNone, /*nan=*/!is_sum(name));
+      SCOPED_TRACE(std::string(name) + " over " + std::to_string(wave.owned.size()) +
+                   " x '" + wave.owned[0]->format().to_string() + "', round " +
+                   std::to_string(round));
+      const Outcome by_value = run_reduction(name, wave.owned);
+      const Outcome by_frame = run_reduction(name, wave.wire);
+      ASSERT_EQ(by_value.error, "");
+      ASSERT_EQ(by_frame.error, "");
+      ASSERT_EQ(by_value.out.size(), 1u);
+      ASSERT_EQ(by_frame.out.size(), 1u);
+      EXPECT_EQ(serialized(*by_frame.out[0]), serialized(*by_value.out[0]));
+      EXPECT_EQ(by_frame.out[0]->payload_bytes(), by_value.out[0]->payload_bytes());
+      if (std::string_view(name) != "avg") {
+        // The fold emits a wire-backed packet the next hop relays verbatim.
+        EXPECT_TRUE(by_frame.out[0]->has_wire());
+      }
+    }
+  }
+}
+
+TEST(WireFold, MismatchesThrowTheSameCodecError) {
+  Rng rng(25);
+  for (const Mismatch mismatch : {Mismatch::kFormat, Mismatch::kLength}) {
+    for (int round = 0; round < 100; ++round) {
+      for (const char* name : kReductions) {
+        const Wave wave = random_wave(rng, mismatch, /*nan=*/!is_sum(name));
+        SCOPED_TRACE(std::string(name) + ", round " + std::to_string(round));
+        const Outcome by_value = run_reduction(name, wave.owned);
+        const Outcome by_frame = run_reduction(name, wave.wire);
+        EXPECT_NE(by_value.error, "");
+        EXPECT_EQ(by_frame.error, by_value.error);
+      }
+    }
+  }
+}
+
+TEST(WireFold, MixedInputsTakeTheValuePath) {
+  Rng rng(26);
+  for (int round = 0; round < 50; ++round) {
+    for (const char* name : kReductions) {
+      Wave wave = random_wave(rng, Mismatch::kNone, /*nan=*/!is_sum(name));
+      if (wave.owned.size() < 2) continue;
+      wave.wire[1] = wave.owned[1];
+      const Outcome by_value = run_reduction(name, wave.owned);
+      const Outcome mixed = run_reduction(name, wave.wire);
+      ASSERT_EQ(mixed.out.size(), 1u) << name;
+      EXPECT_FALSE(mixed.out[0]->has_wire()) << name;
+      EXPECT_EQ(serialized(*mixed.out[0]), serialized(*by_value.out[0])) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -15,7 +15,10 @@
 // packet counts, and every wait is for a concrete observable event (an
 // adoption count, a result of a given weight) with a generous deadline —
 // never a bare sleep.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -30,6 +33,7 @@
 #include "recovery/adoption.hpp"
 #include "recovery/fault_injector.hpp"
 #include "recovery/heartbeat.hpp"
+#include "transport/fd.hpp"
 
 namespace tbon {
 namespace {
@@ -494,6 +498,67 @@ TEST(FaultSplitThreaded, MuteAtSixthPacketDeliversTheFirstFive) {
         << (batched ? "batched" : "unbatched");
   }
 }
+
+// ---- an orphan without an adopter exits at once -----------------------------
+//
+// Without re-adoption, a node whose parent died shuts its subtree down.  A
+// leaf's parent link in the forked instantiations is a RelinkableLink, whose
+// send on a dead channel waits for a relink; the shutdown's last sends
+// upward (the final telemetry record and the ack) must not wait for one.
+
+TEST(OrphanedLeaf, ParentEofWithoutAdopterEndsTheRuntimeAtOnce) {
+  const Topology topology = Topology::balanced(2, 1);
+  NodeRuntime runtime(topology, topology.leaves()[0], FilterRegistry::instance(),
+                      /*delegate=*/nullptr);
+  // Default relink wait (10 s), over a channel that refuses every send.
+  runtime.set_parent_link(
+      std::make_unique<RelinkableLink>(std::make_shared<ToggleLink>(false)));
+  ASSERT_TRUE(runtime.inbox()->push(Envelope{Origin::kParent, 0, nullptr}));  // EOF
+  const auto start = std::chrono::steady_clock::now();
+  runtime.run();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+}
+
+namespace {
+/// True once every copy of the pipe's write end is closed (read() sees EOF),
+/// false if that takes longer than `limit`.
+bool wait_for_eof(int read_fd, std::chrono::milliseconds limit) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        until - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{read_fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) continue;
+    char byte = 0;
+    if (::read(read_fd, &byte, 1) == 0) return true;
+  }
+}
+}  // namespace
+
+/// Every forked node inherits the write end of a pipe created before the
+/// network, so the read end sees EOF once all of them have exited.  After
+/// kill(1,6) the leaves under node 1 are orphans without an adopter; they
+/// must be gone by the time the network has shut down, not a relink timeout
+/// later.
+class OrphanedForkedLeaf : public ::testing::TestWithParam<bool> {};
+
+TEST_P(OrphanedForkedLeaf, ExitsBeforeTheNetworkIsGone) {
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe2(pipe_fds, O_CLOEXEC), 0);
+  const Fd read_end(pipe_fds[0]);
+  Fd write_end(pipe_fds[1]);
+  RecoveryOptions recovery;
+  recovery.fault_plan.kill(1, 6);
+  EXPECT_EQ(deliveries_under({NetworkMode::kProcess, GetParam()}, recovery), kFirstFive);
+  write_end.reset();  // the forked nodes hold the remaining copies
+  EXPECT_TRUE(wait_for_eof(read_end.get(), 2s)) << "a forked node outlived the network";
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchedOrNot, OrphanedForkedLeaf, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "batched" : "unbatched");
+                         });
 
 // ---- multi-process acceptance -----------------------------------------------
 
