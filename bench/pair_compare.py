@@ -10,9 +10,10 @@
 A pair is one `perfbench/run.py --trace 0` run of each checkout with the same
 seed; pair i uses seed + i.  The order alternates (parent first in even
 pairs, change first in odd ones), so slow drift on the host touches both
-sides alike.  Each checkout builds into its own CARGO_TARGET_DIR
-(<checkout>/.bench_build unless --target-dirs names two), so one build never
-runs the other's code.  The results file is rewritten after every pair.
+sides alike.  Each checkout builds into its own CARGO_TARGET_DIR,
+<checkout>/.bench_build, set explicitly so that an inherited value cannot
+make the two sides share a build.  The results file is rewritten after
+every pair.
 
 For every end-to-end metric in BENCHMARK.json the summary shows each side's
 median and quartiles over the pairs, how many pairs the change won, the
@@ -55,15 +56,11 @@ def clean_trials(stderr):
     return counts
 
 
-def run_side(checkout, target_dir, workload, seed, seconds, log_dir, label):
-    env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+def run_side(checkout, workload, seed, seconds, label):
+    env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(checkout, ".bench_build"))
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
-    if log_dir:
-        with open(os.path.join(log_dir, f"{workload}-seed{seed}-{label}.log"), "w") as log:
-            log.write(proc.stderr)
-            log.write(proc.stdout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr[-2000:])
@@ -172,10 +169,6 @@ def load_end_to_end():
 def compare(args):
     end_to_end = load_end_to_end()
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    targets = dict(zip(("parent", "change"), args.target_dirs or
-                       [os.path.join(c, ".bench_build") for c in checkouts.values()]))
-    if args.log_dir:
-        os.makedirs(args.log_dir, exist_ok=True)
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -183,8 +176,7 @@ def compare(args):
         pair = {"seed": seed, "order": list(order)}
         for side in order:
             print(f"pair {i + 1}/{args.pairs} seed {seed}: {side}", file=sys.stderr, flush=True)
-            pair[side] = run_side(checkouts[side], os.path.abspath(targets[side]), args.workload,
-                                  seed, args.seconds, args.log_dir, side)
+            pair[side] = run_side(checkouts[side], args.workload, seed, args.seconds, side)
         pairs.append(pair)
         report = {"workload": args.workload, "seconds": args.seconds, "pairs": pairs,
                   "summary": summarize(pairs, end_to_end)}
@@ -252,9 +244,7 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=27)
-    parser.add_argument("--target-dirs", nargs=2, metavar=("PARENT_DIR", "CHANGE_DIR"))
     parser.add_argument("--out", metavar="RESULTS_JSON")
-    parser.add_argument("--log-dir", help="keep each run's stderr and stdout here")
     args = parser.parse_args()
     if args.self_test:
         self_test()

@@ -253,49 +253,48 @@ std::vector<DataValue> unpack_values_backed(BinaryReader& reader,
   return unpack_values_impl(reader, format, &backing);
 }
 
-std::size_t skim_values(BinaryReader& reader, const DataFormat& format) {
-  std::size_t payload = 0;
-  for (DataType type : format.fields()) {
-    switch (type) {
-      case DataType::kInt32:
-        reader.skip(4);
-        payload += 4;
-        break;
-      case DataType::kInt64:
-      case DataType::kUInt64:
-      case DataType::kFloat64:
-        reader.skip(8);
-        payload += 8;
-        break;
-      case DataType::kString:
-      case DataType::kBytes: {
-        const auto n = reader.get<std::uint32_t>();
-        reader.skip(n);
-        payload += n;
-        break;
+FieldSpan skip_field(BinaryReader& reader, DataType type) {
+  switch (type) {
+    case DataType::kInt32:
+      reader.skip(4);
+      return {reader.position() - 4, 4};
+    case DataType::kInt64:
+    case DataType::kUInt64:
+    case DataType::kFloat64:
+      reader.skip(8);
+      return {reader.position() - 8, 8};
+    case DataType::kString:
+    case DataType::kBytes: {
+      const std::size_t n = reader.get<std::uint32_t>();
+      reader.skip(n);
+      return {reader.position() - n, n};
+    }
+    case DataType::kVecInt64:
+    case DataType::kVecFloat64: {
+      const std::size_t bytes = std::size_t{reader.get<std::uint32_t>()} * 8;
+      reader.skip(bytes);
+      return {reader.position() - bytes, bytes};
+    }
+    case DataType::kVecString: {
+      const auto n = reader.get<std::uint32_t>();
+      if (n > reader.remaining() / 4) {
+        throw CodecError("string-vector length exceeds remaining payload");
       }
-      case DataType::kVecInt64:
-      case DataType::kVecFloat64: {
-        const auto n = reader.get<std::uint32_t>();
-        const std::size_t bytes = static_cast<std::size_t>(n) * 8;
-        reader.skip(bytes);
-        payload += bytes;
-        break;
+      FieldSpan span{reader.position(), 0};
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const auto len = reader.get<std::uint32_t>();
+        reader.skip(len);
+        span.bytes += len;
       }
-      case DataType::kVecString: {
-        const auto n = reader.get<std::uint32_t>();
-        if (n > reader.remaining() / 4) {
-          throw CodecError("string-vector length exceeds remaining payload");
-        }
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const auto len = reader.get<std::uint32_t>();
-          reader.skip(len);
-          payload += len;
-        }
-        break;
-      }
+      return span;
     }
   }
+  return {};
+}
+
+std::size_t skim_values(BinaryReader& reader, const DataFormat& format) {
+  std::size_t payload = 0;
+  for (DataType type : format.fields()) payload += skip_field(reader, type).bytes;
   return payload;
 }
 

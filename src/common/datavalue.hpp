@@ -93,6 +93,20 @@ std::vector<DataValue> unpack_values_backed(BinaryReader& reader,
                                             const DataFormat& format,
                                             const BufferView& backing);
 
+/// Where one serialized field's contents sit in a reader's input.  A scalar,
+/// string, blob or numeric vector occupies the `bytes` bytes at `offset`,
+/// after its length prefix if it has one.  A string vector's characters are
+/// not contiguous: for it, `offset` is where its first string's prefix
+/// starts and `bytes` is their total (value_payload_bytes' accounting).
+struct FieldSpan {
+  std::size_t offset = 0;
+  std::size_t bytes = 0;
+};
+
+/// Advance the reader past one serialized field of `type` and return where
+/// its contents sit; throws CodecError on truncation or a corrupt count.
+FieldSpan skip_field(BinaryReader& reader, DataType type);
+
 /// Validate the structure of a serialized value list without materializing
 /// it: advances the reader past the values, throws CodecError on truncation
 /// or corrupt counts, and returns the payload byte total (same accounting as

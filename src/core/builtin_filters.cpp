@@ -43,7 +43,11 @@ struct SumOp {
 /// frame is copied once and the other inputs' numeric fields are folded
 /// into the copy in place; the result is a wire-backed packet with the first
 /// input's header, which the next hop relays verbatim.  Otherwise the
-/// values are materialized and folded into an owned packet.
+/// values are materialized and folded into an owned packet.  Both paths
+/// fold every numeric field through the same out-of-line reduce_scalar /
+/// reduce_array, so they agree bit for bit, down to which of two NaNs a sum
+/// propagates (IEEE 754 leaves that to the operand order the compiler picks,
+/// and one copy of the code picks it once).
 template <typename Op>
 class NumericReduceFilter final : public TransformFilter {
  public:
@@ -112,87 +116,62 @@ class NumericReduceFilter final : public TransformFilter {
   }
 
   /// Fold one serialized value list into another laid out by the same
-  /// format, field by field.  Both were structurally validated when their
-  /// packets were decoded; the readers re-check bounds anyway.  Elements sit
-  /// at arbitrary byte offsets, so every access goes through memcpy or an
-  /// unaligned kernel load.
+  /// format, field by field; skip_field knows the layout, and both lists
+  /// were validated when their packets were decoded.  The fields sit at
+  /// arbitrary byte offsets, which the fold functions accept.
   static void fold_payload(const DataFormat& format, std::span<std::byte> acc,
                            std::span<const std::byte> next) {
     BinaryReader acc_reader(acc);
     BinaryReader next_reader(next);
     for (const DataType type : format.fields()) {
+      const FieldSpan a = skip_field(acc_reader, type);
+      const FieldSpan b = skip_field(next_reader, type);
+      std::byte* const to = acc.data() + a.offset;
+      const std::byte* const from = next.data() + b.offset;
       switch (type) {
         case DataType::kInt32:
-          fold_scalar<std::int32_t>(acc, acc_reader, next_reader);
+          reduce_scalar<std::int32_t>(to, from);
           break;
         case DataType::kInt64:
-          fold_scalar<std::int64_t>(acc, acc_reader, next_reader);
+          reduce_scalar<std::int64_t>(to, from);
           break;
         case DataType::kUInt64:
-          fold_scalar<std::uint64_t>(acc, acc_reader, next_reader);
+          reduce_scalar<std::uint64_t>(to, from);
           break;
         case DataType::kFloat64:
-          fold_scalar<double>(acc, acc_reader, next_reader);
+          reduce_scalar<double>(to, from);
           break;
         case DataType::kVecInt64:
-          fold_vector<std::int64_t>(acc, acc_reader, next_reader);
+          check_length(a.bytes, b.bytes);
+          reduce_array<std::int64_t>(to, from, a.bytes / sizeof(std::int64_t));
           break;
         case DataType::kVecFloat64:
-          fold_vector<double>(acc, acc_reader, next_reader);
+          check_length(a.bytes, b.bytes);
+          reduce_array<double>(to, from, a.bytes / sizeof(double));
           break;
         case DataType::kString:
         case DataType::kBytes:
-          // Non-numeric fields ride along unchanged (first packet wins).
-          acc_reader.skip(acc_reader.get<std::uint32_t>());
-          next_reader.skip(next_reader.get<std::uint32_t>());
-          break;
         case DataType::kVecString:
-          for (BinaryReader* reader : {&acc_reader, &next_reader}) {
-            for (auto n = reader->get<std::uint32_t>(); n > 0; --n) {
-              reader->skip(reader->get<std::uint32_t>());
-            }
-          }
+          // Non-numeric fields ride along unchanged (first packet wins).
           break;
       }
     }
   }
 
-  template <typename T>
-  static void fold_scalar(std::span<std::byte> acc, BinaryReader& acc_reader,
-                          BinaryReader& next_reader) {
-    std::byte* at = acc.data() + acc_reader.position();
-    const T a = acc_reader.get<T>();
-    const T folded = Op{}(a, next_reader.get<T>());
-    std::memcpy(at, &folded, sizeof(T));
-  }
-
-  template <typename T>
-  static void fold_vector(std::span<std::byte> acc, BinaryReader& acc_reader,
-                          BinaryReader& next_reader) {
-    const auto n = acc_reader.get<std::uint32_t>();
-    check_length(n, next_reader.get<std::uint32_t>());
-    std::byte* at = acc.data() + acc_reader.position();
-    acc_reader.skip(std::size_t{n} * sizeof(T));
-    const std::byte* from = next_reader.take_span(std::size_t{n} * sizeof(T)).data();
-    reduce_array(reinterpret_cast<T*>(at), reinterpret_cast<const T*>(from), n);
-  }
-
   static void reduce_field(DataValue& acc, const DataValue& next) {
     switch (type_of(acc)) {
       case DataType::kInt32:
-        std::get<std::int32_t>(acc) =
-            Op{}(std::get<std::int32_t>(acc), std::get<std::int32_t>(next));
+        reduce_scalar<std::int32_t>(&std::get<std::int32_t>(acc), &std::get<std::int32_t>(next));
         break;
       case DataType::kInt64:
-        std::get<std::int64_t>(acc) =
-            Op{}(std::get<std::int64_t>(acc), std::get<std::int64_t>(next));
+        reduce_scalar<std::int64_t>(&std::get<std::int64_t>(acc), &std::get<std::int64_t>(next));
         break;
       case DataType::kUInt64:
-        std::get<std::uint64_t>(acc) =
-            Op{}(std::get<std::uint64_t>(acc), std::get<std::uint64_t>(next));
+        reduce_scalar<std::uint64_t>(&std::get<std::uint64_t>(acc),
+                                     &std::get<std::uint64_t>(next));
         break;
       case DataType::kFloat64:
-        std::get<double>(acc) = Op{}(std::get<double>(acc), std::get<double>(next));
+        reduce_scalar<double>(&std::get<double>(acc), &std::get<double>(next));
         break;
       case DataType::kVecInt64:
         reduce_vector(std::get<std::vector<std::int64_t>>(acc),
@@ -213,13 +192,25 @@ class NumericReduceFilter final : public TransformFilter {
   template <typename T>
   static void reduce_vector(std::vector<T>& acc, const std::vector<T>& next) {
     check_length(acc.size(), next.size());
-    reduce_array(acc.data(), next.data(), acc.size());
+    reduce_array<T>(acc.data(), next.data(), acc.size());
   }
 
-  /// acc[i] = Op(acc[i], next[i]) through the vectorized kernels (bit-exact
-  /// with the scalar Op — see simd_kernels.hpp); the arrays may be misaligned.
+  /// *acc = Op(*acc, *next) for one T at any byte offset.
   template <typename T>
-  static void reduce_array(T* acc, const T* next, std::size_t n) {
+  [[gnu::noinline]] static void reduce_scalar(void* acc, const void* next) {
+    T a{};
+    T b{};
+    std::memcpy(&a, acc, sizeof(T));
+    std::memcpy(&b, next, sizeof(T));
+    a = Op{}(a, b);
+    std::memcpy(acc, &a, sizeof(T));
+  }
+
+  /// acc[i] = Op(acc[i], next[i]) over `n` Ts at any byte offset, through
+  /// the vectorized kernels (bit-exact with the scalar Op — see
+  /// simd_kernels.hpp).
+  template <typename T>
+  [[gnu::noinline]] static void reduce_array(void* acc, const void* next, std::size_t n) {
     if constexpr (std::is_same_v<T, double>) {
       if constexpr (std::is_same_v<Op, SumOp>) {
         simd::add_f64(acc, next, n);
@@ -229,6 +220,7 @@ class NumericReduceFilter final : public TransformFilter {
         simd::max_f64(acc, next, n);
       }
     } else {
+      static_assert(std::is_same_v<T, std::int64_t>);
       if constexpr (std::is_same_v<Op, SumOp>) {
         simd::add_i64(acc, next, n);
       } else if constexpr (std::is_same_v<Op, MinOp>) {

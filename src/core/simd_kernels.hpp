@@ -17,9 +17,10 @@
 //
 // Alignment: the arrays may sit at any byte offset (the reductions fold
 // values in place inside a received frame, where a batch entry starts
-// wherever the previous one ended).  The vector paths use unaligned
-// loads/stores and the scalar tails go through memcpy, so no misaligned
-// element is ever dereferenced.
+// wherever the previous one ended).  Forming a misaligned double* or
+// int64_t* is itself unspecified, so the kernels take untyped pointers and
+// every access copies through memcpy (load/store below), which compilers
+// lower to one unaligned load or store.
 #pragma once
 
 #include <cstddef>
@@ -32,119 +33,111 @@
 
 namespace tbon::simd {
 
-/// *p, for a possibly misaligned p.
-template <typename T>
-inline T load(const T* p) noexcept {
-  T value{};
-  std::memcpy(&value, p, sizeof(T));
+/// The V that starts at 64-bit element `i` of `base`, at any alignment.
+template <typename V>
+inline V load(const void* base, std::size_t i) noexcept {
+  V value{};
+  std::memcpy(&value, static_cast<const std::byte*>(base) + i * 8, sizeof(V));
   return value;
 }
 
-/// *p = value, for a possibly misaligned p.
-template <typename T>
-inline void store(T* p, T value) noexcept {
-  std::memcpy(p, &value, sizeof(T));
+/// Store `value` from 64-bit element `i` of `base` on, at any alignment.
+template <typename V>
+inline void store(void* base, std::size_t i, V value) noexcept {
+  std::memcpy(static_cast<std::byte*>(base) + i * 8, &value, sizeof(V));
 }
 
 /// acc[i] += next[i]
-inline void add_f64(double* acc, const double* next, std::size_t n) {
+inline void add_f64(void* acc, const void* next, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX2__)
   for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                                            _mm256_loadu_pd(next + i)));
+    store(acc, i, _mm256_add_pd(load<__m256d>(acc, i), load<__m256d>(next, i)));
   }
 #elif defined(__SSE2__)
   for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(acc + i,
-                  _mm_add_pd(_mm_loadu_pd(acc + i), _mm_loadu_pd(next + i)));
+    store(acc, i, _mm_add_pd(load<__m128d>(acc, i), load<__m128d>(next, i)));
   }
 #endif
-  for (; i < n; ++i) store(acc + i, load(acc + i) + load(next + i));
+  for (; i < n; ++i) store(acc, i, load<double>(acc, i) + load<double>(next, i));
 }
 
 /// acc[i] = std::min(acc[i], next[i])  — i.e. (next < acc) ? next : acc
-inline void min_f64(double* acc, const double* next, std::size_t n) {
+inline void min_f64(void* acc, const void* next, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX2__)
   for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    const __m256d b = _mm256_loadu_pd(next + i);
+    const __m256d a = load<__m256d>(acc, i);
+    const __m256d b = load<__m256d>(next, i);
     const __m256d take_b = _mm256_cmp_pd(b, a, _CMP_LT_OQ);
-    _mm256_storeu_pd(acc + i, _mm256_blendv_pd(a, b, take_b));
+    store(acc, i, _mm256_blendv_pd(a, b, take_b));
   }
 #elif defined(__SSE2__)
   for (; i + 2 <= n; i += 2) {
-    const __m128d a = _mm_loadu_pd(acc + i);
-    const __m128d b = _mm_loadu_pd(next + i);
+    const __m128d a = load<__m128d>(acc, i);
+    const __m128d b = load<__m128d>(next, i);
     const __m128d take_b = _mm_cmplt_pd(b, a);
-    _mm_storeu_pd(acc + i, _mm_or_pd(_mm_and_pd(take_b, b), _mm_andnot_pd(take_b, a)));
+    store(acc, i, _mm_or_pd(_mm_and_pd(take_b, b), _mm_andnot_pd(take_b, a)));
   }
 #endif
   for (; i < n; ++i) {
-    const auto a = load(acc + i), b = load(next + i);
-    store(acc + i, b < a ? b : a);
+    const auto a = load<double>(acc, i), b = load<double>(next, i);
+    store(acc, i, b < a ? b : a);
   }
 }
 
 /// acc[i] = std::max(acc[i], next[i])  — i.e. (acc < next) ? next : acc
-inline void max_f64(double* acc, const double* next, std::size_t n) {
+inline void max_f64(void* acc, const void* next, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX2__)
   for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    const __m256d b = _mm256_loadu_pd(next + i);
+    const __m256d a = load<__m256d>(acc, i);
+    const __m256d b = load<__m256d>(next, i);
     const __m256d take_b = _mm256_cmp_pd(a, b, _CMP_LT_OQ);
-    _mm256_storeu_pd(acc + i, _mm256_blendv_pd(a, b, take_b));
+    store(acc, i, _mm256_blendv_pd(a, b, take_b));
   }
 #elif defined(__SSE2__)
   for (; i + 2 <= n; i += 2) {
-    const __m128d a = _mm_loadu_pd(acc + i);
-    const __m128d b = _mm_loadu_pd(next + i);
+    const __m128d a = load<__m128d>(acc, i);
+    const __m128d b = load<__m128d>(next, i);
     const __m128d take_b = _mm_cmplt_pd(a, b);
-    _mm_storeu_pd(acc + i, _mm_or_pd(_mm_and_pd(take_b, b), _mm_andnot_pd(take_b, a)));
+    store(acc, i, _mm_or_pd(_mm_and_pd(take_b, b), _mm_andnot_pd(take_b, a)));
   }
 #endif
   for (; i < n; ++i) {
-    const auto a = load(acc + i), b = load(next + i);
-    store(acc + i, a < b ? b : a);
+    const auto a = load<double>(acc, i), b = load<double>(next, i);
+    store(acc, i, a < b ? b : a);
   }
 }
 
 /// acc[i] /= divisor  (IEEE division, lane-wise — used by the avg filter)
-inline void div_f64(double* acc, double divisor, std::size_t n) {
+inline void div_f64(void* acc, double divisor, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX2__)
   const __m256d d4 = _mm256_set1_pd(divisor);
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(acc + i, _mm256_div_pd(_mm256_loadu_pd(acc + i), d4));
-  }
+  for (; i + 4 <= n; i += 4) store(acc, i, _mm256_div_pd(load<__m256d>(acc, i), d4));
 #elif defined(__SSE2__)
   const __m128d d2 = _mm_set1_pd(divisor);
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(acc + i, _mm_div_pd(_mm_loadu_pd(acc + i), d2));
-  }
+  for (; i + 2 <= n; i += 2) store(acc, i, _mm_div_pd(load<__m128d>(acc, i), d2));
 #endif
-  for (; i < n; ++i) store(acc + i, load(acc + i) / divisor);
+  for (; i < n; ++i) store(acc, i, load<double>(acc, i) / divisor);
 }
 
 /// acc[i] += next[i]
-inline void add_i64(std::int64_t* acc, const std::int64_t* next, std::size_t n) {
+inline void add_i64(void* acc, const void* next, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX2__)
   for (; i + 4 <= n; i += 4) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(next + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), _mm256_add_epi64(a, b));
+    store(acc, i, _mm256_add_epi64(load<__m256i>(acc, i), load<__m256i>(next, i)));
   }
 #elif defined(__SSE2__)
   for (; i + 2 <= n; i += 2) {
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(next + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), _mm_add_epi64(a, b));
+    store(acc, i, _mm_add_epi64(load<__m128i>(acc, i), load<__m128i>(next, i)));
   }
 #endif
-  for (; i < n; ++i) store(acc + i, load(acc + i) + load(next + i));
+  for (; i < n; ++i) {
+    store(acc, i, load<std::int64_t>(acc, i) + load<std::int64_t>(next, i));
+  }
 }
 
 #if defined(__SSE2__) && !defined(__AVX2__)
@@ -169,56 +162,50 @@ inline __m128i cmpgt_epi64_sse2(__m128i a, __m128i b) {
 
 /// acc[i] = std::min(acc[i], next[i]).  AVX2 has VPCMPGTQ; the SSE2 path
 /// synthesizes the same full-lane compare mask from 32-bit ops.
-inline void min_i64(std::int64_t* acc, const std::int64_t* next, std::size_t n) {
+inline void min_i64(void* acc, const void* next, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX2__)
   for (; i + 4 <= n; i += 4) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(next + i));
+    const __m256i a = load<__m256i>(acc, i);
+    const __m256i b = load<__m256i>(next, i);
     const __m256i take_b = _mm256_cmpgt_epi64(a, b);  // a > b  <=>  b < a
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_blendv_epi8(a, b, take_b));
+    store(acc, i, _mm256_blendv_epi8(a, b, take_b));
   }
 #elif defined(__SSE2__)
   for (; i + 2 <= n; i += 2) {
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(next + i));
+    const __m128i a = load<__m128i>(acc, i);
+    const __m128i b = load<__m128i>(next, i);
     const __m128i take_b = cmpgt_epi64_sse2(a, b);  // a > b  <=>  b < a
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                     _mm_or_si128(_mm_and_si128(take_b, b),
-                                  _mm_andnot_si128(take_b, a)));
+    store(acc, i, _mm_or_si128(_mm_and_si128(take_b, b), _mm_andnot_si128(take_b, a)));
   }
 #endif
   for (; i < n; ++i) {
-    const auto a = load(acc + i), b = load(next + i);
-    store(acc + i, b < a ? b : a);
+    const auto a = load<std::int64_t>(acc, i), b = load<std::int64_t>(next, i);
+    store(acc, i, b < a ? b : a);
   }
 }
 
 /// acc[i] = std::max(acc[i], next[i])
-inline void max_i64(std::int64_t* acc, const std::int64_t* next, std::size_t n) {
+inline void max_i64(void* acc, const void* next, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX2__)
   for (; i + 4 <= n; i += 4) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(next + i));
+    const __m256i a = load<__m256i>(acc, i);
+    const __m256i b = load<__m256i>(next, i);
     const __m256i take_b = _mm256_cmpgt_epi64(b, a);  // b > a  <=>  a < b
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_blendv_epi8(a, b, take_b));
+    store(acc, i, _mm256_blendv_epi8(a, b, take_b));
   }
 #elif defined(__SSE2__)
   for (; i + 2 <= n; i += 2) {
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(next + i));
+    const __m128i a = load<__m128i>(acc, i);
+    const __m128i b = load<__m128i>(next, i);
     const __m128i take_b = cmpgt_epi64_sse2(b, a);  // b > a  <=>  a < b
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                     _mm_or_si128(_mm_and_si128(take_b, b),
-                                  _mm_andnot_si128(take_b, a)));
+    store(acc, i, _mm_or_si128(_mm_and_si128(take_b, b), _mm_andnot_si128(take_b, a)));
   }
 #endif
   for (; i < n; ++i) {
-    const auto a = load(acc + i), b = load(next + i);
-    store(acc + i, a < b ? b : a);
+    const auto a = load<std::int64_t>(acc, i), b = load<std::int64_t>(next, i);
+    store(acc, i, a < b ? b : a);
   }
 }
 

@@ -284,17 +284,15 @@ constexpr DataType kAllTypes[] = {
     DataType::kFloat64, DataType::kString,  DataType::kBytes,
     DataType::kVecInt64, DataType::kVecFloat64, DataType::kVecString};
 
-/// One draw in four is +0, -0, an infinity or (with `nan`) NaN, so min/max
-/// meet unordered and signed-zero operands.  Sums draw no NaN: when two NaNs
-/// of different sign meet in an addition, which one comes out is left to
-/// the compiler's operand order (IEEE 754 does not fix it), in either path.
-double random_f64(Rng& rng, bool nan) {
+/// One draw in four is +0, -0, an infinity or a NaN of either sign, so
+/// min/max meet unordered and signed-zero operands and sums meet NaNs of
+/// opposite sign, whose result IEEE 754 leaves to the operand order.
+double random_f64(Rng& rng) {
   constexpr double kSpecial[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
                                  -std::numeric_limits<double>::infinity(),
-                                 std::numeric_limits<double>::quiet_NaN()};
-  if (rng.next_below(4) == 0) {
-    return kSpecial[rng.next_below(std::size(kSpecial) - (nan ? 0 : 1))];
-  }
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 -std::numeric_limits<double>::quiet_NaN()};
+  if (rng.next_below(4) == 0) return kSpecial[rng.next_below(std::size(kSpecial))];
   return rng.uniform(-1e6, 1e6);
 }
 
@@ -312,8 +310,7 @@ std::string random_string(Rng& rng) {
 
 /// Values for `types`; numeric vector field f has `lengths[f]` elements.
 std::vector<DataValue> random_values(const std::vector<DataType>& types,
-                                     const std::vector<std::size_t>& lengths, bool nan,
-                                     Rng& rng) {
+                                     const std::vector<std::size_t>& lengths, Rng& rng) {
   std::vector<DataValue> values;
   for (std::size_t f = 0; f < types.size(); ++f) {
     switch (types[f]) {
@@ -327,7 +324,7 @@ std::vector<DataValue> random_values(const std::vector<DataType>& types,
         values.emplace_back(rng.next_u64());  // sums wrap, which is defined
         break;
       case DataType::kFloat64:
-        values.emplace_back(random_f64(rng, nan));
+        values.emplace_back(random_f64(rng));
         break;
       case DataType::kString:
         values.emplace_back(random_string(rng));
@@ -346,7 +343,7 @@ std::vector<DataValue> random_values(const std::vector<DataType>& types,
       }
       case DataType::kVecFloat64: {
         std::vector<double> vec(lengths[f]);
-        for (double& x : vec) x = random_f64(rng, nan);
+        for (double& x : vec) x = random_f64(rng);
         values.emplace_back(std::move(vec));
         break;
       }
@@ -381,7 +378,7 @@ struct Wave {
 
 /// A mismatch gives one non-first input a different format, or a different
 /// length of a numeric vector field.
-Wave random_wave(Rng& rng, Mismatch mismatch, bool nan) {
+Wave random_wave(Rng& rng, Mismatch mismatch) {
   std::vector<DataType> types(1 + rng.next_below(6));
   for (DataType& type : types) type = kAllTypes[rng.next_below(std::size(kAllTypes))];
   if (mismatch == Mismatch::kLength) {
@@ -412,7 +409,7 @@ Wave random_wave(Rng& rng, Mismatch mismatch, bool nan) {
     }
     wave.owned.push_back(Packet::make(1, 100, static_cast<std::uint32_t>(i),
                                       format_text(my_types),
-                                      random_values(my_types, my_lengths, nan, rng)));
+                                      random_values(my_types, my_lengths, rng)));
   }
   wave.wire = decode_batch_frame(encode_batch_frame(wave.owned));
   return wave;
@@ -443,13 +440,11 @@ Outcome run_reduction(const char* name, std::span<const PacketPtr> in) {
 
 constexpr const char* kReductions[] = {"sum", "min", "max", "avg"};
 
-bool is_sum(std::string_view name) { return name == "sum" || name == "avg"; }
-
 TEST(WireFold, MatchesTheValuePathByteForByte) {
   Rng rng(24);
   for (int round = 0; round < 400; ++round) {
     for (const char* name : kReductions) {
-      const Wave wave = random_wave(rng, Mismatch::kNone, /*nan=*/!is_sum(name));
+      const Wave wave = random_wave(rng, Mismatch::kNone);
       SCOPED_TRACE(std::string(name) + " over " + std::to_string(wave.owned.size()) +
                    " x '" + wave.owned[0]->format().to_string() + "', round " +
                    std::to_string(round));
@@ -474,7 +469,7 @@ TEST(WireFold, MismatchesThrowTheSameCodecError) {
   for (const Mismatch mismatch : {Mismatch::kFormat, Mismatch::kLength}) {
     for (int round = 0; round < 100; ++round) {
       for (const char* name : kReductions) {
-        const Wave wave = random_wave(rng, mismatch, /*nan=*/!is_sum(name));
+        const Wave wave = random_wave(rng, mismatch);
         SCOPED_TRACE(std::string(name) + ", round " + std::to_string(round));
         const Outcome by_value = run_reduction(name, wave.owned);
         const Outcome by_frame = run_reduction(name, wave.wire);
@@ -489,7 +484,7 @@ TEST(WireFold, MixedInputsTakeTheValuePath) {
   Rng rng(26);
   for (int round = 0; round < 50; ++round) {
     for (const char* name : kReductions) {
-      Wave wave = random_wave(rng, Mismatch::kNone, /*nan=*/!is_sum(name));
+      Wave wave = random_wave(rng, Mismatch::kNone);
       if (wave.owned.size() < 2) continue;
       wave.wire[1] = wave.owned[1];
       const Outcome by_value = run_reduction(name, wave.owned);
