@@ -35,8 +35,20 @@ std::shared_ptr<Link> ChannelFactory::build(std::shared_ptr<Link> raw, NodeRunti
   MetricsRegistry* metrics = sender != nullptr ? &sender->metrics() : nullptr;
   std::shared_ptr<Link> link = std::move(raw);
   if (batching_.enabled()) {
+    // On a flow-controlled channel a batch holds at most one grant quantum.
+    // The receiver returns credits a quantum at a time as it consumes, so a
+    // frame as large as the whole window (the defaults: 64 credits, 64
+    // packets) leaves its sender without credits until that frame has been
+    // consumed and granted: stop-and-wait, one frame per credit round trip,
+    // at a rate set by the round trip's thread wake-ups.  At one quantum the
+    // sender fills its next frame while the previous one is being granted.
+    BatchingOptions batching = batching_;
+    if (gate != nullptr) {
+      batching.max_packets(std::min<std::size_t>(batching.max_packets(),
+                                                 flow_control_.grant_quantum()));
+    }
     auto coalescer =
-        std::make_shared<CoalescingLink>(std::move(link), batching_, metrics, gate, flusher_);
+        std::make_shared<CoalescingLink>(std::move(link), batching, metrics, gate, flusher_);
     flusher_->attach(coalescer);
     link = std::move(coalescer);
   }

@@ -17,6 +17,8 @@
 //    a flush;
 //  * which layers exist: flow control and batching come from the network's
 //    options alone — there is no per-edge switch;
+//  * the batch cap of a flow-controlled stack: at most one grant quantum, so
+//    a sender fills its next frame while the receiver grants the last one;
 //  * the gate and its drain hook (a grant wakes the sender's event loop so
 //    drop_oldest rings are pumped), and registering the stack with the sender
 //    runtime that pumps it;

@@ -500,6 +500,30 @@ TEST(InteriorFrames, ProcessFloodCarriesManyPacketsPerFrame) {
   flood::expect_exact_sums_and_full_interior_frames(*net, stream);
 }
 
+TEST(InteriorFrames, FlowControlledFramesHoldAtMostOneGrantQuantum) {
+  // 64 credits, granted back 32 at a time, and a 64-packet batch cap: a
+  // frame of the whole window would leave its sender with no credits until
+  // the receiver had consumed all of it.  Each flow-controlled stack caps
+  // its batches at the grant quantum instead, so no frame carries 33-64
+  // packets, yet the flood still fills frames to the quantum.
+  const NetworkOptions options = flood::options(NetworkMode::kThreaded);
+  ASSERT_EQ(options.batching.max_packets(), 64u);
+  ASSERT_EQ(options.flow_control.grant_quantum(), 32u);
+  auto net = Network::create(options);
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  net->run_backends(flood::send_waves);
+  flood::expect_exact_sums_and_full_interior_frames(*net, stream);
+
+  const TreeMetricsSnapshot snap = net->front_end().metrics();
+  std::uint64_t quantum_frames = 0;
+  for (const NodeTelemetry& node : snap.nodes) {
+    EXPECT_EQ(node.batch_ppf_hist[batch_bucket(33)], 0u) << "node " << node.node;
+    EXPECT_EQ(node.batch_ppf_hist[batch_bucket(65)], 0u) << "node " << node.node;
+    quantum_frames += node.batch_ppf_hist[batch_bucket(32)];
+  }
+  EXPECT_GT(quantum_frames, 0u);
+}
+
 // ---- rebuilt edges keep the channel stack -----------------------------------
 //
 // Edges made after start-up — re-adoption after a failure, a planned
