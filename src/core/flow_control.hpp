@@ -54,9 +54,6 @@ struct FlowControlOptions {
   bool enabled = false;
   /// Credit window: max application packets in flight per channel direction.
   std::uint32_t capacity = 64;
-  /// Sender stops once in-flight reaches this (0 = auto: capacity).  Values
-  /// below capacity shrink the effective window without changing grant size.
-  std::uint32_t high_watermark = 0;
   /// Receiver returns credits once consumption drops outstanding credit to
   /// this level (0 = auto: capacity / 2).
   std::uint32_t low_watermark = 0;
@@ -65,15 +62,8 @@ struct FlowControlOptions {
   /// shed and counted rather than deadlocking the caller.
   int block_timeout_ms = 5000;
 
-  std::uint32_t effective_capacity() const noexcept {
-    return capacity ? capacity : 1;
-  }
-  /// The credit window a gate is created with.
-  std::uint32_t window() const noexcept {
-    const std::uint32_t cap = effective_capacity();
-    if (high_watermark && high_watermark < cap) return high_watermark;
-    return cap;
-  }
+  /// The credit window a gate is created with (a capacity of 0 clamps to 1).
+  std::uint32_t window() const noexcept { return capacity ? capacity : 1; }
   std::uint32_t effective_low() const noexcept {
     const std::uint32_t w = window();
     const std::uint32_t low = low_watermark ? low_watermark : w / 2;

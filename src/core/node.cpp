@@ -1639,20 +1639,10 @@ void NodeRuntime::refresh_gauges() {
   }
 }
 
-void NodeRuntime::fill_tenant_rollups(NodeTelemetry& record) const noexcept {
-  record.tenants = tenants_->snapshot();
-  record.tenant_sends_throttled = 0;
-  record.tenant_packets_shed = 0;
-  for (const TenantTelemetry& tenant : record.tenants) {
-    record.tenant_sends_throttled += tenant.sends_throttled;
-    record.tenant_packets_shed += tenant.packets_shed;
-  }
-}
-
 void NodeRuntime::publish_telemetry() {
   refresh_gauges();
   NodeTelemetry record = metrics_.publish(id_, role_byte());
-  fill_tenant_rollups(record);
+  record.tenants = tenants_->snapshot();
   const PacketPtr packet =
       make_telemetry_packet(id_, serialize_records({&record, 1}));
   if (role_ == NodeRole::kRoot) {

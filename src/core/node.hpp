@@ -225,7 +225,7 @@ class NodeRuntime {
   /// publish sequence).
   NodeTelemetry telemetry_snapshot() const noexcept {
     NodeTelemetry r = metrics_.peek(id_, role_byte());
-    fill_tenant_rollups(r);
+    r.tenants = tenants_->snapshot();
     return r;
   }
 
@@ -286,7 +286,6 @@ class NodeRuntime {
   /// untopiced streams go to every participant; topiced streams only where a
   /// subtree subscription prefix-matches the topic.
   bool topic_routed_to_slot(const StreamLocal& stream, std::uint32_t slot) const;
-  void fill_tenant_rollups(NodeTelemetry& record) const noexcept;
   void route_peer_message(const Envelope& envelope);
   /// Apply queued topology requests on receipt of a kTagAttachChild
   /// `marker` (see PendingChildOp).

@@ -111,7 +111,6 @@ Bytes encode_node_config(const NodeConfig& config) {
   config.topology.serialize(writer);
   writer.put(static_cast<std::uint8_t>(config.flow_control.enabled));
   writer.put(config.flow_control.capacity);
-  writer.put(config.flow_control.high_watermark);
   writer.put(config.flow_control.low_watermark);
   writer.put(static_cast<std::uint8_t>(config.flow_control.policy));
   writer.put(static_cast<std::int32_t>(config.flow_control.block_timeout_ms));
@@ -152,7 +151,6 @@ NodeConfig decode_node_config(std::span<const std::byte> bytes) {
   }
   config.flow_control.enabled = reader.get<std::uint8_t>() != 0;
   config.flow_control.capacity = reader.get<std::uint32_t>();
-  config.flow_control.high_watermark = reader.get<std::uint32_t>();
   config.flow_control.low_watermark = reader.get<std::uint32_t>();
   config.flow_control.policy =
       static_cast<FlowControlPolicy>(reader.get<std::uint8_t>());

@@ -38,10 +38,10 @@ namespace tbon::net {
 
 inline constexpr std::uint32_t kLinkMagic = 0x544C4E4Bu;  // "TLNK"
 inline constexpr std::uint32_t kBootMagic = 0x54424F4Fu;  // "TBOO"
-/// Version 2 changed the NodeConfig layout: a version-1 peer fails
+/// Versions 2 and 3 changed the NodeConfig layout: an older peer fails
 /// negotiation at its hello instead of decoding shifted fields.
-inline constexpr std::uint8_t kProtoMin = 2;
-inline constexpr std::uint8_t kProtoMax = 2;
+inline constexpr std::uint8_t kProtoMin = 3;
+inline constexpr std::uint8_t kProtoMax = 3;
 
 /// Upper bound on any frame read before a handshake completes.  The packet
 /// plane allows frames up to 1 GiB; an unauthenticated peer does not.

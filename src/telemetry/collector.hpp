@@ -23,8 +23,10 @@ struct TreeMetricsSnapshot {
   /// Live nodes (reported within the age-out window), sorted by node id.
   std::vector<NodeTelemetry> nodes;
 
-  /// Field-wise sum over `nodes` (gauges summed too; heartbeat_rtt_ns is the
-  /// max across nodes, seq/role meaningless and left 0).
+  /// Field-wise combination of `nodes`: each TBON_NODE_METRICS entry by its
+  /// MetricTotal rule (a sum, or the max for the peak gauges and
+  /// heartbeat_rtt_ns), histograms bucket by bucket, tenant rows by name.
+  /// node, seq and role are meaningless and left 0.
   NodeTelemetry total;
 
   /// Cross-node distributions (count/mean/p50/p95 over per-node values).

@@ -62,7 +62,7 @@ TEST(FlowControlOptions, WindowAndQuantumDeriveFromWatermarks) {
   EXPECT_EQ(fc.effective_low(), 4u);
   EXPECT_EQ(fc.grant_quantum(), 4u);
 
-  fc.high_watermark = 6;
+  fc.capacity = 6;
   fc.low_watermark = 2;
   EXPECT_EQ(fc.window(), 6u);
   EXPECT_EQ(fc.grant_quantum(), 4u);
@@ -70,7 +70,6 @@ TEST(FlowControlOptions, WindowAndQuantumDeriveFromWatermarks) {
   // Degenerate configurations clamp instead of dividing by zero or wedging.
   FlowControlOptions zero;
   zero.capacity = 0;
-  EXPECT_EQ(zero.effective_capacity(), 1u);
   EXPECT_EQ(zero.window(), 1u);
   EXPECT_GE(zero.grant_quantum(), 1u);
   EXPECT_EQ(CreditGate(0).window(), 1u);  // gate applies the same clamp

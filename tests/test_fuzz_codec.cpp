@@ -582,12 +582,13 @@ TEST(FuzzWire, MalformedFaultPlansAreRejected) {
 }
 
 TEST(FuzzWire, VersionOnePeersFailNegotiation) {
-  // Version 2 changed the NodeConfig layout: a node built before the bump
-  // must be turned away at its hello, not decode shifted fields.
+  // Versions 2 and 3 changed the NodeConfig layout: a node built before
+  // either bump must be turned away at its hello, not decode shifted fields.
   EXPECT_EQ(net::negotiate_version(1, 1, net::kProtoMin, net::kProtoMax), std::nullopt);
+  EXPECT_EQ(net::negotiate_version(2, 2, net::kProtoMin, net::kProtoMax), std::nullopt);
   EXPECT_EQ(net::negotiate_version(net::kProtoMin, net::kProtoMax, net::kProtoMin,
                                    net::kProtoMax),
-            std::optional<std::uint8_t>(2));
+            std::optional<std::uint8_t>(3));
 }
 
 // ---- batch frames -----------------------------------------------------------

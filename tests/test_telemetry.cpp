@@ -14,7 +14,10 @@
 // are joined by their shutdown()).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "core/network.hpp"
@@ -33,6 +36,22 @@ NodeTelemetry record(std::uint32_t node, std::uint64_t seq,
   r.node = node;
   r.seq = seq;
   r.packets_up = packets_up;
+  return r;
+}
+
+/// A record whose every metric and histogram bucket holds its own value,
+/// base, base + 1, ... in list order, set through the lists themselves.
+NodeTelemetry distinct_record(std::uint32_t node, std::uint64_t seq,
+                              std::uint64_t base) {
+  NodeTelemetry r = record(node, seq);
+  std::uint64_t next = base;
+#define SET_METRIC(type, name, init, rule) r.name = static_cast<type>(next++);
+  TBON_NODE_METRICS(SET_METRIC)
+#undef SET_METRIC
+#define SET_HISTOGRAM(name, buckets) \
+  for (std::uint64_t& count : r.name) count = next++;
+  TBON_NODE_HISTOGRAMS(SET_HISTOGRAM)
+#undef SET_HISTOGRAM
   return r;
 }
 
@@ -79,12 +98,12 @@ TEST(MetricsMerge, AssociativeAndCommutative) {
 }
 
 TEST(MetricsMerge, SerializationRoundTrips) {
-  NodeTelemetry r1 = record(4, 12, 345);
+  // Distinct values everywhere, so a field the codec drops, swaps or
+  // misreads cannot come back equal.
+  NodeTelemetry r1 = distinct_record(4, 12, 1000);
   r1.role = 1;
-  r1.bytes_up = 999;
-  r1.heartbeat_rtt_ns = 123456;
-  r1.filter_latency_hist[3] = 7;
-  const NodeTelemetry r2 = record(9, 1);
+  r1.tenants = {{"a", 1, 2, 3, 4}, {"b", 5, 6, 7, 8}};
+  const NodeTelemetry r2 = record(9, 1);  // defaults: heartbeat_rtt_ns == -1
   const std::vector<NodeTelemetry> records = {r1, r2};
 
   const Bytes wire = serialize_records(records);
@@ -113,6 +132,52 @@ TEST(Collector, AgesOutSilentNodesAndFreezeStopsTheClock) {
   snap = collector.snapshot();
   EXPECT_EQ(snap.nodes_reporting, 1u);
   EXPECT_NE(snap.find(2), nullptr);
+}
+
+TEST(Collector, TotalFollowsEachMetricsRuleAndJsonCarriesIt) {
+  // Node 2 holds the larger value of every metric and node 3 only
+  // defaults, so the max rule reads node 2's value, while keeping the
+  // first or last record, or summing, reads something else.
+  const NodeTelemetry a = distinct_record(1, 1, 100);
+  const NodeTelemetry b = distinct_record(2, 1, 5000);
+  TelemetryCollector collector(1'000'000'000);
+  collector.ingest_records(std::vector{a, b, record(3, 1)});
+  collector.freeze();
+  const TreeMetricsSnapshot snap = collector.snapshot();
+  ASSERT_EQ(snap.nodes_reporting, 3u);
+
+  const std::string json = snap.to_json();
+  const std::size_t from = json.find("\"total\":");
+  const std::string total_json =
+      json.substr(from, json.find("\"filter_ms_per_node\"") - from);
+  const std::set<std::string> maxed = {"fc_inflight_peak", "exec_queue_peak",
+                                       "net_send_queue_peak", "heartbeat_rtt_ns"};
+  std::size_t maxed_seen = 0;
+#define CHECK_TOTAL(type, name, init, rule)                                     \
+  {                                                                             \
+    const bool is_max = maxed.count(#name) != 0;                                \
+    const type expected = is_max ? std::max(a.name, b.name) : a.name + b.name;  \
+    EXPECT_EQ(snap.total.name, expected) << #name;                              \
+    const std::string key_value = "\"" #name "\":" + std::to_string(expected);  \
+    EXPECT_NE(total_json.find(key_value + ","), std::string::npos) << #name;    \
+    maxed_seen += is_max;                                                       \
+  }
+  TBON_NODE_METRICS(CHECK_TOTAL)
+#undef CHECK_TOTAL
+#define CHECK_HISTOGRAM(name, buckets)                                          \
+  {                                                                             \
+    std::string values;                                                         \
+    for (std::size_t i = 0; i < buckets; ++i) {                                 \
+      EXPECT_EQ(snap.total.name[i], a.name[i] + b.name[i]) << #name;            \
+      values += (i ? "," : "") + std::to_string(a.name[i] + b.name[i]);         \
+    }                                                                           \
+    EXPECT_NE(total_json.find("\"" #name "\":[" + values + "]"),                \
+              std::string::npos)                                                \
+        << #name;                                                               \
+  }
+  TBON_NODE_HISTOGRAMS(CHECK_HISTOGRAM)
+#undef CHECK_HISTOGRAM
+  EXPECT_EQ(maxed_seen, maxed.size());
 }
 
 TEST(Collector, MalformedPayloadsAreCountedNotThrown) {

@@ -333,7 +333,7 @@ TEST(TenantThreaded, PriorityCeilingClampsAndDrainCountersFlowTreeWide) {
 
 /// Isolation: a bulk tenant confined to a quarter of the credit window may
 /// flood, but a high-priority tenant's waves still complete, and the flood
-/// shows up as tenant_sends_throttled charged to the noisy tenant.
+/// shows up as sends_throttled in the noisy tenant's telemetry row.
 TEST(TenantThreaded, NoisyBulkTenantCannotStarveHighTenant) {
   constexpr int kWaves = 5;
   constexpr int kFloodPerWave = 10;
