@@ -65,11 +65,9 @@ void json_record(std::ostringstream& out, const NodeTelemetry& r) {
 #define TBON_JSON_METRIC(type, name, init, rule) out << ",\"" #name "\":" << r.name;
   TBON_NODE_METRICS(TBON_JSON_METRIC)
 #undef TBON_JSON_METRIC
-#define TBON_JSON_HISTOGRAM(name, buckets)                          \
-  out << ",\"" #name "\":[";                                        \
-  for (std::size_t b = 0; b < buckets; ++b) {                       \
-    out << (b != 0 ? "," : "") << r.name[b];                        \
-  }                                                                 \
+#define TBON_JSON_HISTOGRAM(name, buckets)                           \
+  out << ",\"" #name "\":[" << r.name[0];                            \
+  for (std::size_t b = 1; b < buckets; ++b) out << ',' << r.name[b]; \
   out << ']';
   TBON_NODE_HISTOGRAMS(TBON_JSON_HISTOGRAM)
 #undef TBON_JSON_HISTOGRAM
