@@ -57,12 +57,23 @@ class BinaryWriter {
     buffer_.insert(buffer_.end(), begin, begin + s.size());
   }
 
+  /// A u32 count, then the elements in one copy: on the little-endian host
+  /// (static_assert'd in put) their in-memory layout is their wire form.
   template <typename T>
     requires(std::is_arithmetic_v<T>)
   void put_vector(std::span<const T> values) {
+    static_assert(sizeof(T) <= 8);
     put(static_cast<std::uint32_t>(values.size()));
-    for (const T& v : values) put(v);
+    put_raw(std::as_bytes(values));
   }
+
+  /// Overwrite the u32 at `offset`, which an earlier put wrote: a length
+  /// prefix whose value is known only once what it counts is written.
+  void patch(std::size_t offset, std::uint32_t value) {
+    std::memcpy(buffer_.data() + offset, &value, sizeof(value));
+  }
+
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
 
   const Bytes& bytes() const noexcept { return buffer_; }
   Bytes take() noexcept { return std::move(buffer_); }
@@ -107,10 +118,11 @@ class BinaryReader {
     requires(std::is_arithmetic_v<T>)
   std::vector<T> get_vector() {
     const auto n = get<std::uint32_t>();
-    require(static_cast<std::size_t>(n) * sizeof(T));
-    std::vector<T> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) out.push_back(get<T>());
+    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
+    require(bytes);
+    std::vector<T> out(n);
+    if (n != 0) std::memcpy(out.data(), data_.data() + cursor_, bytes);  // see put_vector
+    cursor_ += bytes;
     return out;
   }
 

@@ -33,15 +33,22 @@ DataFormat::DataFormat(std::string_view format_string) : text_(format_string) {
     if (pos >= format_string.size()) break;
     std::size_t end = format_string.find(' ', pos);
     if (end == std::string_view::npos) end = format_string.size();
-    fields_.push_back(parse_type(format_string.substr(pos, end - pos)));
+    const DataType type = parse_type(format_string.substr(pos, end - pos));
+    if (count_ < kInlineFields) {
+      inline_[count_++] = type;
+    } else {
+      if (spilled_.empty()) spilled_.assign(inline_.begin(), inline_.end());
+      spilled_.push_back(type);
+    }
     pos = end;
   }
 }
 
 bool DataFormat::matches(std::span<const DataValue> values) const noexcept {
-  if (values.size() != fields_.size()) return false;
+  const std::span<const DataType> types = fields();
+  if (values.size() != types.size()) return false;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (type_of(values[i]) != fields_[i]) return false;
+    if (type_of(values[i]) != types[i]) return false;
   }
   return true;
 }

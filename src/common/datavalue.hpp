@@ -11,6 +11,7 @@
 // binary archive.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -52,7 +53,10 @@ using DataValue = std::variant<std::int32_t, std::int64_t, std::uint64_t, double
 /// The declared type of a DataValue.
 DataType type_of(const DataValue& value) noexcept;
 
-/// A parsed, validated format string.
+/// A parsed, validated format string.  Every packet carries one, so
+/// building or copying a typical format allocates nothing: up to
+/// kInlineFields field types are held inline, and the text is a
+/// std::string, whose short-string storage holds up to 15 characters.
 class DataFormat {
  public:
   DataFormat() = default;
@@ -60,8 +64,11 @@ class DataFormat {
   /// Parse "i32 vf64 str"; throws ParseError on unknown tokens.
   explicit DataFormat(std::string_view format_string);
 
-  const std::vector<DataType>& fields() const noexcept { return fields_; }
-  std::size_t arity() const noexcept { return fields_.size(); }
+  std::span<const DataType> fields() const noexcept {
+    if (!spilled_.empty()) return spilled_;
+    return {inline_.data(), count_};
+  }
+  std::size_t arity() const noexcept { return fields().size(); }
   const std::string& to_string() const noexcept { return text_; }
 
   /// True when `values` matches this format field-for-field.
@@ -70,7 +77,12 @@ class DataFormat {
   friend bool operator==(const DataFormat&, const DataFormat&) = default;
 
  private:
-  std::vector<DataType> fields_;
+  static constexpr std::size_t kInlineFields = 15;
+
+  std::array<DataType, kInlineFields> inline_{};
+  std::uint8_t count_ = 0;  ///< fields in inline_
+  /// Every field, once there are more than kInlineFields (heap-allocated).
+  std::vector<DataType> spilled_;
   std::string text_;
 };
 

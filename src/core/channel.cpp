@@ -17,10 +17,11 @@ ChannelFactory::ChannelFactory(const FlowControlOptions& flow_control,
 std::shared_ptr<CreditGate> ChannelFactory::make_gate(NodeRuntime* sender) const {
   if (!flow_control_.enabled) return nullptr;
   auto gate = std::make_shared<CreditGate>(flow_control_.window());
-  if (sender != nullptr) {
+  if (sender != nullptr && flow_control_.policy == FlowControlPolicy::kDropOldest) {
     // Wake the sender's event loop (a no-op marker envelope) so its pending
-    // rings are pumped right after a grant lands.  try_push: a full inbox is
-    // an awake inbox.
+    // rings are pumped right after a grant lands.  Only drop_oldest keeps
+    // pending rings; under the other policies the wake-up would find nothing
+    // to pump.  try_push: a full inbox is an awake inbox.
     gate->set_drain_hook([inbox = sender->inbox(), marker = make_attach_marker_packet()] {
       inbox->try_push(Envelope{Origin::kParent, 0, marker});
     });

@@ -43,14 +43,36 @@ bool is_batch_frame(std::span<const std::byte> frame) noexcept {
   return head == kBatchMarker;
 }
 
+namespace {
+
+constexpr std::size_t kU32 = sizeof(std::uint32_t);
+
+/// Bytes to reserve for a packet's wire form.  Exact for a wire-backed
+/// packet.  For an owned one: stream id, tag, source rank, the prefixed
+/// format string, the payload and a u32 prefix per field, which is 4 bytes
+/// over per scalar field and short only of a string vector's per-string
+/// prefixes.
+std::size_t wire_size_estimate(const Packet& packet) {
+  if (packet.has_wire()) return packet.wire().size();
+  return 4 * kU32 + packet.format().to_string().size() + kU32 * packet.arity() +
+         packet.payload_bytes();
+}
+
+}  // namespace
+
 Bytes encode_batch_frame(std::span<const PacketPtr> packets) {
+  std::size_t estimate = 2 * kU32;
+  for (const PacketPtr& packet : packets) estimate += kU32 + wire_size_estimate(*packet);
   BinaryWriter writer;
+  writer.reserve(estimate);
   writer.put(kBatchMarker);
   writer.put(static_cast<std::uint32_t>(packets.size()));
   for (const PacketPtr& packet : packets) {
-    BinaryWriter body;
-    packet->serialize(body);
-    writer.put_bytes(body.bytes());
+    // Serialize in place, then patch the entry's length prefix.
+    const std::size_t prefix = writer.size();
+    writer.put(std::uint32_t{0});
+    packet->serialize(writer);
+    writer.patch(prefix, static_cast<std::uint32_t>(writer.size() - prefix - kU32));
   }
   return writer.take();
 }

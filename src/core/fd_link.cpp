@@ -85,7 +85,8 @@ void FdLink::close() {
 /// or a transport or decode error, then the EOF envelope.
 void read_channel(int fd, const ChannelOptions& channel, MetricsRegistry* metrics) {
   try {
-    while (auto frame = read_frame(fd)) {
+    FrameReader reader(fd);
+    while (auto frame = reader.next()) {
       if (metrics != nullptr) {
         metrics->wire_bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
       }

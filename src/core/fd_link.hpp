@@ -3,9 +3,11 @@
 // Each tree edge is one full-duplex socketpair (a re-adopted orphan's is a
 // rendezvous TCP connection).  The sending half writes packets as
 // length-prefixed frames from the sending thread — wire-backed packets (a
-// relay hop) verbatim, owned ones as writev scatter-gather segments; the
-// receiving half is a reader thread that decodes frames with
-// decode_channel_frame and pushes the envelopes into the node's inbox.
+// relay hop) verbatim, owned ones as writev scatter-gather segments, each
+// frame in one sendmsg; the receiving half is a reader thread that decodes
+// frames with decode_channel_frame and pushes the envelopes into the node's
+// inbox.  In steady state the reader makes one readv per frame: it reads
+// each body together with the next frame's length prefix (FrameReader).
 // Kernel socket buffers provide the back-pressure that bounded queues
 // provide in-process.
 #pragma once

@@ -28,9 +28,6 @@ namespace {
 /// NetLink::send blocks — the userspace analogue of a full SO_SNDBUF.
 constexpr std::size_t kSendBudget = std::size_t{4} << 20;
 
-/// Packet-plane frame ceiling (matches the fd.hpp codec's kMaxFrame).
-constexpr std::size_t kMaxWireFrame = std::size_t{1} << 30;
-
 /// How often the loop refreshes the net_threads gauge from /proc.
 constexpr std::int64_t kThreadSampleNs = 250'000'000;
 
@@ -245,7 +242,7 @@ void EventLoop::open(Fd fd, ChannelOptions channel, const Install& install) {
 void EventLoop::promote(const ConnRef& conn, ChannelOptions channel) {
   conn->channel_ = true;
   conn->target_ = std::move(channel);
-  conn->max_frame_ = kMaxWireFrame;
+  conn->max_frame_ = kMaxFrame;
   conn->on_frame_ = nullptr;
   conn->on_close_ = nullptr;
   conn->deadline_ns_ = 0;
@@ -329,7 +326,7 @@ bool EventLoop::enqueue(const ConnRef& conn, NetConn::SendItem item, bool may_bl
     if (may_block && conn->queued_bytes_ > 0 &&
         conn->queued_bytes_ + item.charge > kSendBudget) {
       // An empty queue always admits one item: a single frame can legally be
-      // larger than the whole budget (kMaxWireFrame >> kSendBudget), and
+      // larger than the whole budget (kMaxFrame >> kSendBudget), and
       // waiting for `queued + charge <= budget` on such a frame would never
       // be satisfied.
       conn->budget_.wait(lock, [&] {
@@ -400,7 +397,7 @@ bool EventLoop::build_outgoing(const ConnRef& conn) {
     connection_dead(conn, !conn->channel_);
     return false;
   }
-  if (out.frame_size > kMaxWireFrame) {
+  if (out.frame_size > kMaxFrame) {
     TBON_DEBUG("oversized outgoing frame dropped (" << out.frame_size << " bytes)");
     connection_dead(conn, !conn->channel_);
     return false;

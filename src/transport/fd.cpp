@@ -19,21 +19,34 @@ namespace {
 
 std::string errno_string() { return std::strerror(errno); }
 
-/// Write the whole buffer, retrying on EINTR and short writes.  Uses
-/// send(MSG_NOSIGNAL) so that writing to a crashed peer surfaces as EPIPE
-/// (-> TransportError, handled by the links) instead of a fatal SIGPIPE.
-void write_all(int fd, const std::byte* data, std::size_t size) {
-  std::size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
+/// Write everything `iov` points at, retrying on EINTR and short writes.
+/// Uses sendmsg(MSG_NOSIGNAL) so that writing to a crashed peer surfaces as
+/// EPIPE (-> TransportError, handled by the links) instead of a fatal
+/// SIGPIPE; writev on a descriptor that is not a socket.
+void write_all(int fd, std::span<iovec> iov) {
+  std::size_t next = 0;
+  while (next < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + next;
+    msg.msg_iovlen = std::min<std::size_t>(iov.size() - next, IOV_MAX);
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, data + written, size - written);
+      n = ::writev(fd, msg.msg_iov, static_cast<int>(msg.msg_iovlen));
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw TransportError("write failed: " + errno_string());
+      throw TransportError("writev failed: " + errno_string());
     }
-    written += static_cast<std::size_t>(n);
+    // Skip fully-written iovecs; trim a partially-written one in place.
+    auto advanced = static_cast<std::size_t>(n);
+    while (next < iov.size() && advanced >= iov[next].iov_len) {
+      advanced -= iov[next].iov_len;
+      ++next;
+    }
+    if (next < iov.size() && advanced > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + advanced;
+      iov[next].iov_len -= advanced;
+    }
   }
 }
 
@@ -78,8 +91,9 @@ void write_frame(int fd, std::span<const std::byte> payload) {
   const auto length = static_cast<std::uint32_t>(payload.size());
   std::byte header[4];
   std::memcpy(header, &length, 4);
-  write_all(fd, header, 4);
-  write_all(fd, payload.data(), payload.size());
+  // Prefix and body in one call: two would let the reader wake twice.
+  iovec iov[] = {{header, 4}, {const_cast<std::byte*>(payload.data()), payload.size()}};
+  write_all(fd, iov);
 }
 
 void write_frame_segments(int fd, std::span<const SegmentWriter::Segment> segments,
@@ -94,31 +108,7 @@ void write_frame_segments(int fd, std::span<const SegmentWriter::Segment> segmen
   for (const SegmentWriter::Segment& seg : segments) {
     iov.push_back({const_cast<std::byte*>(seg.data), seg.size});
   }
-
-  std::size_t next = 0;
-  while (next < iov.size()) {
-    msghdr msg{};
-    msg.msg_iov = iov.data() + next;
-    msg.msg_iovlen = std::min<std::size_t>(iov.size() - next, IOV_MAX);
-    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::writev(fd, msg.msg_iov, static_cast<int>(msg.msg_iovlen));
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw TransportError("writev failed: " + errno_string());
-    }
-    // Skip fully-written iovecs; trim a partially-written one in place.
-    auto advanced = static_cast<std::size_t>(n);
-    while (next < iov.size() && advanced >= iov[next].iov_len) {
-      advanced -= iov[next].iov_len;
-      ++next;
-    }
-    if (next < iov.size() && advanced > 0) {
-      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + advanced;
-      iov[next].iov_len -= advanced;
-    }
-  }
+  write_all(fd, iov);
 }
 
 std::optional<Bytes> read_frame(int fd) {
@@ -126,11 +116,36 @@ std::optional<Bytes> read_frame(int fd) {
   if (!read_all(fd, header, 4)) return std::nullopt;
   std::uint32_t length = 0;
   std::memcpy(&length, header, 4);
-  constexpr std::uint32_t kMaxFrame = 1u << 30;
   if (length > kMaxFrame) throw TransportError("oversized frame");
   Bytes payload(length);
   if (length > 0 && !read_all(fd, payload.data(), length)) {
     throw TransportError("EOF inside a frame body");
+  }
+  return payload;
+}
+
+std::optional<Bytes> FrameReader::next() {
+  if (!read_all(fd_, prefix_ + prefix_have_, sizeof(prefix_) - prefix_have_)) {
+    if (prefix_have_ == 0) return std::nullopt;  // orderly EOF between frames
+    throw TransportError("EOF inside a frame");
+  }
+  std::uint32_t length = 0;
+  std::memcpy(&length, prefix_, sizeof(length));
+  prefix_have_ = 0;
+  if (length > kMaxFrame) throw TransportError("oversized frame");
+  Bytes payload(length);
+  std::size_t have = 0;
+  while (have < length) {
+    iovec iov[] = {{payload.data() + have, length - have}, {prefix_, sizeof(prefix_)}};
+    const ssize_t n = ::readv(fd_, iov, 2);
+    if (n < 0 && errno == EINTR) continue;
+    // ECONNRESET from a dead peer is EOF for our purposes.
+    if (n < 0 && errno != ECONNRESET) throw TransportError("read failed: " + errno_string());
+    if (n <= 0) throw TransportError("EOF inside a frame body");
+    const auto got = static_cast<std::size_t>(n);
+    const std::size_t body = std::min(got, length - have);
+    have += body;
+    prefix_have_ = got - body;  // the next frame's prefix, or part of it
   }
   return payload;
 }

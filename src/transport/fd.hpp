@@ -45,6 +45,10 @@ class Fd {
   int fd_ = -1;
 };
 
+/// Largest frame a reader accepts (1 GiB): a corrupt or hostile length
+/// prefix must not trigger a bigger allocation.
+inline constexpr std::uint32_t kMaxFrame = 1u << 30;
+
 /// Create a connected pair of stream sockets (AF_UNIX, SOCK_STREAM).
 std::pair<Fd, Fd> make_socketpair();
 
@@ -59,6 +63,25 @@ void write_frame_segments(int fd, std::span<const SegmentWriter::Segment> segmen
 
 /// Read one length-prefixed frame; nullopt on orderly EOF, throws on error.
 std::optional<Bytes> read_frame(int fd);
+
+/// Reads consecutive length-prefixed frames from one blocking descriptor
+/// with one readv per frame while frames arrive back to back: each body is
+/// read together with the next frame's length prefix.  It reads ahead, so
+/// it must be the descriptor's only reader from its first frame on.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd) noexcept : fd_(fd) {}
+
+  /// The next frame; nullopt on orderly EOF between frames.  Throws
+  /// TransportError as read_frame does: on a read error, an oversized length
+  /// prefix, or EOF inside a frame.
+  std::optional<Bytes> next();
+
+ private:
+  int fd_;
+  std::byte prefix_[4] = {};
+  std::size_t prefix_have_ = 0;  ///< bytes of the next prefix already read
+};
 
 /// Shut down the write side so the peer's read_frame sees EOF.
 void shutdown_write(int fd) noexcept;

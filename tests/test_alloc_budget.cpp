@@ -1,4 +1,4 @@
-// Heap allocations on a reducing hop, counted with a replacement global
+// Heap allocations on the data path, counted with a replacement global
 // operator new (this binary only), and the first values() of a wire-backed
 // packet read from many threads at once.
 //
@@ -7,13 +7,20 @@
 // children's vf64[32] reports, sum them, and serialize the result for the
 // parent.  With the in-frame fold that costs 12 allocations or fewer; the
 // value path took 23 (7 + 8 + 8).
+//
+// The batch-frame cases pin a leaf's and a relay's frame of 32 such reports:
+// encoding one is the frame's single allocation, and decoding one costs a
+// packet object per entry plus the shared frame and the packet list.  Every
+// packet carries a DataFormat, which must allocate nothing to build or copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -73,6 +80,68 @@ TEST(AllocationBudget, InteriorSumWaveOfTwoVf64Reports) {
   for (std::size_t i = 0; i < summed.size(); ++i) {
     EXPECT_EQ(summed[i], 2.0 * static_cast<double>(i) + 1.0);
   }
+}
+
+template <typename Body>
+std::uint64_t allocations_of(Body&& body) {
+  const std::uint64_t start = allocations();
+  body();
+  return allocations() - start;
+}
+
+std::vector<PacketPtr> thirty_two_reports() {
+  std::vector<PacketPtr> reports;
+  for (std::uint32_t rank = 0; rank < 32; ++rank) reports.push_back(report(rank));
+  return reports;
+}
+
+TEST(AllocationBudget, BuildingOrCopyingAFormatAllocatesNothing) {
+  std::optional<DataFormat> built;
+  EXPECT_EQ(allocations_of([&] { built.emplace("vf64"); }), 0u);
+  std::optional<DataFormat> copied;
+  EXPECT_EQ(allocations_of([&] { copied.emplace(*built); }), 0u);
+  EXPECT_EQ(*copied, *built);
+  ASSERT_EQ(copied->arity(), 1u);
+  EXPECT_EQ(copied->fields()[0], DataType::kVecFloat64);
+}
+
+TEST(AllocationBudget, BatchFrameOfOwnedReportsIsOneAllocation) {
+  const std::vector<PacketPtr> reports = thirty_two_reports();
+  Bytes frame;
+  EXPECT_EQ(allocations_of([&] { frame = encode_batch_frame(reports); }), 1u);
+  // Byte for byte what serializing each report on its own gives.
+  BinaryReader reader(frame);
+  EXPECT_EQ(reader.get<std::uint32_t>(), kBatchMarker);
+  ASSERT_EQ(reader.get<std::uint32_t>(), reports.size());
+  for (const PacketPtr& packet : reports) {
+    BinaryWriter alone;
+    packet->serialize(alone);
+    const auto length = reader.get<std::uint32_t>();
+    ASSERT_EQ(length, alone.size());
+    const auto entry = reader.take_span(length);
+    EXPECT_TRUE(std::equal(entry.begin(), entry.end(), alone.bytes().begin()));
+  }
+  EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(AllocationBudget, BatchFrameOfWireBackedReportsIsOneAllocation) {
+  const Bytes frame = encode_batch_frame(thirty_two_reports());
+  const std::vector<PacketPtr> decoded = decode_batch_frame(frame);
+  Bytes relayed;
+  EXPECT_EQ(allocations_of([&] { relayed = encode_batch_frame(decoded); }), 1u);
+  EXPECT_EQ(relayed, frame);
+}
+
+TEST(AllocationBudget, DecodingABatchFrameOfThirtyTwoReports) {
+  Bytes frame = encode_batch_frame(thirty_two_reports());
+  std::vector<PacketPtr> decoded;
+  const std::uint64_t count =
+      allocations_of([&] { decoded = decode_batch_frame(std::move(frame)); });
+  std::printf("allocations: decode of 32 entries %llu\n",
+              static_cast<unsigned long long>(count));
+  EXPECT_LE(count, 35u);
+  ASSERT_EQ(decoded.size(), 32u);
+  EXPECT_EQ(decoded.back()->get_vf64(0).front(), 31.0);
 }
 
 TEST(ConcurrentValues, FirstReadFromEightThreadsSeesOneVector) {

@@ -2,13 +2,16 @@
 // CoalescingLink flush trigger (size, deadline, credit pressure, eager
 // bypass), the default filter_batch, byte-identity between batched and
 // unbatched runs in threaded and process modes, interior frame size under a
-// credit-bound flood, the batch send API, and the TCP_NODELAY pin.
+// credit-bound flood, the batch send API, frames split or run together on
+// both socket pumps, and the TCP_NODELAY pin.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -21,6 +24,7 @@
 #include "core/network.hpp"
 #include "filters/register.hpp"
 #include "interior_flood.hpp"
+#include "socket_pumps.hpp"
 #include "transport/tcp.hpp"
 
 namespace tbon {
@@ -724,6 +728,151 @@ TEST(BatchSendApi, ValidatesBeforeAnySideEffect) {
 
   net->run_backends([&](BackEnd&) {});
   net->shutdown();
+}
+
+// ---- frames split or run together on a socket -------------------------------
+//
+// A stream socket keeps no frame boundaries: a pump may get a frame a byte
+// at a time, or a body together with the next frame's length prefix, which
+// process mode's reader asks for to make one readv per frame.  Either pump
+// must deliver every frame whole and in order, and a peer that dies inside a
+// frame must cost that frame and nothing else.
+
+/// A batch frame of three reports, a single-packet frame and a 64 KiB
+/// single-packet frame.
+std::vector<Bytes> channel_frames() {
+  std::vector<PacketPtr> reports;
+  for (int i = 0; i < 3; ++i) {
+    reports.push_back(Packet::make(5, kTag, static_cast<std::uint32_t>(i), "vf64",
+                                   {std::vector<double>(32, i + 0.5)}));
+  }
+  BinaryWriter single;
+  Packet::make(5, kTag + 1, 7, "i64 str", {std::int64_t{-3}, std::string("single")})
+      ->serialize(single);
+  BinaryWriter bulk;
+  Packet::make(5, kTag + 2, 9, "bytes", {BufferView(Bytes(64 * 1024, std::byte{0x5a}))})
+      ->serialize(bulk);
+  return {encode_batch_frame(reports), single.take(), bulk.take()};
+}
+
+/// The frames with their length prefixes, as the peer's byte stream.
+Bytes framed(std::span<const Bytes> frames) {
+  BinaryWriter stream;
+  for (const Bytes& frame : frames) stream.put_bytes(frame);
+  return stream.take();
+}
+
+/// The peer: sends `stream` up to `cuts.back()` on `fd`, in writes of at
+/// most `chunk` bytes that also end at each of `cuts`, then closes `fd`.
+/// On its own thread, so that a pump that stops reading fails the test
+/// instead of blocking it: its stop() closes the socket, and the peer's
+/// next send fails.
+std::jthread peer(Fd fd, Bytes stream, std::vector<std::size_t> cuts, std::size_t chunk) {
+  return std::jthread([fd = std::move(fd), stream = std::move(stream),
+                       cuts = std::move(cuts), chunk]() mutable {
+    std::size_t from = 0;
+    for (const std::size_t cut : cuts) {
+      while (from < cut) {
+        const ssize_t n = ::send(fd.get(), stream.data() + from,
+                                 std::min(chunk, cut - from), MSG_NOSIGNAL);
+        if (n <= 0) return;
+        from += static_cast<std::size_t>(n);
+      }
+    }
+    fd.reset();
+  });
+}
+
+/// Pop the envelope the pump made of channel_frames()[index].
+void expect_frame(Inbox& inbox, std::size_t index) {
+  const auto envelope = inbox.pop_for(10s);
+  ASSERT_TRUE(envelope.has_value());
+  EXPECT_EQ(envelope->origin, Origin::kChild);
+  EXPECT_EQ(envelope->child_slot, 3u);
+  if (index == 0) {
+    ASSERT_NE(envelope->batch, nullptr);
+    ASSERT_EQ(envelope->batch->size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ((*envelope->batch)[i]->get_vf64(0), std::vector<double>(32, i + 0.5));
+    }
+    return;
+  }
+  ASSERT_NE(envelope->packet, nullptr);
+  if (index == 1) {
+    EXPECT_EQ(envelope->packet->get_i64(0), -3);
+    EXPECT_EQ(envelope->packet->get_str(1), "single");
+    return;
+  }
+  const BufferView& bulk = envelope->packet->get_bytes(0);
+  ASSERT_EQ(bulk.size(), 64u * 1024);
+  EXPECT_TRUE(std::all_of(bulk.span().begin(), bulk.span().end(),
+                          [](std::byte b) { return b == std::byte{0x5a}; }));
+}
+
+/// The EOF envelope, and nothing after it.
+void expect_eof_alone(Inbox& inbox) {
+  const auto eof = inbox.pop_for(10s);
+  ASSERT_TRUE(eof.has_value());
+  EXPECT_EQ(eof->packet, nullptr);
+  EXPECT_EQ(eof->batch, nullptr);
+}
+
+TEST(SplitFrames, EveryFrameArrivesWholeAndInOrder) {
+  const std::vector<Bytes> frames = channel_frames();
+  const Bytes stream = framed(frames);
+  // Writes that end right after each length prefix: [p0] [b0 p1] [b1 p2] [b2].
+  std::vector<std::size_t> after_prefixes;
+  std::size_t at = 0;
+  for (const Bytes& frame : frames) {
+    after_prefixes.push_back(at + 4);
+    at += 4 + frame.size();
+  }
+  after_prefixes.push_back(stream.size());
+  for (const pumps::Kind kind : pumps::kAll) {
+    for (const bool bytewise : {true, false}) {
+      SCOPED_TRACE(std::string(pumps::name(kind)) +
+                   (bytewise ? ": a byte per write" : ": each body with the next prefix"));
+      auto [reader_fd, writer_fd] = make_socketpair();
+      auto inbox = std::make_shared<Inbox>(64);
+      const std::jthread writer =
+          bytewise ? peer(std::move(writer_fd), stream, {stream.size()}, 1)
+                   : peer(std::move(writer_fd), stream, after_prefixes, stream.size());
+      const auto pump = pumps::make(kind);
+      pump->open(std::move(reader_fd),
+                 {.inbox = inbox, .origin = Origin::kChild, .slot = 3}, nullptr);
+      pump->start();
+      for (std::size_t i = 0; i < frames.size(); ++i) expect_frame(*inbox, i);
+      expect_eof_alone(*inbox);
+      pump->stop();
+      EXPECT_EQ(inbox->size(), 0u);
+    }
+  }
+}
+
+TEST(SplitFrames, PeerClosingInsideAFrameYieldsEofAndNoPartialFrame) {
+  const std::vector<Bytes> frames = channel_frames();
+  const Bytes stream = framed(frames);
+  const std::size_t whole = 8 + frames[0].size() + frames[1].size();
+  // Inside the bulk frame's length prefix, and halfway through its body.
+  for (const std::size_t cut : {std::size_t{2}, 4 + frames[2].size() / 2}) {
+    for (const pumps::Kind kind : pumps::kAll) {
+      SCOPED_TRACE(std::string(pumps::name(kind)) + ": closing after " +
+                   std::to_string(cut) + " bytes of the last frame");
+      auto [reader_fd, writer_fd] = make_socketpair();
+      auto inbox = std::make_shared<Inbox>(64);
+      const std::jthread writer =
+          peer(std::move(writer_fd), stream, {whole + cut}, stream.size());
+      const auto pump = pumps::make(kind);
+      pump->open(std::move(reader_fd),
+                 {.inbox = inbox, .origin = Origin::kChild, .slot = 3}, nullptr);
+      pump->start();
+      expect_frame(*inbox, 0);
+      expect_frame(*inbox, 1);
+      expect_eof_alone(*inbox);
+      pump->stop();
+      EXPECT_EQ(inbox->size(), 0u);
+    }
+  }
 }
 
 // ---- TCP_NODELAY ------------------------------------------------------------

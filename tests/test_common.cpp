@@ -78,6 +78,37 @@ TEST(DataFormat, ToleratesExtraSpaces) {
   EXPECT_EQ(format.arity(), 2u);
 }
 
+TEST(DataFormat, FieldListsPastTheInlineCapacityKeepEveryField) {
+  // Fifteen field types are held inline; longer lists move to the heap.
+  for (const std::size_t arity : {15u, 16u, 40u}) {
+    SCOPED_TRACE(arity);
+    std::string text;
+    std::vector<DataValue> values;
+    for (std::size_t i = 0; i < arity; ++i) {
+      text += i % 2 ? "vf64 " : "i32 ";
+      if (i % 2) {
+        values.emplace_back(std::vector<double>{static_cast<double>(i)});
+      } else {
+        values.emplace_back(static_cast<std::int32_t>(i));
+      }
+    }
+    const DataFormat format(text);
+    ASSERT_EQ(format.arity(), arity);
+    for (std::size_t i = 0; i < arity; ++i) {
+      EXPECT_EQ(format.fields()[i], i % 2 ? DataType::kVecFloat64 : DataType::kInt32);
+    }
+    const DataFormat copy = format;
+    EXPECT_EQ(copy, format);
+    EXPECT_NE(DataFormat(text + "str"), format);
+    EXPECT_TRUE(copy.matches(values));
+
+    BinaryWriter writer;
+    pack_values(writer, copy, values);
+    BinaryReader reader(writer.bytes());
+    EXPECT_EQ(unpack_values(reader, format), values);
+  }
+}
+
 TEST(DataFormat, RejectsUnknownToken) {
   EXPECT_THROW(DataFormat("i32 bogus"), ParseError);
 }

@@ -1,10 +1,11 @@
 // Credit-based flow control (src/core/flow_control.hpp).
 //
-// Two layers of coverage:
+// Three layers of coverage:
 //  - deterministic link-level property tests of the three policies against a
 //    recording inner link (block bounds in-flight to the window, drop_oldest
 //    preserves newest-k FIFO order, fail_fast surfaces FlowControlError at
-//    application sites and sheds at interior ones), and
+//    application sites and sheds at interior ones),
+//  - which policies wake the sending runtime on a grant, and
 //  - end-to-end backpressure over both instantiations, with slow consumers
 //    induced by the fault injector and the bounds asserted through the
 //    telemetry gauges (fc_inflight_peak et al.) — including across an
@@ -16,9 +17,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/channel.hpp"
 #include "core/flow_control.hpp"
 #include "core/network.hpp"
+#include "core/node.hpp"
 #include "telemetry/metrics.hpp"
+#include "transport/fd.hpp"
 
 namespace tbon {
 namespace {
@@ -73,6 +77,41 @@ TEST(FlowControlOptions, WindowAndQuantumDeriveFromWatermarks) {
   EXPECT_EQ(zero.window(), 1u);
   EXPECT_GE(zero.grant_quantum(), 1u);
   EXPECT_EQ(CreditGate(0).window(), 1u);  // gate applies the same clamp
+}
+
+// ---- grant wake-ups ---------------------------------------------------------
+//
+// A grant on a sending runtime's gate wakes that runtime (an attach marker
+// in its inbox) only under drop_oldest, the one policy that keeps pending
+// rings for the wake-up to pump.
+
+TEST(GrantWakeups, OnlyDropOldestWakesTheSendingRuntime) {
+  const Topology topology = Topology::balanced(2, 1);
+  for (const FlowControlPolicy policy :
+       {FlowControlPolicy::kBlock, FlowControlPolicy::kFailFast,
+        FlowControlPolicy::kDropOldest}) {
+    SCOPED_TRACE(to_string(policy));
+    NodeRuntime sender(topology, topology.leaves()[0], FilterRegistry::instance(),
+                       /*delegate=*/nullptr);
+    const ChannelFactory factory(make_options(policy, 4), BatchingOptions::off());
+    const auto [socket, peer] = make_socketpair();
+    const auto gate = factory.socket_gate(socket.get(), sender);
+    ASSERT_NE(gate, nullptr);
+    ASSERT_EQ(gate->try_acquire(), CreditGate::Acquire::kOk);
+    ASSERT_EQ(sender.inbox()->size(), 0u);
+    gate->grant(1);
+    EXPECT_EQ(gate->available(), 4u);
+    if (policy != FlowControlPolicy::kDropOldest) {
+      EXPECT_EQ(sender.inbox()->size(), 0u);
+      continue;
+    }
+    ASSERT_EQ(sender.inbox()->size(), 1u);
+    const auto marker = sender.inbox()->try_pop();
+    ASSERT_TRUE(marker.has_value());
+    ASSERT_NE(marker->packet, nullptr);
+    EXPECT_EQ(marker->packet->stream_id(), kControlStream);
+    EXPECT_EQ(marker->packet->tag(), kTagAttachChild);
+  }
 }
 
 // ---- CreditGate -------------------------------------------------------------
