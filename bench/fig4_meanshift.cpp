@@ -83,22 +83,21 @@ RunResult run_distributed(const Topology& topology, const ms::SynthParams& synth
   recorder.set_enabled(true);
 
   Stopwatch watch;
-  auto net = Network::create({.topology = topology});
+  const auto backend_main = [&](BackEnd& be) {
+    const auto go = be.recv_for(std::chrono::seconds(120));
+    if (!go) return;
+    const auto data = ms::generate_leaf_data(be.rank(), synth);
+    const NodeId leaf_node = topology.leaves()[be.rank()];
+    const ms::LocalResult local = ms::leaf_compute(data, params, leaf_node);
+    be.send(1, kFirstAppTag, ms::MeanShiftCodec::kFormat,
+            ms::MeanShiftCodec::to_values(local));
+  };
+  auto net = Network::create({.topology = topology, .backend_main = backend_main});
   Stream& stream = net->front_end().open_stream(
       StreamSpec().up("mean_shift").with_params(ms::to_filter_params(params)));
   // The measured window starts with the control broadcast (paper §3.2); we
   // include it in the makespan via the link model's broadcast term.
   stream.send(kFirstAppTag, "str", {std::string("start")});
-
-  net->run_backends([&](BackEnd& be) {
-    const auto go = be.recv_for(std::chrono::seconds(120));
-    if (!go) return;
-    const auto data = ms::generate_leaf_data(be.rank(), synth);
-    const NodeId leaf_node = net->topology().leaves()[be.rank()];
-    const ms::LocalResult local = ms::leaf_compute(data, params, leaf_node);
-    be.send(stream.id(), kFirstAppTag, ms::MeanShiftCodec::kFormat,
-            ms::MeanShiftCodec::to_values(local));
-  });
 
   const auto packet = stream.recv_for(std::chrono::seconds(600));
   RunResult result;

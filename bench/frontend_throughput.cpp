@@ -29,7 +29,6 @@
 // falls behind linearly while the TBON front-end, whose load is independent
 // of daemon count, sustains 512 daemons at the same per-daemon rate.
 #include <algorithm>
-#include <optional>
 #include <thread>
 
 #include "benchlib/table.hpp"
@@ -75,25 +74,24 @@ double measure_packet_service(int functions) {
 /// Sustained end-to-end throughput (leaf packets/s reaching the root as
 /// aggregates) over a live threaded tree, with or without telemetry.
 double live_throughput(int waves, int functions, bool telemetry) {
+  const std::vector<double> report(static_cast<std::size_t>(functions), 0.5);
   auto net = Network::create(
       {.topology = Topology::balanced(2, 2),  // 4 leaves, 2 interior merges
-       .telemetry = {.enabled = telemetry, .interval_ms = 50}});
+       .telemetry = {.enabled = telemetry, .interval_ms = 50},
+       .backend_main = [&](BackEnd& be) {
+         if (!be.recv().ok()) return;  // the go broadcast starts the clock
+         for (int wave = 0; wave < waves; ++wave) {
+           be.send(1, kFirstAppTag, "vf64", {report});
+         }
+       }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  std::vector<double> report(static_cast<std::size_t>(functions), 0.5);
 
   Stopwatch watch;
-  std::jthread producers([&] {
-    net->run_backends([&](BackEnd& be) {
-      for (int wave = 0; wave < waves; ++wave) {
-        be.send(stream.id(), kFirstAppTag, "vf64", {report});
-      }
-    });
-  });
+  stream.send(kFirstAppTag, "str", {std::string("go")});
   for (int wave = 0; wave < waves; ++wave) {
     if (!stream.recv_for(std::chrono::seconds(60))) break;
   }
   const double elapsed = watch.elapsed_seconds();
-  producers.join();
   net->shutdown();
   return 4.0 * waves / elapsed;
 }
@@ -171,27 +169,24 @@ double multi_stream_throughput(int waves, std::uint32_t workers, int streams,
   NetworkOptions options;
   options.topology = Topology::balanced(2, 2);  // 4 leaves, 2 interior merges
   options.execution.num_workers = workers;
+  // Stream ids are 1..streams, in the order opened below.
+  options.backend_main = [waves, streams](BackEnd& be) {
+    const std::vector<double> report(8, 0.5);
+    if (!be.recv().ok()) return;  // the go broadcast starts the clock
+    for (int wave = 0; wave < waves; ++wave) {
+      for (int id = 1; id <= streams; ++id) {
+        be.send(static_cast<std::uint32_t>(id), kFirstAppTag, "vf64", {report});
+      }
+    }
+  };
   auto net = Network::create(options);
-  std::vector<std::uint32_t> ids;
-  ids.reserve(static_cast<std::size_t>(streams));
   for (int s = 0; s < streams; ++s) {
-    ids.push_back(net->front_end()
-                      .open_stream(StreamSpec().up("bench_spin").with_params(
-                          FilterParams().set("spin", spin)))
-                      .id());
+    net->front_end().open_stream(StreamSpec().up("bench_spin").with_params(
+        FilterParams().set("spin", spin)));
   }
-  const std::vector<double> report(8, 0.5);
 
   Stopwatch watch;
-  std::jthread producers([&] {
-    net->run_backends([&](BackEnd& be) {
-      for (int wave = 0; wave < waves; ++wave) {
-        for (const std::uint32_t id : ids) {
-          be.send(id, kFirstAppTag, "vf64", {report});
-        }
-      }
-    });
-  });
+  net->front_end().stream(1).send(kFirstAppTag, "str", {std::string("go")});
   const int expected = streams * waves;  // one root aggregate per stream wave
   int received = 0;
   while (received < expected) {
@@ -201,7 +196,6 @@ double multi_stream_throughput(int waves, std::uint32_t workers, int streams,
     ++received;
   }
   const double elapsed = watch.elapsed_seconds();
-  producers.join();
   net->shutdown();
   return 4.0 * static_cast<double>(received) / elapsed;  // leaf packets/s
 }
@@ -246,8 +240,8 @@ TenantRunStats tenant_isolation_run(NetworkMode mode, bool flood, int waves) {
   // producer thread, where a throttled bulk send would trivially head-of-
   // line-block the same thread's fast sends.  Stream ids are deterministic
   // (fast=1, noisy=2, opened below in that order); BackEnd::send blocks
-  // until the announcement lands, so forked back-ends start immediately.
-  const auto backend_body = [waves, flood_per_wave](BackEnd& be) {
+  // until the announcement lands, so back-ends start immediately.
+  options.backend_main = [waves, flood_per_wave](BackEnd& be) {
     if (be.rank() % 2 == 0) {
       for (int wave = 0; wave < waves; ++wave) {
         be.send(1, kFirstAppTag, "i64", {std::int64_t{1}});
@@ -258,7 +252,6 @@ TenantRunStats tenant_isolation_run(NetworkMode mode, bool flood, int waves) {
       }
     }
   };
-  if (mode != NetworkMode::kThreaded) options.backend_main = backend_body;
   auto net = Network::create(options);
   FrontEnd& fe = net->front_end();
   Stream& fast = fe.open_stream(StreamSpec().up("sum").tenant("fast").priority(
@@ -266,10 +259,6 @@ TenantRunStats tenant_isolation_run(NetworkMode mode, bool flood, int waves) {
   Stream& noisy = fe.open_stream(StreamSpec().up("sum").tenant("noisy").priority(
       Priority::kBulk).to({1, 3}));
 
-  std::optional<std::jthread> producers;
-  if (mode == NetworkMode::kThreaded) {
-    producers.emplace([&] { net->run_backends(backend_body); });
-  }
   const int fast_expected = waves;
   const int noisy_expected = waves * flood_per_wave;
   Stopwatch watch;
@@ -304,7 +293,6 @@ TenantRunStats tenant_isolation_run(NetworkMode mode, bool flood, int waves) {
     if (stats.drained_high > 0 && (!flood || stats.noisy_throttled > 0)) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }
-  if (producers) producers->join();
   net->shutdown();
   return stats;
 }
@@ -325,32 +313,30 @@ struct RebalanceRates {
 /// steady state before the burst, the burst itself, steady state after —
 /// so they share whatever host noise there is.
 RebalanceRates rebalance_run(double window_s, int ops, int gap_ms) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  const std::vector<double> report(8, 0.5);
+  std::atomic<bool> stop{false};
+  std::atomic<int> delivered{0};
+  auto net = Network::create(
+      {.topology = Topology::balanced(2, 2), .backend_main = [&](BackEnd& be) {
+         // App-level pacing: stay at most 32 waves ahead of the front-end.
+         // Unthrottled producers would bury the quiesce/re-home control
+         // packets under an unbounded data backlog and the burst would
+         // measure queue drain, not reconfiguration.
+         int sent = 0;
+         while (!stop.load(std::memory_order_relaxed)) {
+           if (sent < delivered.load(std::memory_order_relaxed) + 32) {
+             be.send(1, kFirstAppTag, "vf64", {report});
+             ++sent;
+           } else {
+             std::this_thread::yield();
+           }
+         }
+       }});
   FrontEnd& fe = net->front_end();
   Stream& stream = fe.open_stream({.up_transform = "sum"});
-  const std::vector<double> report(8, 0.5);
   const double warmup_s = 0.2;
 
   Stopwatch watch;
-  std::atomic<bool> stop{false};
-  std::atomic<int> delivered{0};
-  std::jthread producers([&] {
-    net->run_backends([&](BackEnd& be) {
-      // App-level pacing: stay at most 32 waves ahead of the front-end.
-      // Unthrottled producers would bury the quiesce/re-home control
-      // packets under an unbounded data backlog and the burst would
-      // measure queue drain, not reconfiguration.
-      int sent = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (sent < delivered.load(std::memory_order_relaxed) + 32) {
-          be.send(stream.id(), kFirstAppTag, "vf64", {report});
-          ++sent;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  });
 
   RebalanceRates rates;
   double reconfig_start = 0.0;
@@ -385,7 +371,6 @@ RebalanceRates rebalance_run(double window_s, int ops, int gap_ms) {
   }
   const double stop_time = watch.elapsed_seconds();
   operator_thread.join();
-  producers.join();
   net->shutdown();  // flushes whatever the producers had already buffered
 
   const auto window_rate = [&](double lo, double hi) {

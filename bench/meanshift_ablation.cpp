@@ -43,16 +43,16 @@ Outcome run_once(std::size_t scale, const ms::SynthParams& synth,
   const auto fanout = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(scale))));
   const Topology topology = Topology::balanced_for_leaves(fanout, scale);
-  auto net = Network::create({.topology = topology});
+  auto net = Network::create({.topology = topology,
+                              .backend_main = [&](BackEnd& be) {
+                                const auto data = ms::generate_leaf_data(be.rank(), synth);
+                                const NodeId leaf = topology.leaves()[be.rank()];
+                                const ms::LocalResult local = ms::leaf_compute(data, params, leaf);
+                                be.send(1, kFirstAppTag, ms::MeanShiftCodec::kFormat,
+                                        ms::MeanShiftCodec::to_values(local));
+                              }});
   Stream& stream = net->front_end().open_stream(
       StreamSpec().up("mean_shift").with_params(ms::to_filter_params(params)));
-  net->run_backends([&](BackEnd& be) {
-    const auto data = ms::generate_leaf_data(be.rank(), synth);
-    const NodeId leaf = net->topology().leaves()[be.rank()];
-    const ms::LocalResult local = ms::leaf_compute(data, params, leaf);
-    be.send(stream.id(), kFirstAppTag, ms::MeanShiftCodec::kFormat,
-            ms::MeanShiftCodec::to_values(local));
-  });
   const auto packet = stream.recv_for(std::chrono::seconds(300));
   Outcome outcome;
   if (packet) {

@@ -21,7 +21,16 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
 
   filters::register_all(FilterRegistry::instance());
-  auto net = Network::create({.topology = topology});
+  // Runs once per back-end, on its own thread; it sends on stream 1, the
+  // first one the front-end opens.
+  const auto backend_main = [&, seed](BackEnd& be) {
+    const auto probe = be.recv_for(std::chrono::seconds(5));
+    if (!probe) return;
+    const PacketPtr reply = make_clock_reply(**probe, be.rank(), seed);
+    be.send(1, kFirstAppTag, "vi64 vf64",
+            {reply->get_vi64(0), reply->get_vf64(1)});
+  };
+  auto net = Network::create({.topology = topology, .backend_main = backend_main});
   Stream& stream = net->front_end().open_stream(
       StreamSpec().up("clock_skew").down("clock_probe").with_params(
           FilterParams().set("skew_seed", static_cast<std::int64_t>(seed))));
@@ -29,14 +38,6 @@ int main(int argc, char** argv) {
   // The probe carries the front-end's (unskewed reference) clock.
   stream.send(kFirstAppTag, "vf64",
               {std::vector<double>{virtual_now_seconds(1'000'000u, 0)}});
-
-  net->run_backends([&, seed](BackEnd& be) {
-    const auto probe = be.recv_for(std::chrono::seconds(5));
-    if (!probe) return;
-    const PacketPtr reply = make_clock_reply(**probe, be.rank(), seed);
-    be.send(stream.id(), kFirstAppTag, "vi64 vf64",
-            {reply->get_vi64(0), reply->get_vf64(1)});
-  });
 
   const auto result = stream.recv_for(std::chrono::seconds(10));
   if (!result) {

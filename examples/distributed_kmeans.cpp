@@ -40,8 +40,15 @@ int main(int argc, char** argv) {
   params.k = synth.num_clusters;
   params.epsilon = 1e-4;
 
-  auto net = Network::create({.topology = topology});
-  const KMeansResult result = kmeans_distributed(*net, dim, params, leaf_coords);
+  // Every back-end answers each round's centroids with its partial sums.
+  const auto backend_main = [&](BackEnd& be) {
+    kmeans_backend(be, ms::nd::DatasetView(leaf_coords[be.rank()], dim));
+  };
+  auto net = Network::create({.topology = topology, .backend_main = backend_main});
+  // Initialize from the first back-end's data (any deterministic choice
+  // works).
+  const KMeansResult result = kmeans_distributed(
+      *net, dim, params, initial_centroids(ms::nd::DatasetView(leaf_coords[0], dim), params));
   net->shutdown();
 
   std::printf("%zu points in %zu-D over %zu back-ends: k=%zu, %zu rounds, %s\n",

@@ -26,11 +26,10 @@ int main(int argc, char** argv) {
 
   filters::register_all(FilterRegistry::instance());
   const Topology topology = Topology::balanced_for_leaves(fanout, daemons);
-  auto net = Network::create({.topology = topology});
-  Stream& stream = net->front_end().open_stream({.up_transform = "equivalence_class"});
-
+  // Runs once per back-end, on its own thread; it sends on stream 1, the
+  // first one the front-end opens.
   std::atomic<std::size_t> raw_bytes{0};
-  net->run_backends([&](BackEnd& be) {
+  const auto backend_main = [&](BackEnd& be) {
     // A daemon's report: the canonical rendering of its function table.
     // Daemons running the same binary variant produce identical reports.
     const std::uint32_t variant = be.rank() % variants;
@@ -41,8 +40,10 @@ int main(int argc, char** argv) {
     raw_bytes.fetch_add(report.size());
     EquivalenceClasses mine;
     mine.add(report, be.rank());
-    be.send(stream.id(), kFirstAppTag, EquivalenceClasses::kFormat, mine.to_values());
-  });
+    be.send(1, kFirstAppTag, EquivalenceClasses::kFormat, mine.to_values());
+  };
+  auto net = Network::create({.topology = topology, .backend_main = backend_main});
+  Stream& stream = net->front_end().open_stream({.up_transform = "equivalence_class"});
 
   const auto result = stream.recv_for(std::chrono::seconds(30));
   if (!result) {

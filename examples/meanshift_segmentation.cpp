@@ -31,16 +31,17 @@ int main(int argc, char** argv) {
   params.shift.density_threshold = config.get_double("density_threshold", 10.0);
 
   register_mean_shift_filter();
-  auto net = Network::create({.topology = topology});
-  Stream& stream = net->front_end().open_stream(
-      StreamSpec().up("mean_shift").with_params(to_filter_params(params)));
-
-  net->run_backends([&](BackEnd& be) {
+  // Runs once per back-end, on its own thread; it sends on stream 1, the
+  // first one the front-end opens.
+  const auto backend_main = [&](BackEnd& be) {
     const auto data = generate_leaf_data(be.rank(), synth);
     const LocalResult local = leaf_compute(data, params);
-    be.send(stream.id(), kFirstAppTag, MeanShiftCodec::kFormat,
+    be.send(1, kFirstAppTag, MeanShiftCodec::kFormat,
             MeanShiftCodec::to_values(local));
-  });
+  };
+  auto net = Network::create({.topology = topology, .backend_main = backend_main});
+  Stream& stream = net->front_end().open_stream(
+      StreamSpec().up("mean_shift").with_params(to_filter_params(params)));
 
   const auto result = stream.recv_for(std::chrono::seconds(60));
   if (!result) {

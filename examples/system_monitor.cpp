@@ -28,34 +28,36 @@ int main(int argc, char** argv) {
   const std::size_t hosts = topology.num_leaves();
 
   filters::register_all(FilterRegistry::instance());
-  auto net = Network::create({.topology = topology});
-
-  Stream& aligned = net->front_end().open_stream(
-      {.up_transform = "time_aligned", .up_sync = "null"});
-  Stream& latency = net->front_end().open_stream({.up_transform = "histogram_merge"});
-  Stream& hogs = net->front_end().open_stream(
-      StreamSpec().up("topk").with_params(FilterParams().set("k", 3)));
-
-  net->run_backends([&](BackEnd& be) {
+  // Stream ids follow the order in which the front-end opens the streams.
+  constexpr std::uint32_t kAligned = 1, kLatency = 2, kHogs = 3;
+  // Runs once per back-end, on its own thread.
+  const auto backend_main = [&](BackEnd& be) {
     Rng rng(1000 + be.rank());
     Histogram local_latency(0.0, 20.0, 20);
     for (std::uint64_t round = 0; round < rounds; ++round) {
       const double load = std::max(0.0, rng.gaussian(1.0 + 0.1 * (be.rank() % 4), 0.3));
       const double free_mb = rng.uniform(200.0, 1800.0);
       // Per-round aligned sample: [load, free memory].
-      be.send(aligned.id(), kFirstAppTag, TimeAlignedFilter::kFormat,
+      be.send(kAligned, kFirstAppTag, TimeAlignedFilter::kFormat,
               {round, std::vector<double>{load, free_mb}});
       // Top-3 most loaded hosts this round.
-      be.send(hogs.id(), kFirstAppTag, TopKFilter::kFormat,
+      be.send(kHogs, kFirstAppTag, TopKFilter::kFormat,
               {std::vector<double>{load},
                std::vector<std::string>{"host-" + std::to_string(be.rank())}});
       for (int probe = 0; probe < 16; ++probe) {
         local_latency.add(std::max(0.1, rng.gaussian(5.0, 2.5)));
       }
     }
-    be.send(latency.id(), kFirstAppTag, HistogramCodec::kFormat,
+    be.send(kLatency, kFirstAppTag, HistogramCodec::kFormat,
             HistogramCodec::to_values(local_latency));
-  });
+  };
+  auto net = Network::create({.topology = topology, .backend_main = backend_main});
+
+  Stream& aligned = net->front_end().open_stream(
+      {.up_transform = "time_aligned", .up_sync = "null"});
+  Stream& latency = net->front_end().open_stream({.up_transform = "histogram_merge"});
+  Stream& hogs = net->front_end().open_stream(
+      StreamSpec().up("topk").with_params(FilterParams().set("k", 3)));
 
   std::printf("%-6s  %-12s  %-12s  %s\n", "round", "avg load", "avg free MB",
               "top loaded hosts");

@@ -161,6 +161,11 @@ class SegmentWriter {
     std::size_t size;
   };
 
+  /// Room for a typical packet's pieces up front: growing the list append
+  /// by append would cost an allocation each time it doubles.  The scratch
+  /// block gets the same on first use (a verbatim relay never needs one).
+  SegmentWriter() { pieces_.reserve(8); }
+
   template <typename T>
     requires(std::is_arithmetic_v<T>)
   void put(T value) {
@@ -231,6 +236,7 @@ class SegmentWriter {
   void append_scratch(std::span<const std::byte> bytes) {
     total_ += bytes.size();
     if (bytes.empty()) return;
+    if (scratch_.capacity() == 0) scratch_.reserve(256);
     // Extend the previous scratch piece when contiguous so adjacent small
     // fields collapse into one segment.
     if (!pieces_.empty() && pieces_.back().external.data() == nullptr &&

@@ -686,7 +686,35 @@ std::unique_ptr<Network> Network::create_threaded_impl(const NetworkOptions& opt
     net.threads_.emplace_back([runtime = net.runtimes_[id].get()] { runtime->run(); });
   }
   net.start_telemetry(options.telemetry);
+  net.start_backends(options.backend_main);
   return network;
+}
+
+void Network::start_backends(std::function<void(BackEnd&)> backend_main) {
+  if (!backend_main) return;
+  backend_main_ = std::move(backend_main);
+  // Like a forked leaf, each leaf stays in the tree after its body returns,
+  // until shutdown.
+  backend_threads_.reserve(backends_.size());
+  for (std::uint32_t rank = 0; rank < backends_.size(); ++rank) {
+    backend_threads_.emplace_back([this, rank] {
+      run_backend_main(backend_main_, *backends_[rank],
+                       *runtimes_[topology_.leaves()[rank]]);
+    });
+  }
+}
+
+void Network::run_backend_main(const std::function<void(BackEnd&)>& backend_main,
+                               BackEnd& backend, NodeRuntime& leaf) {
+  try {
+    backend_main(backend);
+    return;
+  } catch (const std::exception& error) {
+    TBON_ERROR("back-end " << backend.rank() << " failed: " << error.what());
+  } catch (...) {
+    TBON_ERROR("back-end " << backend.rank() << " failed");
+  }
+  leaf.inbox()->close();  // what kill_node does to a threaded node
 }
 
 void Network::apply_recovery_threaded() {
@@ -1354,18 +1382,6 @@ std::size_t Network::num_backends() const {
   return topology_.num_leaves() + dynamic_leaves_.size();
 }
 
-void Network::run_backends(const std::function<void(BackEnd&)>& body) {
-  if (forked()) {
-    throw ProtocolError("run_backends is unavailable in process/remote mode; "
-                        "pass NetworkOptions::backend_main instead");
-  }
-  std::vector<std::jthread> workers;
-  workers.reserve(backends_.size());
-  for (auto& backend : backends_) {
-    workers.emplace_back([&body, be = backend.get()] { body(*be); });
-  }
-}
-
 void Network::kill_node(NodeId id) {
   if (id == topology_.root()) throw ProtocolError("cannot kill the front-end");
   if (id >= topology_.num_nodes()) throw ProtocolError("node id out of range");
@@ -1492,6 +1508,9 @@ void Network::shutdown() {
     shutdown_cv_.wait_for(lock, 5s, [&] { return shutdown_complete_; });
   }
   lock.unlock();
+  // Every leaf has shut down (or died), which released any body blocked in
+  // recv or send.
+  backend_threads_.clear();
   // Stop accepting orphans before tearing down transport state; after this
   // join no adoption can open a channel on the pump.
   if (rendezvous_) rendezvous_->stop();

@@ -2,10 +2,13 @@
 //
 // Mirrors MRNet's programming model:
 //
-//   auto net = Network::create({.topology = Topology::balanced(4, 2)});
+//   auto net = Network::create({
+//       .topology = Topology::balanced(4, 2),
+//       .backend_main = [](BackEnd& be) {              // once per back-end
+//         if (be.recv()) be.send(1, kMyTag, "vf64", {...});  // stream 1
+//       }});
 //   Stream& s = net->front_end().open_stream({.up_transform = "sum"});
 //   s.send(kMyTag, "str", {"begin"});                  // multicast down
-//   // ... back-ends call be.send(s.id(), kMyTag, "vf64", {...}) ...
 //   RecvResult result = s.recv();                      // aggregated result
 //   if (result) use((*result)->get_f64(0));
 //   net->shutdown();
@@ -178,7 +181,11 @@ struct NetworkOptions {
   /// docs/reconfiguration.md).  Defaults leave rebalancing dormant.
   ReconfigOptions reconfig;
 
-  /// Process and remote modes: runs inside every back-end process.
+  /// The back-end application: runs once per static back-end in every
+  /// instantiation, on its own thread in threaded mode and inside each
+  /// back-end process otherwise (see docs/api.md).  It starts during
+  /// create(), before any stream is open, and must return once its BackEnd
+  /// reports shutdown.
   std::function<void(BackEnd&)> backend_main;
   /// Remote mode only (see RemoteOptions).
   RemoteOptions remote;
@@ -544,14 +551,13 @@ class Network {
   const Topology& topology() const noexcept { return topology_; }
   FrontEnd& front_end() noexcept { return *front_end_; }
 
-  /// Back-end handle by rank (threaded instantiation only); covers both
-  /// original and dynamically attached back-ends.
+  /// Back-end handle by rank: dynamic ranks in every mode, static ranks in
+  /// threaded mode only.  backend_main is the portable entry point; this
+  /// stays for in-process programs that send from threads of their own, such
+  /// as perfbench's fixed-schedule generator or a test timing a kill.
   BackEnd& backend(std::uint32_t rank);
   /// Number of back-ends, including dynamically attached ones.
   std::size_t num_backends() const;
-
-  /// Run `body` concurrently on every back-end (one thread each) and join.
-  void run_backends(const std::function<void(BackEnd&)>& body);
 
   /// Failure injection: abruptly terminate a non-root node.  Its peers see
   /// EOF; wait_for_all filters upstream degrade to the surviving children,
@@ -594,6 +600,12 @@ class Network {
   static std::unique_ptr<Network> create_threaded_impl(const NetworkOptions& options);
   static std::unique_ptr<Network> create_process_impl(const NetworkOptions& options);
   static std::unique_ptr<Network> create_remote_impl(const NetworkOptions& options);
+  /// Threaded mode: run `backend_main` on one thread per static back-end.
+  void start_backends(std::function<void(BackEnd&)> backend_main);
+  /// Run the body on `backend`, whose runtime is `leaf`.  An escaped
+  /// exception is logged and closes the leaf's inbox: the parent sees EOF.
+  static void run_backend_main(const std::function<void(BackEnd&)>& backend_main,
+                               BackEnd& backend, NodeRuntime& leaf);
   void start_telemetry(const TelemetryOptions& telemetry);
   void send_to_root(PacketPtr packet);
   void send_batch_to_root(std::span<const PacketPtr> packets);
@@ -662,8 +674,7 @@ class Network {
   /// children by reference.
   net::NodeConfig node_config(const NetworkOptions& options) const;
   /// Set up a runtime from its NodeConfig: flow control, filter execution,
-  /// heartbeats, its own fault injector, and — in node processes, never at
-  /// the front-end's root — an injected crash that exits the process.
+  /// heartbeats and its own fault injector.
   static void configure_runtime(NodeRuntime& runtime, const net::NodeConfig& config);
   /// Before the forks: the root runtime, set up from `config` like every
   /// node process.
@@ -680,7 +691,8 @@ class Network {
   /// `make_pump`, given the runtime's metrics), wire `parent` and
   /// `children` (slot order) on it, re-adopt through the rendezvous after a
   /// parent failure, run until the tree shuts down, then flush and stop the
-  /// pump.  `on_ready` runs once every edge is wired.
+  /// pump.  An injected crash exits the process once the pump has drained.
+  /// `on_ready` runs once every edge is wired.
   static void run_node(const net::NodeConfig& config, NodeId id, Fd parent,
                        std::vector<Fd> children, const PumpFactory& make_pump,
                        const std::function<void(BackEnd&)>& backend_main,
@@ -779,6 +791,11 @@ class Network {
   // process forked.
   std::shared_ptr<SocketPump> pump_;
   std::vector<int> child_pids_;
+
+  /// Threaded mode's body and its thread per static back-end; last, so the
+  /// threads join before anything they use is destroyed.
+  std::function<void(BackEnd&)> backend_main_;
+  std::vector<std::jthread> backend_threads_;
 };
 
 }  // namespace tbon

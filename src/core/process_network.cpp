@@ -82,11 +82,6 @@ void Network::configure_runtime(NodeRuntime& runtime, const net::NodeConfig& con
     // counters are per-process, which is exactly the per-node semantics.
     runtime.set_fault_injector(std::make_shared<FaultInjector>(config.fault_plan));
   }
-  if (runtime.role() != NodeRole::kRoot) {
-    // An injected crash must look like a real one: no stack unwinding, no
-    // flushes, no handshakes.
-    runtime.set_crash_handler([] { std::_Exit(0); });
-  }
 }
 
 void Network::run_node(const net::NodeConfig& config, NodeId id, Fd parent,
@@ -109,6 +104,14 @@ void Network::run_node(const net::NodeConfig& config, NodeId id, Fd parent,
   // Declared after the runtime, so the pump stops first if an exception
   // unwinds.
   const std::unique_ptr<SocketPump> pump = make_pump(&runtime.metrics());
+  // An injected crash must look like a real one: no stack unwinding, no
+  // flushes, no handshakes.  What the node already sent still leaves, as a
+  // write that reached the kernel would: remote mode's pump only queues a
+  // send, so drain it first.
+  runtime.set_crash_handler([&pump] {
+    pump->drain(1'000);
+    std::_Exit(0);
+  });
 
   // The upstream gate survives re-adoption (reset to a full window when
   // the edge is replaced) so a back-end handle never dangles mid-send.
@@ -166,7 +169,7 @@ void Network::run_node(const net::NodeConfig& config, NodeId id, Fd parent,
   if (on_ready) on_ready();
   if (leaf) {
     std::jthread service([&runtime] { runtime.run(); });
-    if (backend_main) backend_main(*backend);
+    if (backend_main) run_backend_main(backend_main, *backend, runtime);
     // The runtime exits when the shutdown handshake completes.
   } else {
     runtime.run();

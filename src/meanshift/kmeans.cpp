@@ -118,17 +118,20 @@ KMeansResult kmeans_single_node(const ms::nd::DatasetView& data,
   return result;
 }
 
-KMeansResult kmeans_distributed(Network& network, std::size_t dim,
-                                const KMeansParams& params,
-                                const std::vector<std::vector<double>>& leaf_coords) {
-  if (leaf_coords.size() != network.num_backends()) {
-    throw Error("need one coordinate block per back-end");
+void kmeans_backend(BackEnd& backend, const ms::nd::DatasetView& local) {
+  while (const auto packet = backend.recv()) {
+    const std::vector<double>& centroids = (*packet)->get_vf64(0);
+    const PartialSums partial =
+        assign_and_sum(local, centroids, centroids.size() / local.dim());
+    backend.send((*packet)->stream_id(), kFirstAppTag, PartialSums::kFormat,
+                 partial.to_values());
   }
-  // Initialize from the first leaf's data (any deterministic choice works;
-  // both drivers must only agree when comparing — tests use the same data).
-  const ms::nd::DatasetView first_leaf(leaf_coords[0], dim);
+}
+
+KMeansResult kmeans_distributed(Network& network, std::size_t dim,
+                                const KMeansParams& params, std::vector<double> centroids) {
   KMeansResult result;
-  result.centroids = initial_centroids(first_leaf, params);
+  result.centroids = std::move(centroids);
 
   // The per-round reduction is the built-in element-wise sum.
   Stream& stream = network.front_end().open_stream({.up_transform = "sum"});
@@ -136,14 +139,6 @@ KMeansResult kmeans_distributed(Network& network, std::size_t dim,
   for (result.rounds = 1; result.rounds <= params.max_rounds; ++result.rounds) {
     // Multicast the centroids; every back-end answers with its partials.
     stream.send(kFirstAppTag, "vf64", {result.centroids});
-    network.run_backends([&](BackEnd& be) {
-      const auto packet = be.recv_for(std::chrono::seconds(30));
-      if (!packet) return;
-      const ms::nd::DatasetView local(leaf_coords[be.rank()], dim);
-      const PartialSums partial =
-          assign_and_sum(local, (*packet)->get_vf64(0), params.k);
-      be.send(stream.id(), kFirstAppTag, PartialSums::kFormat, partial.to_values());
-    });
     const auto reduced = stream.recv_for(std::chrono::seconds(60));
     if (!reduced) throw Error("k-means round lost its reduction");
     const PartialSums totals = PartialSums::from_values(**reduced);

@@ -27,6 +27,7 @@
 #include "meanshift/nd.hpp"
 
 namespace tbon {
+class BackEnd;
 class Network;
 }
 
@@ -77,11 +78,15 @@ struct KMeansResult {
 KMeansResult kmeans_single_node(const ms::nd::DatasetView& data,
                                 const KMeansParams& params);
 
-/// Distributed driver: runs Lloyd rounds over an instantiated threaded
-/// network.  `leaf_data(rank)` supplies each back-end's flat coordinates;
-/// the reduction stream uses the built-in `sum` filter.
+/// The back-end side, run as NetworkOptions::backend_main in any
+/// instantiation: answer each centroid broadcast (k*dim coordinates) with
+/// `local`'s PartialSums on the broadcast's stream, until shutdown.
+void kmeans_backend(BackEnd& backend, const ms::nd::DatasetView& local);
+
+/// The front-end side: Lloyd rounds from `centroids` (k*dim, e.g. from
+/// initial_centroids) over a network whose back-ends run kmeans_backend.
+/// The reduction stream uses the built-in `sum` filter.
 KMeansResult kmeans_distributed(Network& network, std::size_t dim,
-                                const KMeansParams& params,
-                                const std::vector<std::vector<double>>& leaf_coords);
+                                const KMeansParams& params, std::vector<double> centroids);
 
 }  // namespace tbon::km

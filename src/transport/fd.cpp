@@ -102,13 +102,22 @@ void write_frame_segments(int fd, std::span<const SegmentWriter::Segment> segmen
   std::byte header[4];
   std::memcpy(header, &length, 4);
 
-  std::vector<iovec> iov;
-  iov.reserve(segments.size() + 1);
-  iov.push_back({header, 4});
-  for (const SegmentWriter::Segment& seg : segments) {
-    iov.push_back({const_cast<std::byte*>(seg.data), seg.size});
+  // A frame rarely has many segments: build the iovecs on the stack and use
+  // the heap only past 16.
+  constexpr std::size_t kStackIovecs = 16;
+  iovec stack_iov[kStackIovecs];
+  std::vector<iovec> heap_iov;
+  const std::size_t count = segments.size() + 1;
+  iovec* iov = stack_iov;
+  if (count > kStackIovecs) {
+    heap_iov.resize(count);
+    iov = heap_iov.data();
   }
-  write_all(fd, iov);
+  iov[0] = {header, 4};
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    iov[i + 1] = {const_cast<std::byte*>(segments[i].data), segments[i].size};
+  }
+  write_all(fd, {iov, count});
 }
 
 std::optional<Bytes> read_frame(int fd) {

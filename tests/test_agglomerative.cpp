@@ -91,14 +91,14 @@ TEST(Agglomerate, TreeEquivalentToCentral) {
   const auto central = agglomerate(singletons(all), params);
 
   register_agglomerative_filter();
-  auto net = Network::create({.topology = Topology::balanced(2, 3)});
+  const auto backend_main = [&](BackEnd& be) {
+    const auto local = agglomerate(singletons(per_leaf[be.rank()]), params);
+    be.send(1, kTag, AggloCodec::kFormat, AggloCodec::to_values(local));
+  };
+  auto net = Network::create({.topology = Topology::balanced(2, 3), .backend_main = backend_main});
   Stream& stream = net->front_end().open_stream(
       StreamSpec().up("agglomerative").with_params(
           FilterParams().set("stop_distance", 60)));
-  net->run_backends([&](BackEnd& be) {
-    const auto local = agglomerate(singletons(per_leaf[be.rank()]), params);
-    be.send(stream.id(), kTag, AggloCodec::kFormat, AggloCodec::to_values(local));
-  });
   const auto result = stream.recv_for(30s);
   ASSERT_TRUE(result.has_value());
   const auto distributed = AggloCodec::from_values(**result);
@@ -122,11 +122,7 @@ TEST(Agglomerate, TreeEquivalentToCentral) {
 
 TEST(Agglomerate, FilterCapsForwarding) {
   register_agglomerative_filter();
-  auto net = Network::create({.topology = Topology::flat(4)});
-  Stream& stream = net->front_end().open_stream(
-      StreamSpec().up("agglomerative").with_params(
-          FilterParams().set("stop_distance", 1).set("max_clusters", 3)));
-  net->run_backends([&](BackEnd& be) {
+  const auto backend_main = [&](BackEnd& be) {
     // Four distant singletons per back-end: nothing merges, the cap bites.
     std::vector<Cluster> clusters;
     for (int i = 0; i < 4; ++i) {
@@ -134,8 +130,12 @@ TEST(Agglomerate, FilterCapsForwarding) {
                                   static_cast<double>(i) * 300},
                                  static_cast<std::uint64_t>(i + 1)});
     }
-    be.send(stream.id(), kTag, AggloCodec::kFormat, AggloCodec::to_values(clusters));
-  });
+    be.send(1, kTag, AggloCodec::kFormat, AggloCodec::to_values(clusters));
+  };
+  auto net = Network::create({.topology = Topology::flat(4), .backend_main = backend_main});
+  Stream& stream = net->front_end().open_stream(
+      StreamSpec().up("agglomerative").with_params(
+          FilterParams().set("stop_distance", 1).set("max_clusters", 3)));
   const auto result = stream.recv_for(10s);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(AggloCodec::from_values(**result).size(), 3u);

@@ -12,6 +12,8 @@
 // encoding one is the frame's single allocation, and decoding one costs a
 // packet object per entry plus the shared frame and the packet list.  Every
 // packet carries a DataFormat, which must allocate nothing to build or copy.
+// A lone packet written to a socket costs at most three allocations, two
+// when it is relayed verbatim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,8 +27,11 @@
 #include <vector>
 
 #include "core/coalesce.hpp"
+#include "core/fd_link.hpp"
 #include "core/protocol.hpp"
 #include "core/registry.hpp"
+#include "core/runtime.hpp"
+#include "transport/fd.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -142,6 +147,49 @@ TEST(AllocationBudget, DecodingABatchFrameOfThirtyTwoReports) {
   EXPECT_LE(count, 35u);
   ASSERT_EQ(decoded.size(), 32u);
   EXPECT_EQ(decoded.back()->get_vf64(0).front(), 31.0);
+}
+
+// ---- single-packet socket frames --------------------------------------------
+//
+// A process-mode channel writes a lone packet (every credit grant, every
+// 64 KiB relay payload) as one frame: the writer's scratch block and piece
+// list, the resolved segment list, and no heap iovec array.
+
+/// Fewest allocations over a few sends of `packet` through a reader-thread
+/// pump's raw link.  The pump's reader thread shares the counter, so the
+/// least of several identical sends is the send's own cost.
+std::uint64_t single_frame_allocations(const PacketPtr& packet) {
+  auto [mine, theirs] = make_socketpair();
+  ReaderPump pump;
+  std::shared_ptr<Link> link;
+  pump.open(std::move(mine), {.inbox = std::make_shared<Inbox>(16)},
+            [&link](std::shared_ptr<Link> raw) { link = std::move(raw); });
+  std::uint64_t fewest = ~std::uint64_t{0};
+  bool sent = true;
+  for (int i = 0; i < 8; ++i) {
+    fewest = std::min(fewest, allocations_of([&] { sent = link->send(packet) && sent; }));
+  }
+  EXPECT_TRUE(sent);
+  theirs.reset();  // the reader stops at EOF
+  pump.stop();
+  std::printf("allocations: one single-packet frame %llu\n",
+              static_cast<unsigned long long>(fewest));
+  return fewest;
+}
+
+TEST(AllocationBudget, SingleFrameCreditGrantIsAtMostThreeAllocations) {
+  EXPECT_LE(single_frame_allocations(make_credit_packet(32)), 3u);
+}
+
+TEST(AllocationBudget, SingleFrameOwnedReportIsAtMostThreeAllocations) {
+  EXPECT_LE(single_frame_allocations(report(0)), 3u);
+}
+
+TEST(AllocationBudget, SingleFrameRelayedReportIsAtMostTwoAllocations) {
+  // A relay hop writes a wire-backed packet verbatim: no scratch block.
+  const PacketPtr owned = report(0);
+  const std::vector<PacketPtr> relayed = decode_batch_frame(encode_batch_frame({&owned, 1}));
+  EXPECT_LE(single_frame_allocations(relayed.front()), 2u);
 }
 
 TEST(ConcurrentValues, FirstReadFromEightThreadsSeesOneVector) {

@@ -1,9 +1,9 @@
 // Adaptive small-packet batching: BatchingOptions builder semantics, every
 // CoalescingLink flush trigger (size, deadline, credit pressure, eager
 // bypass), the default filter_batch, byte-identity between batched and
-// unbatched runs in threaded and process modes, interior frame size under a
-// credit-bound flood, the batch send API, frames split or run together on
-// both socket pumps, and the TCP_NODELAY pin.
+// unbatched runs and interior frame size under a credit-bound flood in every
+// instantiation, the batch send API, frames split or run together on both
+// socket pumps, and the TCP_NODELAY pin.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "core/network.hpp"
 #include "filters/register.hpp"
 #include "interior_flood.hpp"
+#include "modes.hpp"
 #include "socket_pumps.hpp"
 #include "transport/tcp.hpp"
 
@@ -337,30 +337,33 @@ TEST(FilterBatch, DefaultRunsEachPacketAsItsOwnWaveInOrder) {
 
 // ---- end-to-end: batched output is byte-identical to unbatched --------------
 
-/// Run `waves` reduction waves through a 2x2 threaded tree and return every
+/// Run `waves` reduction waves through a 2x2 tree in `mode` and return every
 /// result packet, serialized.
-std::vector<Bytes> threaded_run(const BatchingOptions& batching,
-                                const std::string& transform, int waves,
-                                const FlowControlOptions& fc = {}) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2),
-                              .flow_control = fc,
-                              .batching = batching});
+std::vector<Bytes> reduction_run(NetworkMode mode, const BatchingOptions& batching,
+                                 const std::string& transform, int waves,
+                                 const FlowControlOptions& fc = {}) {
+  auto net = Network::create(
+      {.mode = mode,
+       .topology = Topology::balanced(2, 2),
+       .flow_control = fc,
+       .batching = batching,
+       .backend_main = [waves, transform](BackEnd& be) {
+         for (int wave = 0; wave < waves; ++wave) {
+           const std::int64_t value = (be.rank() + 1) * (wave + 1);
+           // concat rejects scalar fields by design; give it one-element
+           // vectors.
+           if (transform == "concat") {
+             be.send(1, kTag, "vi64", {std::vector<std::int64_t>{value}});
+           } else {
+             be.send(1, kTag, "i64", {value});
+           }
+         }
+       }});
   Stream& stream = net->front_end().open_stream({.up_transform = transform});
-  // concat rejects scalar fields by design; give it one-element vectors.
-  const bool vectors = transform == "concat";
-  net->run_backends([&](BackEnd& be) {
-    for (int wave = 0; wave < waves; ++wave) {
-      const std::int64_t value = (be.rank() + 1) * (wave + 1);
-      if (vectors) {
-        be.send(stream.id(), kTag, "vi64", {std::vector<std::int64_t>{value}});
-      } else {
-        be.send(stream.id(), kTag, "i64", {value});
-      }
-    }
-  });
+  EXPECT_EQ(stream.id(), 1u);
   std::vector<Bytes> out;
   for (int wave = 0; wave < waves; ++wave) {
-    const auto result = stream.recv_for(10s);
+    const auto result = stream.recv_for(20s);
     EXPECT_TRUE(result.has_value()) << transform << " wave " << wave;
     if (!result) break;
     BinaryWriter writer;
@@ -371,33 +374,52 @@ std::vector<Bytes> threaded_run(const BatchingOptions& batching,
   return out;
 }
 
-TEST(BatchingIdentity, ThreadedReductionsMatchUnbatched) {
-  // The time-aligned (wait_for_all) sum/min/concat pipelines must produce
-  // byte-identical result packets whether or not the wire batches.
-  for (const std::string transform : {"sum", "min", "concat"}) {
-    const auto plain = threaded_run(BatchingOptions::off(), transform, 12);
-    const auto batched = threaded_run(
-        BatchingOptions::on().max_packets(8).max_delay(1ms), transform, 12);
-    ASSERT_EQ(plain.size(), batched.size()) << transform;
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(plain[i], batched[i]) << transform << " wave " << i;
+class BatchedReductions : public modes::Test {
+ protected:
+  /// The time-aligned (wait_for_all) `transform` pipeline must produce
+  /// byte-identical result packets whether or not the wire batches, under
+  /// small packet caps and under the default one.
+  void expect_matches_unbatched(const std::string& transform) const {
+    constexpr int kWaves = 12;
+    const auto plain = reduction_run(mode(), BatchingOptions::off(), transform, kWaves);
+    ASSERT_EQ(plain.size(), std::size_t{kWaves}) << transform;
+    for (const BatchingOptions& batching :
+         {BatchingOptions::on().max_packets(4).max_delay(1ms),
+          BatchingOptions::on().max_packets(8).max_delay(1ms),
+          BatchingOptions::on().max_delay(1ms)}) {
+      const auto batched = reduction_run(mode(), batching, transform, kWaves);
+      ASSERT_EQ(batched.size(), plain.size()) << transform;
+      for (std::size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(plain[i], batched[i])
+            << transform << " max_packets " << batching.max_packets() << " wave " << i;
+      }
     }
   }
+};
+
+TEST_P(BatchedReductions, SumAndMinMatchUnbatched) {
+  expect_matches_unbatched("sum");
+  expect_matches_unbatched("min");
 }
+
+TEST_P(BatchedReductions, ConcatMatchesUnbatched) { expect_matches_unbatched("concat"); }
+
+TBON_INSTANTIATE_MODES(BatchedReductions);
 
 TEST(BatchingIdentity, ThreadedEquivalenceMatchesUnbatched) {
   filters::register_all(FilterRegistry::instance());
   auto run = [](const BatchingOptions& batching) {
     auto net = Network::create({.topology = Topology::balanced(2, 2),
-                                .batching = batching});
+                                .batching = batching,
+                                .backend_main = [](BackEnd& be) {
+                                  be.send(1, kTag, "vstr vi64 vi64",
+                                          {std::vector<std::string>{be.rank() % 2 ? "odd" : "even"},
+                                           std::vector<std::int64_t>{1},
+                                           std::vector<std::int64_t>{
+                                               static_cast<std::int64_t>(be.rank())}});
+                                }});
     Stream& stream =
         net->front_end().open_stream({.up_transform = "equivalence_class"});
-    net->run_backends([&](BackEnd& be) {
-      be.send(stream.id(), kTag, "vstr vi64 vi64",
-              {std::vector<std::string>{be.rank() % 2 ? "odd" : "even"},
-               std::vector<std::int64_t>{1},
-               std::vector<std::int64_t>{static_cast<std::int64_t>(be.rank())}});
-    });
     const auto result = stream.recv_for(10s);
     EXPECT_TRUE(result.has_value());
     Bytes bytes;
@@ -420,65 +442,9 @@ TEST(BatchingIdentity, BatchingPlusFlowControlDoesNotDeadlock) {
   // deadline) + a 4-credit window: only the credit-pressure flush can move
   // data, and it must keep the pipeline live to the last wave.
   const FlowControlOptions fc{.enabled = true, .capacity = 4};
-  const auto plain = threaded_run(BatchingOptions::off(), "sum", 24, fc);
-  const auto batched = threaded_run(idle_options(), "sum", 24, fc);
-  ASSERT_EQ(plain.size(), batched.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i], batched[i]) << "wave " << i;
-  }
-}
-
-// ---- process mode -----------------------------------------------------------
-//
-// NOTE: fork-based tests must not create threads before the network, so
-// every test builds its network first thing.
-
-std::vector<Bytes> process_run(const BatchingOptions& batching,
-                               const std::string& transform, int waves) {
-  auto net = Network::create(
-      {.mode = NetworkMode::kProcess,
-       .topology = Topology::balanced(2, 2),
-       .batching = batching,
-       .backend_main = [waves, transform](BackEnd& be) {
-         for (int wave = 0; wave < waves; ++wave) {
-           const std::int64_t value = (be.rank() + 1) * (wave + 1);
-           if (transform == "concat") {
-             be.send(1, kTag, "vi64", {std::vector<std::int64_t>{value}});
-           } else {
-             be.send(1, kTag, "i64", {value});
-           }
-         }
-       }});
-  Stream& stream = net->front_end().open_stream({.up_transform = transform});
-  EXPECT_EQ(stream.id(), 1u);
-  std::vector<Bytes> out;
-  for (int wave = 0; wave < waves; ++wave) {
-    const auto result = stream.recv_for(10s);
-    EXPECT_TRUE(result.has_value()) << transform << " wave " << wave;
-    if (!result) break;
-    BinaryWriter writer;
-    (*result)->serialize(writer);
-    out.push_back(writer.take());
-  }
-  net->shutdown();
-  return out;
-}
-
-TEST(BatchingIdentity, ProcessModeSumMatchesUnbatched) {
-  const auto plain = process_run(BatchingOptions::off(), "sum", 10);
-  const auto batched = process_run(
-      BatchingOptions::on().max_packets(4).max_delay(1ms), "sum", 10);
-  ASSERT_EQ(plain.size(), 10u);
-  ASSERT_EQ(batched.size(), 10u);
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i], batched[i]) << "wave " << i;
-  }
-}
-
-TEST(BatchingIdentity, ProcessModeConcatMatchesUnbatched) {
-  const auto plain = process_run(BatchingOptions::off(), "concat", 6);
-  const auto batched = process_run(BatchingOptions::on().max_delay(1ms),
-                                   "concat", 6);
+  const auto plain =
+      reduction_run(NetworkMode::kThreaded, BatchingOptions::off(), "sum", 24, fc);
+  const auto batched = reduction_run(NetworkMode::kThreaded, idle_options(), "sum", 24, fc);
   ASSERT_EQ(plain.size(), batched.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i], batched[i]) << "wave " << i;
@@ -487,22 +453,20 @@ TEST(BatchingIdentity, ProcessModeConcatMatchesUnbatched) {
 
 // ---- interior frame size under credit pressure ------------------------------
 
-TEST(InteriorFrames, ThreadedFloodCarriesManyPacketsPerFrame) {
-  auto net = Network::create(flood::options(NetworkMode::kThreaded));
+class FloodedInteriors : public modes::Test {};
+
+TEST_P(FloodedInteriors, SendMultiPacketFrames) {
+  // In a forked mode one multi-packet frame is one enqueue, one write and
+  // one read for the whole run.
+  NetworkOptions options = flood::options(mode());
+  options.backend_main = flood::send_waves;
+  auto net = create(std::move(options));
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
   ASSERT_EQ(stream.id(), 1u);
-  net->run_backends(flood::send_waves);
   flood::expect_exact_sums_and_full_interior_frames(*net, stream);
 }
 
-TEST(InteriorFrames, ProcessFloodCarriesManyPacketsPerFrame) {
-  NetworkOptions options = flood::options(NetworkMode::kProcess);
-  options.backend_main = flood::send_waves;
-  auto net = Network::create(std::move(options));
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  ASSERT_EQ(stream.id(), 1u);
-  flood::expect_exact_sums_and_full_interior_frames(*net, stream);
-}
+TBON_INSTANTIATE_MODES(FloodedInteriors);
 
 TEST(InteriorFrames, FlowControlledFramesHoldAtMostOneGrantQuantum) {
   // 64 credits, granted back 32 at a time, and a 64-packet batch cap: a
@@ -510,12 +474,12 @@ TEST(InteriorFrames, FlowControlledFramesHoldAtMostOneGrantQuantum) {
   // the receiver had consumed all of it.  Each flow-controlled stack caps
   // its batches at the grant quantum instead, so no frame carries 33-64
   // packets, yet the flood still fills frames to the quantum.
-  const NetworkOptions options = flood::options(NetworkMode::kThreaded);
+  NetworkOptions options = flood::options(NetworkMode::kThreaded);
   ASSERT_EQ(options.batching.max_packets(), 64u);
   ASSERT_EQ(options.flow_control.grant_quantum(), 32u);
-  auto net = Network::create(options);
+  options.backend_main = flood::send_waves;
+  auto net = Network::create(std::move(options));
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends(flood::send_waves);
   flood::expect_exact_sums_and_full_interior_frames(*net, stream);
 
   const TreeMetricsSnapshot snap = net->front_end().metrics();
@@ -533,19 +497,26 @@ TEST(InteriorFrames, FlowControlledFramesHoldAtMostOneGrantQuantum) {
 // Edges made after start-up — re-adoption after a failure, a planned
 // re-home — must get the same channel stack as the start-up ones.  Under the
 // benchmark's load every packet a back-end sends passes its upstream
-// coalescer, so its batch_packets_out grows with every wave it sends, before
-// and after its edge is rebuilt.
+// coalescer, so its batch_packets_out counts every wave it sends, before and
+// after its edge is rebuilt.
 
 constexpr int kRebuiltWaves = 256;
 
-/// Every threaded back-end sends waves [first, first + kRebuiltWaves) on
-/// its own thread; the front-end must then receive each one's exact sum.
-void send_exact_waves(Network& net, Stream& stream, int first) {
-  net.run_backends([first](BackEnd& be) {
-    for (int wave = first; wave < first + kRebuiltWaves; ++wave) {
-      be.send(1, kTag, "vf64", {flood::report(be.rank(), wave)});
-    }
-  });
+/// Back-end body: waves [0, kRebuiltWaves), then, once the front-end's go
+/// packet arrives (after the edges are rebuilt), the next kRebuiltWaves.
+void waves_around_a_rebuild(BackEnd& be) {
+  for (int wave = 0; wave < kRebuiltWaves; ++wave) {
+    be.send(1, kTag, "vf64", {flood::report(be.rank(), wave)});
+  }
+  if (!be.recv().ok()) return;
+  for (int wave = kRebuiltWaves; wave < 2 * kRebuiltWaves; ++wave) {
+    be.send(1, kTag, "vf64", {flood::report(be.rank(), wave)});
+  }
+}
+
+/// The front-end must receive each of waves [first, first + kRebuiltWaves)
+/// as its exact sum.
+void expect_exact_waves(Stream& stream, int first) {
   for (int wave = first; wave < first + kRebuiltWaves; ++wave) {
     const auto result = stream.recv_for(30s);
     ASSERT_TRUE(result.has_value()) << "wave " << wave;
@@ -558,79 +529,43 @@ void send_exact_waves(Network& net, Stream& stream, int first) {
   }
 }
 
-/// Packets each threaded leaf has pushed through its upstream coalescer.
-std::map<NodeId, std::uint64_t> leaf_batch_packets(Network& net) {
-  std::map<NodeId, std::uint64_t> packets;
-  for (const NodeId leaf : net.topology().leaves()) {
-    packets[leaf] = net.node_metrics(leaf).batch_packets_out;
-  }
-  return packets;
-}
+/// Rebuild some edges with `rebuild`, then check that both phases' waves
+/// arrive exact and that every leaf's coalescer carried all of them.
+void expect_rebuilt_edges_keep_coalescing(Network& net,
+                                          const std::function<void()>& rebuild) {
+  Stream& stream = net.front_end().open_stream({.up_transform = "sum"});
+  ASSERT_EQ(stream.id(), 1u);
+  expect_exact_waves(stream, 0);
+  rebuild();
+  stream.send(kTag, "i64", {std::int64_t{0}});  // go
+  expect_exact_waves(stream, kRebuiltWaves);
+  net.shutdown();
 
-/// Every leaf's coalescer carried all of the last kRebuiltWaves waves.
-void expect_every_leaf_coalesced(Network& net,
-                                 const std::map<NodeId, std::uint64_t>& before) {
-  for (const auto& [leaf, packets] : leaf_batch_packets(net)) {
-    EXPECT_GE(packets - before.at(leaf), std::uint64_t{kRebuiltWaves})
+  const TreeMetricsSnapshot snap = net.front_end().metrics();
+  for (const NodeId leaf : net.topology().leaves()) {
+    const NodeTelemetry* record = snap.find(leaf);
+    ASSERT_NE(record, nullptr) << "leaf " << leaf;
+    EXPECT_GE(record->batch_packets_out, std::uint64_t{2 * kRebuiltWaves})
         << "leaf " << leaf << " sent part of its waves around its coalescer";
   }
 }
 
-TEST(RebuiltEdges, ThreadedReadoptedLeavesKeepCoalescing) {
-  NetworkOptions options = flood::options(NetworkMode::kThreaded);
+class ReadoptedLeaves : public modes::Test {};
+
+TEST_P(ReadoptedLeaves, KeepCoalescing) {
+  NetworkOptions options = flood::options(mode());
   options.recovery.auto_readopt = true;
-  auto net = Network::create(std::move(options));
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  ASSERT_EQ(stream.id(), 1u);
-  send_exact_waves(*net, stream, 0);
-  const auto before = leaf_batch_packets(*net);
+  options.backend_main = waves_around_a_rebuild;
+  auto net = create(std::move(options));
+  expect_rebuilt_edges_keep_coalescing(*net, [&] {
+    net->kill_node(1);  // orphans leaves 3 and 4
+    ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
+  });
 
-  net->kill_node(1);  // orphans leaves 3 and 4
-  ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
-  send_exact_waves(*net, stream, kRebuiltWaves);
-  expect_every_leaf_coalesced(*net, before);
-  net->shutdown();
-}
-
-TEST(RebuiltEdges, ThreadedMovedLeafKeepsCoalescing) {
-  auto net = Network::create(flood::options(NetworkMode::kThreaded));
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  ASSERT_EQ(stream.id(), 1u);
-  send_exact_waves(*net, stream, 0);
-  const auto before = leaf_batch_packets(*net);
-
-  const NodeId mover = net->topology().node(1).children[0];
-  ASSERT_TRUE(net->front_end().reconfigure(TopologyDelta().move_subtree(mover, 2)).ok());
-  send_exact_waves(*net, stream, kRebuiltWaves);
-  expect_every_leaf_coalesced(*net, before);
-  net->shutdown();
-}
-
-/// Process/remote back-end body: one wave per millisecond for 3 s after the
-/// stream is known, then return.
-void paced_waves(BackEnd& be) {
-  try {
-    be.send(1, kTag, "vf64", {flood::report(be.rank(), 0)});
-    const auto until = std::chrono::steady_clock::now() + 3s;
-    for (int wave = 1; std::chrono::steady_clock::now() < until; ++wave) {
-      be.send(1, kTag, "vf64", {flood::report(be.rank(), wave)});
-      std::this_thread::sleep_for(1ms);
-    }
-  } catch (const std::exception&) {
-    // A send racing the recovery window or shutdown: just stop.
-  }
-}
-
-/// Drain results until the back-ends go quiet, shut down, and compare the
-/// packets each orphan (the leaves under node 1) pushed through its
-/// coalescer with each survivor's: re-adopted edges must keep coalescing.
-void expect_orphans_coalesce_like_survivors(Network& net, Stream& stream) {
-  while (stream.recv_for(1s).has_value()) {
-  }
-  net.shutdown();
-  const TreeMetricsSnapshot snap = net.front_end().metrics();
-  for (const NodeId orphan : net.topology().node(1).children) {
-    for (const NodeId survivor : net.topology().node(2).children) {
+  // Each orphan coalesced at least half as much as each survivor.
+  const TreeMetricsSnapshot snap = net->front_end().metrics();
+  for (const NodeId orphan : net->topology().node(1).children) {
+    for (const NodeId survivor : net->topology().node(2).children) {
       const NodeTelemetry* o = snap.find(orphan);
       const NodeTelemetry* s = snap.find(survivor);
       ASSERT_NE(o, nullptr) << "orphan " << orphan;
@@ -642,67 +577,54 @@ void expect_orphans_coalesce_like_survivors(Network& net, Stream& stream) {
   }
 }
 
-TEST(RebuiltEdges, ProcessReadoptedOrphansKeepCoalescing) {
-  NetworkOptions options = flood::options(NetworkMode::kProcess);
-  options.recovery.auto_readopt = true;
-  options.recovery.fault_plan.kill(1, 5);  // dies in the first few waves
-  options.backend_main = paced_waves;
-  auto net = Network::create(std::move(options));
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  ASSERT_EQ(stream.id(), 1u);
-  ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
-  expect_orphans_coalesce_like_survivors(*net, stream);
-}
+TBON_INSTANTIATE_MODES(ReadoptedLeaves);
 
-TEST(RebuiltEdges, RemoteReadoptedOrphansKeepCoalescing) {
-  NetworkOptions options = flood::options(NetworkMode::kRemote);
-  options.recovery.auto_readopt = true;
-  options.backend_main = paced_waves;
+TEST(RebuiltEdges, ThreadedMovedLeafKeepsCoalescing) {
+  // Threaded: moving a static leaf is a threaded-only reconfiguration.
+  NetworkOptions options = flood::options(NetworkMode::kThreaded);
+  options.backend_main = waves_around_a_rebuild;
   auto net = Network::create(std::move(options));
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  ASSERT_EQ(stream.id(), 1u);
-  ASSERT_TRUE(stream.recv_for(20s).has_value());
-  net->kill_node(1);
-  ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
-  expect_orphans_coalesce_like_survivors(*net, stream);
+  expect_rebuilt_edges_keep_coalescing(*net, [&] {
+    const NodeId mover = net->topology().node(1).children[0];
+    ASSERT_TRUE(net->front_end().reconfigure(TopologyDelta().move_subtree(mover, 2)).ok());
+  });
 }
 
 // ---- batch send API ---------------------------------------------------------
 
 TEST(BatchSendApi, StreamSendBatchBroadcasts) {
+  std::atomic<int> happy{0};
   auto net = Network::create({.topology = Topology::balanced(2, 2),
-                              .batching = BatchingOptions::on().max_delay(1ms)});
+                              .batching = BatchingOptions::on().max_delay(1ms),
+                              .backend_main = [&](BackEnd& be) {
+                                for (std::int64_t i = 0; i < 3; ++i) {
+                                  const auto packet = be.recv_for(10s);
+                                  ASSERT_TRUE(packet.has_value());
+                                  EXPECT_EQ((*packet)->get_i64(0), i * 100);  // order preserved
+                                }
+                                happy.fetch_add(1);
+                              }});
   Stream& stream = net->front_end().open_stream({.up_sync = "null"});
   std::vector<PacketPtr> batch;
   for (std::int64_t i = 0; i < 3; ++i) {
     batch.push_back(stream.make_packet(kTag, "i64", {i * 100}));
   }
   stream.send_batch(batch);
-
-  std::atomic<int> happy{0};
-  net->run_backends([&](BackEnd& be) {
-    for (std::int64_t i = 0; i < 3; ++i) {
-      const auto packet = be.recv_for(10s);
-      ASSERT_TRUE(packet.has_value());
-      EXPECT_EQ((*packet)->get_i64(0), i * 100);  // order preserved
-    }
-    happy.fetch_add(1);
-  });
+  net->shutdown();  // the batch precedes the shutdown; joins the bodies
   EXPECT_EQ(happy.load(), 4);
-  net->shutdown();
 }
 
 TEST(BatchSendApi, BackEndSendBatchGathers) {
   auto net = Network::create({.topology = Topology::balanced(2, 2),
-                              .batching = BatchingOptions::on().max_delay(1ms)});
+                              .batching = BatchingOptions::on().max_delay(1ms),
+                              .backend_main = [](BackEnd& be) {
+                                std::vector<PacketPtr> batch;
+                                for (std::int64_t wave = 0; wave < 5; ++wave) {
+                                  batch.push_back(be.make_packet(1, kTag, "i64", {wave + 1}));
+                                }
+                                be.send_batch(1, batch);
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    std::vector<PacketPtr> batch;
-    for (std::int64_t wave = 0; wave < 5; ++wave) {
-      batch.push_back(be.make_packet(stream.id(), kTag, "i64", {wave + 1}));
-    }
-    be.send_batch(stream.id(), batch);
-  });
   for (std::int64_t wave = 0; wave < 5; ++wave) {
     const auto result = stream.recv_for(10s);
     ASSERT_TRUE(result.has_value()) << "wave " << wave;
@@ -725,8 +647,6 @@ TEST(BatchSendApi, ValidatesBeforeAnySideEffect) {
   const std::vector<PacketPtr> wrong_stream = {
       other.make_packet(kTag, "i64", {std::int64_t{1}})};
   EXPECT_THROW(stream.send_batch(wrong_stream), ProtocolError);
-
-  net->run_backends([&](BackEnd&) {});
   net->shutdown();
 }
 

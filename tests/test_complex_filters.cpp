@@ -55,13 +55,13 @@ TEST_F(ComplexFilters, EquivalenceClassesCodecRoundTrip) {
 TEST_F(ComplexFilters, EquivalenceClassEndToEnd) {
   // 16 back-ends, 3 distinct report classes by rank % 3: the front-end must
   // see exactly 3 classes with full membership.
-  auto net = Network::create({.topology = Topology::balanced(4, 2)});
-  Stream& stream = net->front_end().open_stream({.up_transform = "equivalence_class"});
-  net->run_backends([&](BackEnd& be) {
+  const auto backend_main = [&](BackEnd& be) {
     EquivalenceClasses mine;
     mine.add("class-" + std::to_string(be.rank() % 3), be.rank());
-    be.send(stream.id(), kTag, EquivalenceClasses::kFormat, mine.to_values());
-  });
+    be.send(1, kTag, EquivalenceClasses::kFormat, mine.to_values());
+  };
+  auto net = Network::create({.topology = Topology::balanced(4, 2), .backend_main = backend_main});
+  Stream& stream = net->front_end().open_stream({.up_transform = "equivalence_class"});
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   const auto classes = EquivalenceClasses::from_values(**result);
@@ -110,12 +110,12 @@ TEST_F(ComplexFilters, HistogramEndToEndEqualsGlobal) {
     global.add(v);
   }
 
-  auto net = Network::create({.topology = Topology::balanced(2, 3)});
-  Stream& stream = net->front_end().open_stream({.up_transform = "histogram_merge"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, HistogramCodec::kFormat,
+  const auto backend_main = [&](BackEnd& be) {
+    be.send(1, kTag, HistogramCodec::kFormat,
             HistogramCodec::to_values(locals[be.rank()]));
-  });
+  };
+  auto net = Network::create({.topology = Topology::balanced(2, 3), .backend_main = backend_main});
+  Stream& stream = net->front_end().open_stream({.up_transform = "histogram_merge"});
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(HistogramCodec::from_values(**result), global);
@@ -162,15 +162,15 @@ TEST_F(ComplexFilters, TimeAlignedEmitsCompleteBucketsOnly) {
 TEST_F(ComplexFilters, TimeAlignedEndToEnd) {
   // 4 leaves each send buckets 0..2 interleaved; front-end must see exactly
   // 3 aligned buckets, each summing all four children.
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});
-  Stream& stream = net->front_end().open_stream(
-      {.up_transform = "time_aligned", .up_sync = "null"});
-  net->run_backends([&](BackEnd& be) {
+  const auto backend_main = [&](BackEnd& be) {
     for (std::uint64_t bucket = 0; bucket < 3; ++bucket) {
-      be.send(stream.id(), kTag, TimeAlignedFilter::kFormat,
+      be.send(1, kTag, TimeAlignedFilter::kFormat,
               {bucket, std::vector<double>{static_cast<double>(bucket + 1)}});
     }
-  });
+  };
+  auto net = Network::create({.topology = Topology::balanced(2, 2), .backend_main = backend_main});
+  Stream& stream = net->front_end().open_stream(
+      {.up_transform = "time_aligned", .up_sync = "null"});
   std::map<std::uint64_t, double> seen;
   for (int i = 0; i < 3; ++i) {
     const auto result = stream.recv_for(5s);
@@ -251,9 +251,7 @@ TEST_F(ComplexFilters, SgfaEndToEnd) {
   // rank-specific path; the composite must fold the shared structure and
   // attribute hosts correctly (paper §2.2's SGFA behaviour).
   constexpr std::size_t kLeaves = 9;
-  auto net = Network::create({.topology = Topology::balanced(3, 2)});
-  Stream& stream = net->front_end().open_stream({.up_transform = "sgfa"});
-  net->run_backends([&](BackEnd& be) {
+  const auto backend_main = [&](BackEnd& be) {
     CallTree tree;
     const std::string shared[] = {"main", "solve", "mpi_wait"};
     tree.add_path(shared, be.rank());
@@ -261,8 +259,10 @@ TEST_F(ComplexFilters, SgfaEndToEnd) {
       const std::string outlier[] = {"main", "checkpoint"};
       tree.add_path(outlier, be.rank());
     }
-    be.send(stream.id(), kTag, CallTree::kFormat, tree.to_values());
-  });
+    be.send(1, kTag, CallTree::kFormat, tree.to_values());
+  };
+  auto net = Network::create({.topology = Topology::balanced(3, 2), .backend_main = backend_main});
+  Stream& stream = net->front_end().open_stream({.up_transform = "sgfa"});
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   const CallTree composite = CallTree::from_values(**result);
@@ -302,10 +302,7 @@ TEST_F(ComplexFilters, TopKKeepsLargest) {
 }
 
 TEST_F(ComplexFilters, TopKEndToEndMatchesGlobalSort) {
-  auto net = Network::create({.topology = Topology::balanced(4, 2)});  // 16 leaves
-  Stream& stream = net->front_end().open_stream(
-      StreamSpec().up("topk").with_params(FilterParams().set("k", 5)));
-  net->run_backends([&](BackEnd& be) {
+  const auto backend_main = [&](BackEnd& be) {
     // score(rank, i) = rank * 10 + i for i in 0..9; global top-5 = 159..155.
     std::vector<double> scores;
     std::vector<std::string> labels;
@@ -313,8 +310,12 @@ TEST_F(ComplexFilters, TopKEndToEndMatchesGlobalSort) {
       scores.push_back(static_cast<double>(be.rank()) * 10 + i);
       labels.push_back(std::to_string(be.rank()) + ":" + std::to_string(i));
     }
-    be.send(stream.id(), kTag, TopKFilter::kFormat, {scores, labels});
-  });
+    be.send(1, kTag, TopKFilter::kFormat, {scores, labels});
+  };
+  auto net = Network::create({.topology = Topology::balanced(4, 2),  // 16 leaves
+                              .backend_main = backend_main});
+  Stream& stream = net->front_end().open_stream(
+      StreamSpec().up("topk").with_params(FilterParams().set("k", 5)));
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   const auto& scores = (*result)->get_vf64(0);
@@ -340,7 +341,16 @@ TEST_F(ComplexFilters, ClockSkewEndToEnd) {
   // Full protocol over a 2-deep tree with injected virtual skews: recovered
   // offsets must match the injected values within the path-latency bound.
   constexpr std::uint64_t kSeed = 42;
-  auto net = Network::create({.topology = Topology::balanced(3, 2)});
+  const auto backend_main = [&](BackEnd& be) {
+    const auto probe = be.recv_for(5s);
+    ASSERT_TRUE(probe.has_value());
+    // Probe must have been stamped by the internal path (root + 1 internal).
+    EXPECT_GE((*probe)->get_vf64(0).size(), 3u);
+    be.send(1, kTag, "vi64 vf64",
+            {make_clock_reply(**probe, be.rank(), kSeed)->get_vi64(0),
+             make_clock_reply(**probe, be.rank(), kSeed)->get_vf64(1)});
+  };
+  auto net = Network::create({.topology = Topology::balanced(3, 2), .backend_main = backend_main});
   Stream& stream = net->front_end().open_stream(
       StreamSpec().up("clock_skew").down("clock_probe").with_params(
           FilterParams().set("skew_seed", 42)));
@@ -349,16 +359,6 @@ TEST_F(ComplexFilters, ClockSkewEndToEnd) {
   stream.send(kTag, "vf64",
               {std::vector<double>{virtual_now_seconds(0 + 1'000'000u, 0)}});
   // Use an unskewed FE stamp so expected offset == virtual_skew(be-key).
-
-  net->run_backends([&](BackEnd& be) {
-    const auto probe = be.recv_for(5s);
-    ASSERT_TRUE(probe.has_value());
-    // Probe must have been stamped by the internal path (root + 1 internal).
-    EXPECT_GE((*probe)->get_vf64(0).size(), 3u);
-    be.send(stream.id(), kTag, "vi64 vf64",
-            {make_clock_reply(**probe, be.rank(), kSeed)->get_vi64(0),
-             make_clock_reply(**probe, be.rank(), kSeed)->get_vf64(1)});
-  });
 
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
@@ -377,18 +377,18 @@ TEST_F(ComplexFilters, ClockSkewEndToEnd) {
 // ---- super filter ------------------------------------------------------------------
 
 TEST_F(ComplexFilters, SuperFilterChains) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  const auto backend_main = [&](BackEnd& be) {
+    be.send(1, kTag, TopKFilter::kFormat,
+            {std::vector<double>{static_cast<double>(be.rank()),
+                                 static_cast<double>(be.rank()) + 100.0},
+             std::vector<std::string>{"lo", "hi"}});
+  };
+  auto net = Network::create({.topology = Topology::balanced(2, 2), .backend_main = backend_main});
   // Chain: topk(k=2) then passthrough — chaining is observable because the
   // result is the top-2 at every level.
   Stream& stream = net->front_end().open_stream(
       StreamSpec().up("super").with_params(
           FilterParams().set("chain", "topk,passthrough").set("k", 2)));
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, TopKFilter::kFormat,
-            {std::vector<double>{static_cast<double>(be.rank()),
-                                 static_cast<double>(be.rank()) + 100.0},
-             std::vector<std::string>{"lo", "hi"}});
-  });
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   const auto& scores = (*result)->get_vf64(0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -150,35 +151,51 @@ TEST(MergeCompute, TraceRecordsWhenEnabled) {
 }
 
 // The headline correctness property: the distributed TBON computation finds
-// the same peaks as the single-node baseline, across tree shapes.
-class DistributedEquivalence : public ::testing::TestWithParam<const char*> {
+// the same peaks as the single-node baseline, across tree shapes in the
+// threaded instantiation and on one small shape in each forked one, where
+// large serialized payloads (point sets) cross real kernel channels.
+struct EquivalenceCase {
+  NetworkMode mode;
+  const char* shape;
+};
+
+/// Names a case by its shape, and a forked one by its mode as well.
+void PrintTo(const EquivalenceCase& param, std::ostream* os) {
+  *os << '"' << param.shape << '"';
+  if (param.mode == NetworkMode::kProcess) *os << "/process";
+  if (param.mode == NetworkMode::kRemote) *os << "/remote";
+}
+
+class DistributedEquivalence : public ::testing::TestWithParam<EquivalenceCase> {
  protected:
+  // Before the network, so forked nodes inherit it.
   static void SetUpTestSuite() { register_mean_shift_filter(); }
 };
 
 TEST_P(DistributedEquivalence, PeaksMatchSingleNode) {
-  const Topology topology = TopologyOptions::from_spec(GetParam());
+  const Topology topology = TopologyOptions::from_spec(GetParam().shape);
   const SynthParams synth = small_synth();
   const auto params = default_params();
+
+  // Distributed run through the real network.
+  auto net = tbon::Network::create(
+      {.mode = GetParam().mode,
+       .topology = topology,
+       .backend_main = [synth, params](tbon::BackEnd& be) {
+         const auto data = generate_leaf_data(be.rank(), synth);
+         const LocalResult local = leaf_compute(data, params);
+         be.send(1, kTag, MeanShiftCodec::kFormat, MeanShiftCodec::to_values(local));
+       }});
+  Stream& stream = net->front_end().open_stream(
+      StreamSpec().up("mean_shift").with_params(to_filter_params(params)));
+  const auto result = stream.recv_for(60s);
+  ASSERT_TRUE(result.has_value());
+  const LocalResult distributed = MeanShiftCodec::from_values(**result);
+  net->shutdown();
 
   // Single-node reference over the union of all leaf data.
   const auto union_data = generate_union(topology.num_leaves(), synth);
   const auto reference = cluster_single_node(union_data, params.shift);
-
-  // Distributed run through the real network.
-  auto net = Network::create({.topology = topology});
-  Stream& stream = net->front_end().open_stream(
-      StreamSpec().up("mean_shift").with_params(to_filter_params(params)));
-  net->run_backends([&](BackEnd& be) {
-    const auto data = generate_leaf_data(be.rank(), synth);
-    const LocalResult local = leaf_compute(data, params);
-    be.send(stream.id(), kTag, MeanShiftCodec::kFormat,
-            MeanShiftCodec::to_values(local));
-  });
-  const auto result = stream.recv_for(30s);
-  ASSERT_TRUE(result.has_value());
-  const LocalResult distributed = MeanShiftCodec::from_values(**result);
-  net->shutdown();
 
   const auto centers = true_centers(synth);
   EXPECT_GE(match_fraction(reference, centers, 15.0), 1.0);
@@ -195,9 +212,15 @@ TEST_P(DistributedEquivalence, PeaksMatchSingleNode) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, DistributedEquivalence,
-                         ::testing::Values("flat:4", "bal:2x2", "bal:4x2", "bal:2x3",
-                                           "auto:3:5"));
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DistributedEquivalence,
+    ::testing::Values(EquivalenceCase{NetworkMode::kThreaded, "flat:4"},
+                      EquivalenceCase{NetworkMode::kThreaded, "bal:2x2"},
+                      EquivalenceCase{NetworkMode::kThreaded, "bal:4x2"},
+                      EquivalenceCase{NetworkMode::kThreaded, "bal:2x3"},
+                      EquivalenceCase{NetworkMode::kThreaded, "auto:3:5"},
+                      EquivalenceCase{NetworkMode::kProcess, "bal:2x2"},
+                      EquivalenceCase{NetworkMode::kRemote, "bal:2x2"}));
 
 // The Figure 4 critical path sums each node's trace events, so every stage
 // must be recorded once, where it runs: each leaf's leaf_compute and one
@@ -213,16 +236,16 @@ TEST(DistributedTrace, EachNodeRecordsItsComputeOnce) {
   recorder.clear();
   recorder.set_enabled(true);
 
-  auto net = Network::create({.topology = topology});
+  // Threaded: TraceRecorder collects events from this process only.
+  auto net = Network::create({.topology = topology, .backend_main = [&](BackEnd& be) {
+                                const auto data = generate_leaf_data(be.rank(), synth);
+                                const LocalResult local =
+                                    leaf_compute(data, params, topology.leaves()[be.rank()]);
+                                be.send(1, kTag, MeanShiftCodec::kFormat,
+                                        MeanShiftCodec::to_values(local));
+                              }});
   Stream& stream = net->front_end().open_stream(
       StreamSpec().up("mean_shift").with_params(to_filter_params(params)));
-  net->run_backends([&](BackEnd& be) {
-    const auto data = generate_leaf_data(be.rank(), synth);
-    const LocalResult local =
-        leaf_compute(data, params, topology.leaves()[be.rank()]);
-    be.send(stream.id(), kTag, MeanShiftCodec::kFormat,
-            MeanShiftCodec::to_values(local));
-  });
   ASSERT_TRUE(stream.recv_for(30s).has_value());
   net->shutdown();
   recorder.set_enabled(false);
@@ -237,31 +260,6 @@ TEST(DistributedTrace, EachNodeRecordsItsComputeOnce) {
     expected[{id, topology.is_leaf(id) ? "leaf_compute" : "merge_shift"}] = 1;
   }
   EXPECT_EQ(counts, expected);
-}
-
-TEST(DistributedMeanShiftProcess, WorksAcrossRealProcesses) {
-  // The full case study over fork()ed communication processes: large
-  // serialized payloads (point sets) crossing real kernel channels.
-  register_mean_shift_filter();  // before fork, so children inherit it
-  const SynthParams synth = small_synth();
-  const DistributedParams params = default_params();
-
-  auto net = tbon::Network::create(
-      {.mode = tbon::NetworkMode::kProcess,
-       .topology = Topology::balanced(2, 2),
-       .backend_main = [synth, params](tbon::BackEnd& be) {
-         const auto data = generate_leaf_data(be.rank(), synth);
-         const LocalResult local = leaf_compute(data, params);
-         be.send(1, kTag, MeanShiftCodec::kFormat, MeanShiftCodec::to_values(local));
-       }});
-  tbon::Stream& stream = net->front_end().open_stream(
-      tbon::StreamSpec().up("mean_shift").with_params(to_filter_params(params)));
-  const auto result = stream.recv_for(60s);
-  ASSERT_TRUE(result.has_value());
-  const LocalResult merged = MeanShiftCodec::from_values(**result);
-  net->shutdown();
-
-  EXPECT_GE(match_fraction(merged.peaks, true_centers(synth), 15.0), 1.0);
 }
 
 }  // namespace

@@ -71,12 +71,12 @@ TEST(DynamicAttach, BroadcastReachesNewcomer) {
 }
 
 TEST(DynamicAttach, AttachUnderInternalNode) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});  // nodes 1,2 internal
+  auto net = Network::create({.topology = Topology::balanced(2, 2),  // nodes 1,2 internal
+                              .backend_main = [](BackEnd& be) {
+                                be.send(1, kTag, "i64", {std::int64_t{1}});
+                              }});
   BackEnd& late = add_leaf(*net, 1);
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-  });
   late.send(stream.id(), kTag, "i64", {std::int64_t{10}});
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());

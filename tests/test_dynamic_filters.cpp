@@ -40,16 +40,16 @@ TEST(DynamicFilters, LoadLibraryWithoutEntryPointThrows) {
 }
 
 TEST(DynamicFilters, LoadedFilterRunsInANetwork) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  auto net = Network::create({.topology = Topology::balanced(2, 2),
+                              .backend_main = [&](BackEnd& be) {
+                                const double value = 2.0 + be.rank();  // 2, 3, 4, 5
+                                be.send(1, kTag, "f64 u64", {std::log(value), std::uint64_t{1}});
+                              }});
   // Deliver the library to every communication process through the control
   // protocol, exactly as a tool would at runtime.
   net->front_end().load_filter_library(TBON_SAMPLE_FILTER_LIB);
 
   Stream& stream = net->front_end().open_stream({.up_transform = "geomean"});
-  net->run_backends([&](BackEnd& be) {
-    const double value = 2.0 + be.rank();  // 2, 3, 4, 5
-    be.send(stream.id(), kTag, "f64 u64", {std::log(value), std::uint64_t{1}});
-  });
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   const double geomean = std::exp((*result)->get_f64(0) /
@@ -60,13 +60,13 @@ TEST(DynamicFilters, LoadedFilterRunsInANetwork) {
 }
 
 TEST(DynamicFilters, LoadedSyncPolicyRuns) {
-  auto net = Network::create({.topology = Topology::flat(4)});
+  auto net = Network::create({.topology = Topology::flat(4),
+                              .backend_main = [&](BackEnd& be) {
+                                be.send(1, kTag, "i64", {std::int64_t{be.rank()}});
+                              }});
   net->front_end().load_filter_library(TBON_SAMPLE_FILTER_LIB);
   Stream& stream = net->front_end().open_stream(
       {.up_transform = "count", .up_sync = "pairs"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "i64", {std::int64_t{be.rank()}});
-  });
   // Four packets released in two pairs -> two count results of 2 each.
   for (int i = 0; i < 2; ++i) {
     const auto result = stream.recv_for(5s);

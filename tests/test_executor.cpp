@@ -20,6 +20,7 @@
 #include "filters/calltree.hpp"
 #include "filters/equivalence.hpp"
 #include "filters/register.hpp"
+#include "modes.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace tbon {
@@ -113,43 +114,42 @@ std::vector<std::string> collect_payloads(Stream& stream, std::size_t count) {
 }
 
 /// Time-aligned aggregation (stateful, persistent bucket state) over 8
-/// back-ends in either instantiation.  Values are small integers, so the
-/// per-bucket double sums are exact regardless of contribution order and
-/// the emitted payload bytes must match the inline run exactly.
+/// back-ends in `mode`.  Values are small integers, so the per-bucket
+/// double sums are exact regardless of contribution order and the emitted
+/// payload bytes must match the inline run exactly.
 std::vector<std::string> time_aligned_payloads(NetworkMode mode, std::uint32_t workers) {
   constexpr std::uint64_t kBuckets = 12;
-  auto send_all = [](BackEnd& be) {
+  NetworkOptions options;
+  options.mode = mode;
+  options.topology = Topology::balanced(2, 3);  // 8 leaves, interior depth
+  options.execution.num_workers = workers;
+  options.backend_main = [](BackEnd& be) {
     for (std::uint64_t bucket = 0; bucket < kBuckets; ++bucket) {
       be.send(1, kTag, "u64 vf64",
               {bucket, std::vector<double>{static_cast<double>(be.rank()),
                                            static_cast<double>(bucket)}});
     }
   };
-  NetworkOptions options;
-  options.mode = mode;
-  options.topology = Topology::balanced(2, 3);  // 8 leaves, interior depth
-  options.execution.num_workers = workers;
-  if (mode == NetworkMode::kProcess) options.backend_main = send_all;
   auto net = Network::create(options);
   Stream& stream = net->front_end().open_stream(
       {.up_transform = "time_aligned", .up_sync = "null"});
-  if (mode == NetworkMode::kThreaded) net->run_backends(send_all);
   auto payloads = collect_payloads(stream, kBuckets);
   net->shutdown();
   return payloads;
 }
 
-TEST_F(ExecutorFilters, TimeAlignedByteIdenticalThreaded) {
-  const auto inline_run = time_aligned_payloads(NetworkMode::kThreaded, 0);
+class ExecutorModes : public modes::Test {
+ protected:
+  static void SetUpTestSuite() { filters::register_all(FilterRegistry::instance()); }
+};
+
+TEST_P(ExecutorModes, TimeAlignedByteIdentical) {
+  const auto inline_run = time_aligned_payloads(mode(), 0);
   ASSERT_EQ(inline_run.size(), 12u);
-  EXPECT_EQ(time_aligned_payloads(NetworkMode::kThreaded, 4), inline_run);
+  EXPECT_EQ(time_aligned_payloads(mode(), 4), inline_run);
 }
 
-TEST_F(ExecutorFilters, TimeAlignedByteIdenticalProcess) {
-  const auto inline_run = time_aligned_payloads(NetworkMode::kProcess, 0);
-  ASSERT_EQ(inline_run.size(), 12u);
-  EXPECT_EQ(time_aligned_payloads(NetworkMode::kProcess, 4), inline_run);
-}
+TBON_INSTANTIATE_MODES(ExecutorModes);
 
 /// Equivalence classes (stateful merge across waves, wait_for_all sync).
 std::vector<std::string> equivalence_payloads(std::uint32_t workers) {
@@ -157,15 +157,15 @@ std::vector<std::string> equivalence_payloads(std::uint32_t workers) {
   NetworkOptions options;
   options.topology = Topology::balanced(2, 3);
   options.execution.num_workers = workers;
-  auto net = Network::create(options);
-  Stream& stream = net->front_end().open_stream({.up_transform = "equivalence_class"});
-  net->run_backends([&](BackEnd& be) {
+  options.backend_main = [](BackEnd& be) {
     for (int wave = 0; wave < kWaves; ++wave) {
       EquivalenceClasses mine;
       mine.add("class-" + std::to_string((be.rank() + wave) % 3), be.rank());
-      be.send(stream.id(), kTag, EquivalenceClasses::kFormat, mine.to_values());
+      be.send(1, kTag, EquivalenceClasses::kFormat, mine.to_values());
     }
-  });
+  };
+  auto net = Network::create(options);
+  Stream& stream = net->front_end().open_stream({.up_transform = "equivalence_class"});
   auto payloads = collect_payloads(stream, kWaves);
   net->shutdown();
   return payloads;
@@ -182,9 +182,7 @@ std::vector<std::string> sgfa_payloads(std::uint32_t workers) {
   NetworkOptions options;
   options.topology = Topology::balanced(3, 2);  // 9 leaves
   options.execution.num_workers = workers;
-  auto net = Network::create(options);
-  Stream& stream = net->front_end().open_stream({.up_transform = "sgfa"});
-  net->run_backends([&](BackEnd& be) {
+  options.backend_main = [](BackEnd& be) {
     CallTree tree;
     const std::string shared[] = {"main", "solve", "mpi_wait"};
     tree.add_path(shared, be.rank());
@@ -192,8 +190,10 @@ std::vector<std::string> sgfa_payloads(std::uint32_t workers) {
       const std::string outlier[] = {"main", "checkpoint"};
       tree.add_path(outlier, be.rank());
     }
-    be.send(stream.id(), kTag, CallTree::kFormat, tree.to_values());
-  });
+    be.send(1, kTag, CallTree::kFormat, tree.to_values());
+  };
+  auto net = Network::create(options);
+  Stream& stream = net->front_end().open_stream({.up_transform = "sgfa"});
   auto payloads = collect_payloads(stream, 1);
   net->shutdown();
   return payloads;
@@ -213,18 +213,17 @@ TEST_F(ExecutorFilters, PerStreamFifoSurvivesWorkersEndToEnd) {
   constexpr std::size_t kStreams = 8;
   constexpr std::int64_t kPerBackend = 50;
   auto net = Network::create({.topology = Topology::flat(4),
-                              .execution = {.num_workers = 8}});
-  std::vector<Stream*> streams;
+                              .execution = {.num_workers = 8},
+                              .backend_main = [](BackEnd& be) {
+                                for (std::int64_t seq = 0; seq < kPerBackend; ++seq) {
+                                  for (std::uint32_t id = 1; id <= kStreams; ++id) {
+                                    be.send(id, kTag, "i64", {seq});
+                                  }
+                                }
+                              }});
   for (std::size_t s = 0; s < kStreams; ++s) {
-    streams.push_back(&net->front_end().open_stream({.up_sync = "null"}));
+    net->front_end().open_stream({.up_sync = "null"});
   }
-  net->run_backends([&](BackEnd& be) {
-    for (std::int64_t seq = 0; seq < kPerBackend; ++seq) {
-      for (Stream* stream : streams) {
-        be.send(stream->id(), kTag, "i64", {seq});
-      }
-    }
-  });
 
   // Drain everything through recv_any: the natural multi-stream consumer.
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::int64_t> next_seq;
@@ -244,7 +243,11 @@ TEST_F(ExecutorFilters, PerStreamFifoSurvivesWorkersEndToEnd) {
 }
 
 TEST_F(ExecutorFilters, RecvDeadlinesReportTimeout) {
-  auto net = Network::create({.topology = Topology::flat(2)});
+  // The back-ends send only once the front-end says go.
+  auto net = Network::create({.topology = Topology::flat(2), .backend_main = [](BackEnd& be) {
+                                if (!be.recv_for(20s).ok()) return;
+                                be.send(1, kTag, "i64", {std::int64_t{be.rank() + 1}});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
   // Nothing sent yet: deadline spellings must report kTimeout, not block.
   EXPECT_EQ(stream.recv_until(std::chrono::steady_clock::now() + 10ms).status(),
@@ -255,9 +258,7 @@ TEST_F(ExecutorFilters, RecvDeadlinesReportTimeout) {
                 .result.status(),
             RecvStatus::kTimeout);
 
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "i64", {std::int64_t{be.rank() + 1}});
-  });
+  stream.send(kTag, "str", {std::string("go")});
   const AnyRecvResult any = net->front_end().recv_any();
   ASSERT_TRUE(any.result.ok());
   EXPECT_EQ(any.stream_id, stream.id());
@@ -270,6 +271,8 @@ TEST_F(ExecutorFilters, RecvDeadlinesReportTimeout) {
 // ---- recovery + flow control under workers ----------------------------------
 
 TEST_F(ExecutorFilters, KillAndReadoptMidFlightWithWorkers) {
+  // Threaded: the test thread sends each wave through net->backend(rank)
+  // so it can time waves against the kill.
   const Topology topo = Topology::balanced(2, 3);  // 8 leaves, depth 3
   auto net = Network::create({.topology = topo,
                               .recovery = {.auto_readopt = true},
@@ -321,13 +324,11 @@ TEST_F(ExecutorFilters, FlowControlDepthStaysBoundedWithWorkers) {
                         .capacity = kCapacity,
                         .policy = FlowControlPolicy::kBlock,
                         .block_timeout_ms = 30'000},
-       .execution = {.num_workers = 2, .stream_queue_capacity = 8}});
+       .execution = {.num_workers = 2, .stream_queue_capacity = 8},
+       .backend_main = [](BackEnd& be) {
+         for (int wave = 0; wave < kWaves; ++wave) be.send(1, kTag, "i64", {std::int64_t{1}});
+       }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    for (int wave = 0; wave < kWaves; ++wave) {
-      be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-    }
-  });
   for (int wave = 0; wave < kWaves; ++wave) {
     const auto result = stream.recv_for(30s);
     ASSERT_TRUE(result.has_value()) << "wave " << wave;
@@ -347,13 +348,13 @@ TEST_F(ExecutorFilters, FlowControlDepthStaysBoundedWithWorkers) {
 TEST_F(ExecutorFilters, TelemetryAggregatesExecutorMetricsTreeWide) {
   auto net = Network::create({.topology = Topology::balanced(2, 2),
                               .telemetry = {.enabled = true, .interval_ms = 50},
-                              .execution = {.num_workers = 2}});
+                              .execution = {.num_workers = 2},
+                              .backend_main = [](BackEnd& be) {
+                                for (int wave = 0; wave < 10; ++wave) {
+                                  be.send(1, kTag, "i64", {std::int64_t{be.rank()}});
+                                }
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  for (int wave = 0; wave < 10; ++wave) {
-    net->run_backends([&](BackEnd& be) {
-      be.send(stream.id(), kTag, "i64", {std::int64_t{be.rank()}});
-    });
-  }
   for (int wave = 0; wave < 10; ++wave) {
     ASSERT_TRUE(stream.recv_for(20s).has_value());
   }

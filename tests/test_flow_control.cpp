@@ -6,7 +6,7 @@
 //    preserves newest-k FIFO order, fail_fast surfaces FlowControlError at
 //    application sites and sheds at interior ones),
 //  - which policies wake the sending runtime on a grant, and
-//  - end-to-end backpressure over both instantiations, with slow consumers
+//  - end-to-end backpressure over every instantiation, with slow consumers
 //    induced by the fault injector and the bounds asserted through the
 //    telemetry gauges (fc_inflight_peak et al.) — including across an
 //    interior kill with orphan re-adoption (credits re-baseline, no
@@ -21,6 +21,7 @@
 #include "core/flow_control.hpp"
 #include "core/network.hpp"
 #include "core/node.hpp"
+#include "modes.hpp"
 #include "telemetry/metrics.hpp"
 #include "transport/fd.hpp"
 
@@ -311,201 +312,34 @@ TEST(FlowControlLink, FailFastThrowsAtAppSitesAndShedsAtInteriorOnes) {
   EXPECT_EQ(metrics.fc_packets_shed.load(), 1u);
 }
 
-// ---- end-to-end: threaded instantiation -------------------------------------
+// ---- end-to-end, every instantiation ---------------------------------------
+
+class FlowControlModes : public modes::Test {};
 
 // Interior nodes are slowed 10x+ by the fault injector (each send sleeps,
 // stalling their event loops), so the leaves outrun the tree.  block policy
 // must bound every channel's in-flight peak at the capacity — asserted
-// through the telemetry gauges — while delivering every wave.
-TEST(FlowControlThreaded, BlockBoundsPeakPerChannelQueueAndDeliversAll) {
+// through the telemetry gauges, which in the forked modes come back over
+// the wire with the credit windows cycled by in-band kTagCredit frames —
+// while delivering every wave.
+TEST_P(FlowControlModes, BlockBoundsPeakPerChannelAndDeliversAll) {
   constexpr int kWaves = 40;
   constexpr std::uint32_t kCapacity = 4;
   RecoveryOptions recovery;
   recovery.fault_plan.delay(1, 500'000).delay(2, 500'000);  // 0.5 ms per send
-  auto net = Network::create(
-      {.topology = Topology::balanced(2, 2),
-       .recovery = recovery,
-       .flow_control = {.enabled = true,
-                        .capacity = kCapacity,
-                        .policy = FlowControlPolicy::kBlock,
-                        .block_timeout_ms = 30'000}});
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    for (int wave = 0; wave < kWaves; ++wave) {
-      be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-    }
-  });
-  for (int wave = 0; wave < kWaves; ++wave) {
-    const auto result = stream.recv_for(30s);
-    ASSERT_TRUE(result.has_value()) << "wave " << wave;
-    EXPECT_EQ((*result)->get_i64(0), 4);
-  }
-  net->shutdown();
-
-  std::uint64_t consumed = 0, granted = 0, blocked = 0, shed = 0;
-  for (NodeId id = 0; id < 7; ++id) {
-    const NodeMetricsSnapshot m = net->node_metrics(id);
-    EXPECT_LE(m.fc_inflight_peak, kCapacity) << "node " << id;
-    EXPECT_EQ(m.fc_invalid_grants, 0u) << "node " << id;
-    consumed += m.fc_credits_consumed;
-    granted += m.fc_credits_granted;
-    blocked += m.fc_sends_blocked;
-    shed += m.fc_packets_shed;
-  }
-  // Leaves sent 4x40 packets over capacity-4 channels: credits must have
-  // cycled, senders must have actually blocked, and nothing was dropped.
-  EXPECT_GT(consumed, 0u);
-  EXPECT_GT(granted, 0u);
-  EXPECT_GT(blocked, 0u);
-  EXPECT_EQ(shed, 0u);
-}
-
-TEST(FlowControlThreaded, DropOldestConservesPacketsAndKeepsFifoOrder) {
-  constexpr std::int64_t kSent = 300;
-  auto net = Network::create(
-      {.topology = Topology::flat(1),
-       .flow_control = {.enabled = true,
-                        .capacity = 4,
-                        .policy = FlowControlPolicy::kDropOldest}});
-  Stream& stream = net->front_end().open_stream({});  // passthrough
-  net->run_backends([&](BackEnd& be) {
-    for (std::int64_t i = 0; i < kSent; ++i) {
-      be.send(stream.id(), kTag, "i64", {i});
-    }
-  });
-
-  // Drain until conservation holds: every packet was either delivered or
-  // counted shed.  The received ids must be a strictly increasing
-  // subsequence ending at the newest packet (which is never evicted).
-  std::vector<std::int64_t> received;
-  const auto deadline = std::chrono::steady_clock::now() + 30s;
-  auto shed_total = [&] {
-    return net->node_metrics(0).fc_packets_shed +
-           net->node_metrics(1).fc_packets_shed;
-  };
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (const auto result = stream.recv_for(std::chrono::milliseconds(0))) {
-      received.push_back((*result)->get_i64(0));
-    } else if (received.size() + shed_total() ==
-               static_cast<std::uint64_t>(kSent)) {
-      break;
-    } else {
-      std::this_thread::sleep_for(1ms);
-    }
-  }
-  EXPECT_EQ(received.size() + shed_total(), static_cast<std::uint64_t>(kSent));
-  ASSERT_FALSE(received.empty());
-  for (std::size_t i = 1; i < received.size(); ++i) {
-    ASSERT_LT(received[i - 1], received[i]) << "order violated at " << i;
-  }
-  EXPECT_EQ(received.back(), kSent - 1);
-  net->shutdown();
-}
-
-TEST(FlowControlThreaded, FailFastSurfacesStatusToTheSendingBackend) {
-  RecoveryOptions recovery;
-  recovery.fault_plan.delay(1, 2'000'000).delay(2, 2'000'000);  // 2 ms per send
-  auto net = Network::create(
-      {.topology = Topology::balanced(2, 2),
-       .recovery = recovery,
-       .flow_control = {.enabled = true,
-                        .capacity = 4,
-                        .policy = FlowControlPolicy::kFailFast}});
-  Stream& stream = net->front_end().open_stream({.up_sync = "null"});
-  std::atomic<int> throws{0};
-  net->run_backends([&](BackEnd& be) {
-    // The interiors sleep 2 ms per aggregated send while each leaf bursts
-    // at full speed: the 4-credit window must run dry and surface.
-    for (int i = 0; i < 2000; ++i) {
-      try {
-        be.send(stream.id(), kTag, "i64", {std::int64_t{i}});
-      } catch (const FlowControlError&) {
-        throws.fetch_add(1);
-        return;
-      }
-    }
-  });
-  EXPECT_GT(throws.load(), 0);
-  while (stream.recv_for(std::chrono::milliseconds(0))) {
-  }
-  net->shutdown();  // and the half-sent streams must not wedge teardown
-}
-
-// Credits are re-baselined when orphans re-adopt: an interior node is killed
-// mid-traffic under block policy, its children re-attach to the root with
-// fresh windows, and traffic keeps flowing with no deadlock and no invalid
-// grants.  (Acceptance: no deadlock under concurrent orphan re-adoption.)
-TEST(FlowControlThreaded, ReadoptionRebaselinesCreditsWithoutDeadlock) {
-  RecoveryOptions recovery;
-  recovery.auto_readopt = true;
-  // Node 1's data packets: the go broadcast (1), one wave-1 packet from each
-  // of its two leaves (2), then rank 0's solo trigger is its 4th.
-  recovery.fault_plan.kill(1, 4);
-  auto net = Network::create(
-      {.topology = Topology::balanced(2, 2),
-       .recovery = recovery,
-       .flow_control = {.enabled = true,
-                        .capacity = 4,
-                        .policy = FlowControlPolicy::kBlock,
-                        .block_timeout_ms = 30'000}});
-  Stream& stream = net->front_end().open_stream({.up_sync = "null"});
-  stream.send(kTag, "str", {std::string("go")});
-  net->run_backends([&](BackEnd& be) {
-    if (!be.recv_for(30s).ok()) return;
-    be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-  });
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(stream.recv_for(30s).has_value());
-
-  net->backend(0).send(stream.id(), kTag, "i64", {std::int64_t{1}});  // the kill
-  ASSERT_TRUE(net->wait_for_adoptions(2, 30s));
-
-  // Orphans got fresh full windows: every survivor can push a whole new
-  // burst through its re-based channel without wedging.
-  for (std::uint32_t rank = 0; rank < 4; ++rank) {
-    for (int i = 0; i < 8; ++i) {
-      net->backend(rank).send(stream.id(), kTag, "i64", {std::int64_t{1}});
-    }
-  }
-  int delivered = 0;
-  while (stream.recv_for(2s).has_value()) {
-    if (++delivered == 32) break;
-  }
-  EXPECT_EQ(delivered, 32);
-  net->shutdown();
-
-  for (NodeId id = 0; id < 7; ++id) {
-    const NodeMetricsSnapshot m = net->node_metrics(id);
-    EXPECT_LE(m.fc_inflight_peak, 4u) << "node " << id;
-    EXPECT_EQ(m.fc_invalid_grants, 0u) << "node " << id;
-  }
-}
-
-// ---- end-to-end: process instantiation (in-band credit frames) --------------
-
-// NOTE: fork-based tests must not run after tests that leave threads around;
-// each process-mode network is created first thing in its test body, and
-// threaded tests above all join their threads in shutdown().
-
-TEST(FlowControlProcess, BlockBoundsPeakAcrossProcessesAndDeliversAll) {
-  constexpr int kWaves = 20;
-  constexpr std::uint32_t kCapacity = 4;
-  RecoveryOptions recovery;
-  recovery.fault_plan.delay(1, 500'000).delay(2, 500'000);
-  auto net = Network::create(
-      {.mode = NetworkMode::kProcess,
-       .topology = Topology::balanced(2, 2),
-       .recovery = recovery,
-       .telemetry = {.enabled = true, .interval_ms = 25},
-       .flow_control = {.enabled = true,
-                        .capacity = kCapacity,
-                        .policy = FlowControlPolicy::kBlock,
-                        .block_timeout_ms = 30'000},
-       .backend_main = [](BackEnd& be) {
-         if (!be.recv_for(30s).ok()) return;  // the go broadcast
-         for (int wave = 0; wave < kWaves; ++wave) {
-           be.send(1, kTag, "i64", {std::int64_t{1}});
-         }
-       }});
+  auto net = create({.topology = Topology::balanced(2, 2),
+                     .recovery = recovery,
+                     .telemetry = {.enabled = true, .interval_ms = 25},
+                     .flow_control = {.enabled = true,
+                                      .capacity = kCapacity,
+                                      .policy = FlowControlPolicy::kBlock,
+                                      .block_timeout_ms = 30'000},
+                     .backend_main = [](BackEnd& be) {
+                       if (!be.recv_for(30s).ok()) return;  // the go broadcast
+                       for (int wave = 0; wave < kWaves; ++wave) {
+                         be.send(1, kTag, "i64", {std::int64_t{1}});
+                       }
+                     }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
   stream.send(kTag, "str", {std::string("go")});
   for (int wave = 0; wave < kWaves; ++wave) {
@@ -515,32 +349,34 @@ TEST(FlowControlProcess, BlockBoundsPeakAcrossProcessesAndDeliversAll) {
   }
   net->shutdown();
 
-  // Every node's gauges came back over the wire (wire format v2); the
-  // credit windows must have cycled via in-band kTagCredit frames, and no
-  // grant may ever have been misdelivered.
   const TreeMetricsSnapshot snap = net->front_end().metrics();
   EXPECT_EQ(snap.nodes_reporting, 7u);
   for (const NodeTelemetry& record : snap.nodes) {
     EXPECT_LE(record.fc_inflight_peak, kCapacity) << "node " << record.node;
     EXPECT_EQ(record.fc_invalid_grants, 0u) << "node " << record.node;
   }
+  // Leaves sent 4x40 packets over capacity-4 channels: credits must have
+  // cycled, senders must have actually blocked, and nothing was dropped.
   EXPECT_GT(snap.total.fc_credits_consumed, 0u);
   EXPECT_GT(snap.total.fc_credits_granted, 0u);
+  EXPECT_GT(snap.total.fc_sends_blocked, 0u);
   EXPECT_EQ(snap.total.fc_packets_shed, 0u);
 }
 
-TEST(FlowControlProcess, FailFastSurfacesToBackendMainInChildProcesses) {
+TEST_P(FlowControlModes, FailFastSurfacesToTheSendingBackend) {
   RecoveryOptions recovery;
-  recovery.fault_plan.delay(1, 2'000'000).delay(2, 2'000'000);
-  auto net = Network::create(
-      {.mode = NetworkMode::kProcess,
-       .topology = Topology::balanced(2, 2),
+  recovery.fault_plan.delay(1, 2'000'000).delay(2, 2'000'000);  // 2 ms per send
+  auto net = create(
+      {.topology = Topology::balanced(2, 2),
        .recovery = recovery,
        .flow_control = {.enabled = true,
                         .capacity = 4,
                         .policy = FlowControlPolicy::kFailFast},
        .backend_main = [](BackEnd& be) {
          if (!be.recv_for(30s).ok()) return;
+         // The interiors sleep 2 ms per aggregated send while each leaf
+         // bursts at full speed: the 4-credit window must run dry and
+         // surface.
          std::int64_t threw = 0;
          for (int i = 0; i < 2000 && !threw; ++i) {
            try {
@@ -571,7 +407,103 @@ TEST(FlowControlProcess, FailFastSurfacesToBackendMainInChildProcesses) {
   EXPECT_GE((*verdict)->get_i64(0), 1);  // at least one back-end saw the error
   while (burst.recv_for(std::chrono::milliseconds(0))) {
   }
+  net->shutdown();  // and the half-sent streams must not wedge teardown
+}
+
+TBON_INSTANTIATE_MODES(FlowControlModes);
+
+// ---- end-to-end: threaded instantiation -------------------------------------
+//
+// These read live runtime gauges or drive back-end handles from the test
+// thread, which only the threaded instantiation allows.
+
+TEST(FlowControlThreaded, DropOldestConservesPacketsAndKeepsFifoOrder) {
+  constexpr std::int64_t kSent = 300;
+  auto net = Network::create(
+      {.topology = Topology::flat(1),
+       .flow_control = {.enabled = true,
+                        .capacity = 4,
+                        .policy = FlowControlPolicy::kDropOldest},
+       .backend_main = [](BackEnd& be) {
+         for (std::int64_t i = 0; i < kSent; ++i) be.send(1, kTag, "i64", {i});
+       }});
+  Stream& stream = net->front_end().open_stream({});  // passthrough
+
+  // Drain until conservation holds: every packet was either delivered or
+  // counted shed.  The received ids must be a strictly increasing
+  // subsequence ending at the newest packet (which is never evicted).
+  std::vector<std::int64_t> received;
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  auto shed_total = [&] {
+    return net->node_metrics(0).fc_packets_shed +
+           net->node_metrics(1).fc_packets_shed;
+  };
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (const auto result = stream.recv_for(std::chrono::milliseconds(0))) {
+      received.push_back((*result)->get_i64(0));
+    } else if (received.size() + shed_total() ==
+               static_cast<std::uint64_t>(kSent)) {
+      break;
+    } else {
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  EXPECT_EQ(received.size() + shed_total(), static_cast<std::uint64_t>(kSent));
+  ASSERT_FALSE(received.empty());
+  for (std::size_t i = 1; i < received.size(); ++i) {
+    ASSERT_LT(received[i - 1], received[i]) << "order violated at " << i;
+  }
+  EXPECT_EQ(received.back(), kSent - 1);
   net->shutdown();
+}
+
+// Credits are re-baselined when orphans re-adopt: an interior node is killed
+// mid-traffic under block policy, its children re-attach to the root with
+// fresh windows, and traffic keeps flowing with no deadlock and no invalid
+// grants.  (Acceptance: no deadlock under concurrent orphan re-adoption.)
+TEST(FlowControlThreaded, ReadoptionRebaselinesCreditsWithoutDeadlock) {
+  RecoveryOptions recovery;
+  recovery.auto_readopt = true;
+  // Node 1's data packets: the go broadcast (1), one wave-1 packet from each
+  // of its two leaves (2), then rank 0's solo trigger is its 4th.
+  recovery.fault_plan.kill(1, 4);
+  auto net = Network::create(
+      {.topology = Topology::balanced(2, 2),
+       .recovery = recovery,
+       .flow_control = {.enabled = true,
+                        .capacity = 4,
+                        .policy = FlowControlPolicy::kBlock,
+                        .block_timeout_ms = 30'000},
+       .backend_main = [](BackEnd& be) {
+         if (!be.recv_for(30s).ok()) return;
+         be.send(1, kTag, "i64", {std::int64_t{1}});
+       }});
+  Stream& stream = net->front_end().open_stream({.up_sync = "null"});
+  stream.send(kTag, "str", {std::string("go")});
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(stream.recv_for(30s).has_value());
+
+  net->backend(0).send(stream.id(), kTag, "i64", {std::int64_t{1}});  // the kill
+  ASSERT_TRUE(net->wait_for_adoptions(2, 30s));
+
+  // Orphans got fresh full windows: every survivor can push a whole new
+  // burst through its re-based channel without wedging.
+  for (std::uint32_t rank = 0; rank < 4; ++rank) {
+    for (int i = 0; i < 8; ++i) {
+      net->backend(rank).send(stream.id(), kTag, "i64", {std::int64_t{1}});
+    }
+  }
+  int delivered = 0;
+  while (stream.recv_for(2s).has_value()) {
+    if (++delivered == 32) break;
+  }
+  EXPECT_EQ(delivered, 32);
+  net->shutdown();
+
+  for (NodeId id = 0; id < 7; ++id) {
+    const NodeMetricsSnapshot m = net->node_metrics(id);
+    EXPECT_LE(m.fc_inflight_peak, 4u) << "node " << id;
+    EXPECT_EQ(m.fc_invalid_grants, 0u) << "node " << id;
+  }
 }
 
 }  // namespace

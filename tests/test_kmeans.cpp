@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "core/network.hpp"
 #include "meanshift/kmeans.hpp"
+#include "modes.hpp"
 
 namespace tbon::km {
 namespace {
@@ -100,7 +101,9 @@ TEST(KMeansCore, UpdateKeepsEmptyClusters) {
   EXPECT_NEAR(shift, std::sqrt(1 + 4), 1e-9);
 }
 
-TEST(KMeansDistributed, MatchesSingleNodeOverTree) {
+class DistributedKMeans : public modes::Test {};
+
+TEST_P(DistributedKMeans, MatchesSingleNodeOverTree) {
   // Split one dataset across 8 leaves; the distributed rounds must converge
   // to the same centroids as a single node running on the union, because the
   // per-round sufficient statistics are identical (up to FP summation
@@ -137,9 +140,10 @@ TEST(KMeansDistributed, MatchesSingleNodeOverTree) {
     }
   }
 
-  auto net = Network::create({.topology = Topology::balanced(2, 3)});
-  const KMeansResult distributed =
-      kmeans_distributed(*net, kDim, params, leaf_coords);
+  auto net = create({.topology = Topology::balanced(2, 3), .backend_main = [&](BackEnd& be) {
+                       kmeans_backend(be, DatasetView(leaf_coords[be.rank()], kDim));
+                     }});
+  const KMeansResult distributed = kmeans_distributed(*net, kDim, params, init);
   net->shutdown();
 
   ASSERT_TRUE(reference.converged);
@@ -151,6 +155,8 @@ TEST(KMeansDistributed, MatchesSingleNodeOverTree) {
   }
   EXPECT_NEAR(distributed.sse, reference.sse, reference.sse * 1e-9);
 }
+
+TBON_INSTANTIATE_MODES(DistributedKMeans);
 
 TEST(KMeansDistributed, PerRoundTrafficIsConstantInDataSize) {
   // The §2.3 data-reduction property: a partial-sum packet is O(k*dim),

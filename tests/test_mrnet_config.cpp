@@ -75,11 +75,11 @@ TEST(MrnetConfig, DrivesARealNetwork) {
     mid:0 => worker:0 worker:1 worker:2 ;
     mid:1 => worker:3 worker:4 ;
   )");
-  auto net = Network::create({.topology = t});
+  auto net = Network::create({.topology = t,
+                              .backend_main = [&](BackEnd& be) {
+                                be.send(1, kFirstAppTag, "i64", {std::int64_t{1}});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kFirstAppTag, "i64", {std::int64_t{1}});
-  });
   const auto result = stream.recv_for(std::chrono::seconds(5));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ((*result)->get_i64(0), 5);

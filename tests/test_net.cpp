@@ -9,7 +9,6 @@
 //   * the single-event-loop claim (a thread-count assertion via the
 //     net_threads gauge: an interior node's thread count must not scale
 //     with its socket count the way thread-per-fd readers would),
-//   * interior frame size under a credit-bound flood,
 //   * kill + reconnect: orphan re-adoption over the TCP rendezvous, with
 //     credit gates re-baselined so flow-controlled traffic keeps moving,
 //   * hostile handshakes: malformed, oversized, truncated and silent
@@ -37,7 +36,6 @@
 #include "common/timer.hpp"
 #include "core/network.hpp"
 #include "filters/register.hpp"
-#include "interior_flood.hpp"
 #include "net/event_loop.hpp"
 #include "net/remote.hpp"
 #include "net/wire.hpp"
@@ -94,41 +92,6 @@ void pumping_backend(BackEnd& be, std::uint32_t data_stream) {
 }
 
 // ---- end-to-end over a 3-level TCP process tree -----------------------------
-
-TEST(RemoteNetwork, SumReductionThreeLevelTree) {
-  // balanced(2,2): root -> 2 interior processes -> 4 back-end processes,
-  // every edge a localhost TCP socket.
-  auto net = remote_net(Topology::balanced(2, 2), [](BackEnd& be) {
-    be.send(1, kTag, "i64", {std::int64_t{be.rank() + 1}});
-  });
-  EXPECT_TRUE(net->is_remote_mode());
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  ASSERT_EQ(stream.id(), 1u);
-  const auto result = stream.recv_for(20s);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ((*result)->get_i64(0), 10);
-  net->shutdown();
-}
-
-TEST(RemoteNetwork, BroadcastAndEcho) {
-  auto net = remote_net(Topology::balanced(2, 2), [](BackEnd& be) {
-    const auto packet = be.recv_for(20s);
-    if (!packet) return;
-    be.send(1, kTag, "str i64",
-            {(*packet)->get_str(0) + "-ack", std::int64_t{be.rank()}});
-  });
-  Stream& stream = net->front_end().open_stream({.up_sync = "null"});
-  stream.send(kTag, "str", {std::string("hello")});
-  std::set<std::int64_t> ranks;
-  for (int i = 0; i < 4; ++i) {
-    const auto result = stream.recv_for(20s);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ((*result)->get_str(0), "hello-ack");
-    ranks.insert((*result)->get_i64(1));
-  }
-  EXPECT_EQ(ranks.size(), 4u);
-  net->shutdown();
-}
 
 TEST(RemoteNetwork, WavgFilterAcrossProcesses) {
   // A stateful tree filter (wavg, wait_for_all) whose partial aggregates
@@ -215,16 +178,6 @@ TEST(RemoteNetwork, TelemetryAggregatesAndThreadCountIsFlat) {
   // Tree-wide aggregation of the net_* counters happens at the front-end.
   EXPECT_GT(snap.total.net_frames_in, interior->net_frames_in);
   EXPECT_EQ(snap.total.net_handshakes_failed, 0u);
-}
-
-TEST(RemoteNetwork, FloodedInteriorsSendMultiPacketFrames) {
-  // One multi-packet frame is one enqueue, one writev and one readv for the
-  // whole run.
-  auto net = remote_net(Topology::balanced(2, 2), flood::send_waves,
-                        flood::options(NetworkMode::kRemote));
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  ASSERT_EQ(stream.id(), 1u);
-  flood::expect_exact_sums_and_full_interior_frames(*net, stream);
 }
 
 // ---- kill + reconnect over the TCP rendezvous -------------------------------

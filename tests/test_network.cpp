@@ -1,6 +1,10 @@
 // End-to-end tests of the threaded TBON instantiation: multicast, gather,
 // reduction, multiple concurrent streams, subset endpoints, dynamic filter
-// registration, shutdown semantics and failure injection.
+// registration, shutdown semantics and failure injection (test_modes.cpp
+// runs the core paths in every instantiation).  Cases that call
+// net->backend(rank) stay threaded: they order a back-end's sends against
+// the test thread's own actions (a kill, a delete, a partial window), and
+// only this instantiation hands out static back-end handles.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,45 +25,13 @@ TEST(Network, RejectsDegenerateTopologies) {
   EXPECT_THROW(Network::create({}), TopologyError);  // default topology is single()
 }
 
-TEST(Network, SumReductionBalancedTree) {
-  auto net = Network::create({.topology = Topology::balanced(4, 2)});  // 16 leaves
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "i64", {std::int64_t{be.rank() + 1}});
-  });
-
-  const auto result = stream.recv_for(5s);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ((*result)->get_i64(0), 16 * 17 / 2);
-  net->shutdown();
-}
-
-TEST(Network, BroadcastReachesAllBackends) {
-  auto net = Network::create({.topology = Topology::balanced(3, 2)});  // 9 leaves
-  Stream& stream = net->front_end().open_stream({});
-  stream.send(kTag, "str i64", {std::string("go"), std::int64_t{42}});
-
-  std::atomic<int> received{0};
-  net->run_backends([&](BackEnd& be) {
-    const auto packet = be.recv_for(5s);
-    ASSERT_TRUE(packet.has_value());
-    EXPECT_EQ((*packet)->get_str(0), "go");
-    EXPECT_EQ((*packet)->get_i64(1), 42);
-    EXPECT_EQ((*packet)->stream_id(), stream.id());
-    received.fetch_add(1);
-  });
-  EXPECT_EQ(received.load(), 9);
-  net->shutdown();
-}
-
 TEST(Network, ConcatGathersInRankOrder) {
-  auto net = Network::create({.topology = Topology::balanced(2, 3)});  // 8 leaves
+  auto net = Network::create({.topology = Topology::balanced(2, 3),  // 8 leaves
+                              .backend_main = [](BackEnd& be) {
+                                be.send(1, kTag, "vi64",
+                                        {std::vector<std::int64_t>{be.rank()}});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "concat"});
-
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "vi64", {std::vector<std::int64_t>{be.rank()}});
-  });
 
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
@@ -71,48 +43,27 @@ TEST(Network, ConcatGathersInRankOrder) {
 }
 
 TEST(Network, FlatTopologyWorks) {
-  auto net = Network::create({.topology = Topology::flat(32)});
+  auto net = Network::create({.topology = Topology::flat(32), .backend_main = [](BackEnd& be) {
+                                be.send(1, kTag, "f64", {static_cast<double>(be.rank())});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "max"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "f64", {static_cast<double>(be.rank())});
-  });
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   EXPECT_DOUBLE_EQ((*result)->get_f64(0), 31.0);
   net->shutdown();
 }
 
-TEST(Network, MultipleWavesStayOrdered) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});  // 4 leaves
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-
-  constexpr int kWaves = 20;
-  net->run_backends([&](BackEnd& be) {
-    for (int wave = 0; wave < kWaves; ++wave) {
-      be.send(stream.id(), kTag, "i64", {std::int64_t{wave}});
-    }
-  });
-
-  for (int wave = 0; wave < kWaves; ++wave) {
-    const auto result = stream.recv_for(5s);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ((*result)->get_i64(0), 4 * wave) << "wave " << wave;
-  }
-  net->shutdown();
-}
-
 TEST(Network, ConcurrentOverlappingStreams) {
   // "MRNet supports data communication across multiple, concurrent data
   // streams that may overlap in end-point membership."
-  auto net = Network::create({.topology = Topology::balanced(4, 2)});  // 16 leaves
+  auto net = Network::create({.topology = Topology::balanced(4, 2),  // 16 leaves
+                              .backend_main = [](BackEnd& be) {
+                                be.send(1, kTag, "i64", {std::int64_t{1}});
+                                be.send(2, kTag, "f64", {static_cast<double>(be.rank())});
+                                be.send(1, kTag, "i64", {std::int64_t{2}});
+                              }});
   Stream& sums = net->front_end().open_stream({.up_transform = "sum"});
   Stream& maxima = net->front_end().open_stream({.up_transform = "max"});
-
-  net->run_backends([&](BackEnd& be) {
-    be.send(sums.id(), kTag, "i64", {std::int64_t{1}});
-    be.send(maxima.id(), kTag, "f64", {static_cast<double>(be.rank())});
-    be.send(sums.id(), kTag, "i64", {std::int64_t{2}});
-  });
 
   const auto sum1 = sums.recv_for(5s);
   const auto sum2 = sums.recv_for(5s);
@@ -126,46 +77,46 @@ TEST(Network, ConcurrentOverlappingStreams) {
 
 TEST(Network, SubsetEndpointsOnlyInvolveMembers) {
   // Streams over endpoint subsets select sub-trees (paper §2.2).
-  auto net = Network::create({.topology = Topology::balanced(4, 2)});  // 16 leaves
+  std::atomic<int> downstream_seen{0};
+  std::atomic<int> stray{0};
+  auto net = Network::create({.topology = Topology::balanced(4, 2),  // 16 leaves
+                              .backend_main = [&](BackEnd& be) {
+                                if (be.rank() < 4) {
+                                  const auto packet = be.recv_for(5s);
+                                  ASSERT_TRUE(packet.has_value());
+                                  downstream_seen.fetch_add(1);
+                                  be.send(1, kTag, "i64", {std::int64_t{10}});
+                                } else if (be.recv_for(200ms).ok()) {
+                                  stray.fetch_add(1);  // non-members must receive nothing
+                                }
+                              }});
   Stream& subset = net->front_end().open_stream(
       {.endpoints = {0, 1, 2, 3}, .up_transform = "sum"});  // one subtree only
   subset.send(kTag, "str", {std::string("begin")});
 
-  std::atomic<int> downstream_seen{0};
-  net->run_backends([&](BackEnd& be) {
-    if (be.rank() < 4) {
-      const auto packet = be.recv_for(5s);
-      ASSERT_TRUE(packet.has_value());
-      downstream_seen.fetch_add(1);
-      be.send(subset.id(), kTag, "i64", {std::int64_t{10}});
-    } else {
-      // Non-members must receive nothing.
-      EXPECT_EQ(be.recv_for(200ms).status(), RecvStatus::kTimeout);
-    }
-  });
-
-  EXPECT_EQ(downstream_seen.load(), 4);
   const auto result = subset.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ((*result)->get_i64(0), 40);
-  net->shutdown();
+  net->shutdown();  // joins the bodies
+  EXPECT_EQ(downstream_seen.load(), 4);
+  EXPECT_EQ(stray.load(), 0);
 }
 
 TEST(Network, DownstreamFilterRuns) {
   // Downstream transformation: our extension beyond upstream-only MRNet
   // streams (the paper's future-work direction of bidirectional filtering).
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  std::atomic<int> got{0};
+  auto net = Network::create({.topology = Topology::balanced(2, 2),
+                              .backend_main = [&](BackEnd& be) {
+                                const auto packet = be.recv_for(5s);
+                                ASSERT_TRUE(packet.has_value());
+                                EXPECT_EQ((*packet)->get_i64(0), 5);
+                                got.fetch_add(1);
+                              }});
   Stream& stream = net->front_end().open_stream({.down_transform = "passthrough"});
   stream.send(kTag, "i64", {std::int64_t{5}});
-  std::atomic<int> got{0};
-  net->run_backends([&](BackEnd& be) {
-    const auto packet = be.recv_for(5s);
-    ASSERT_TRUE(packet.has_value());
-    EXPECT_EQ((*packet)->get_i64(0), 5);
-    got.fetch_add(1);
-  });
+  net->shutdown();  // the packet precedes the shutdown; joins the bodies
   EXPECT_EQ(got.load(), 4);
-  net->shutdown();
 }
 
 TEST(Network, CustomFilterViaRegistry) {
@@ -189,11 +140,11 @@ TEST(Network, CustomFilterViaRegistry) {
     });
   }
 
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  auto net = Network::create({.topology = Topology::balanced(2, 2),
+                              .backend_main = [](BackEnd& be) {
+                                be.send(1, kTag, "i64", {std::int64_t{1}});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "test_double_sum"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-  });
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   // Two internal nodes double (1+1)*2=4 each; root doubles (4+4)*2=16.
@@ -293,11 +244,13 @@ TEST(Network, KillRootRejected) {
 }
 
 TEST(Network, MetricsCountTraffic) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  // Threaded: node_metrics reads interior runtimes, which live in this
+  // process only here.
+  auto net = Network::create({.topology = Topology::balanced(2, 2),
+                              .backend_main = [](BackEnd& be) {
+                                be.send(1, kTag, "vf64", {std::vector<double>(8, 1.0)});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "vf64", {std::vector<double>(8, 1.0)});
-  });
   const auto result = stream.recv_for(5s);
   ASSERT_TRUE(result.has_value());
   net->shutdown();
@@ -329,11 +282,10 @@ class NetworkReduction : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(NetworkReduction, SumMatchesClosedForm) {
   const Topology topology = TopologyOptions::from_spec(GetParam());
-  auto net = Network::create({.topology = topology});
+  auto net = Network::create({.topology = topology, .backend_main = [](BackEnd& be) {
+                                be.send(1, kTag, "i64", {std::int64_t{be.rank()}});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "i64", {std::int64_t{be.rank()}});
-  });
   const auto result = stream.recv_for(10s);
   ASSERT_TRUE(result.has_value());
   const auto n = static_cast<std::int64_t>(topology.num_leaves());

@@ -4,8 +4,6 @@
 // to back-end messages").
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "core/network.hpp"
 
 namespace tbon {
@@ -76,20 +74,23 @@ TEST(PeerRouting, ManyToOneAggregatorPattern) {
   // A common pattern: one back-end acts as coordinator and receives from
   // every other back-end via tree routing.
   constexpr std::size_t kPeers = 8;
-  auto net = Network::create({.topology = Topology::balanced(2, 3)});
-  std::atomic<std::int64_t> total{0};
-  net->run_backends([&](BackEnd& be) {
-    if (be.rank() == 0) {
-      for (std::size_t i = 0; i + 1 < kPeers; ++i) {
-        const auto message = be.recv_peer_for(5s);
-        ASSERT_TRUE(message.has_value());
-        total.fetch_add((*message)->get_i64(0));
-      }
-    } else {
-      be.send_to(0, kTag, "i64", {std::int64_t{be.rank()}});
-    }
-  });
-  EXPECT_EQ(total.load(), 1 + 2 + 3 + 4 + 5 + 6 + 7);
+  auto net = Network::create({.topology = Topology::balanced(2, 3),
+                              .backend_main = [](BackEnd& be) {
+                                if (be.rank() != 0) {
+                                  be.send_to(0, kTag, "i64", {std::int64_t{be.rank()}});
+                                  return;
+                                }
+                                std::int64_t total = 0;
+                                for (std::size_t i = 0; i + 1 < kPeers; ++i) {
+                                  const auto message = be.recv_peer_for(5s);
+                                  if (message) total += (*message)->get_i64(0);
+                                }
+                                be.send(1, kTag, "i64", {total});
+                              }});
+  Stream& report = net->front_end().open_stream({.up_sync = "null"});
+  const auto total = report.recv_for(10s);
+  ASSERT_TRUE(total.has_value());
+  EXPECT_EQ((*total)->get_i64(0), 1 + 2 + 3 + 4 + 5 + 6 + 7);
   net->shutdown();
 }
 

@@ -31,6 +31,7 @@
 #include "core/reconfig.hpp"
 #include "filters/register.hpp"
 #include "filters/time_aligned.hpp"
+#include "modes.hpp"
 
 namespace tbon {
 namespace {
@@ -662,10 +663,10 @@ TEST(ReconfigTelemetry, CountersAggregateTreeWide) {
   EXPECT_EQ(interior->reconfig_detaches, 2u);
 }
 
-// ---- process / remote churn soaks -------------------------------------------
+// ---- churn soak, every instantiation -----------------------------------------
 
-/// Static back-end body for the multi-process soaks: pump waves until told
-/// to stop (ProtocolError from a send racing shutdown is expected).
+/// Static back-end body for the churn soak: pump waves until told to stop
+/// (ProtocolError from a send racing shutdown is expected).
 void pump_waves(BackEnd& be) {
   try {
     while (!be.shutting_down()) {
@@ -676,10 +677,16 @@ void pump_waves(BackEnd& be) {
   }
 }
 
-/// Shared body of the process and remote churn soaks: statics pump a wavg
-/// stream continuously while dynamic back-ends join at the root, contribute,
-/// and leave again — steady-state waves must be exact around every change.
-void churn_joins_and_leaves(Network& net) {
+/// Statics pump a wavg stream continuously while dynamic back-ends join at
+/// the root, contribute, and leave again — steady-state waves must be exact
+/// around every change.
+class ReconfigChurn : public modes::Test {};
+
+TEST_P(ReconfigChurn, JoinsAndLeavesKeepExactSums) {
+  auto owner = create({.topology = Topology::flat(3), .backend_main = pump_waves});
+  Network& net = *owner;
+  EXPECT_EQ(net.is_process_mode(), mode() == NetworkMode::kProcess);
+  EXPECT_EQ(net.is_remote_mode(), mode() == NetworkMode::kRemote);
   FrontEnd& fe = net.front_end();
   Stream& stream = fe.open_stream({.up_transform = "wavg"});
   ASSERT_EQ(stream.id(), 1u);
@@ -715,25 +722,7 @@ void churn_joins_and_leaves(Network& net) {
   net.shutdown();
 }
 
-TEST(ReconfigProcess, ChurnJoinsAndLeavesKeepExactSums) {
-  auto net = Network::create({
-      .mode = NetworkMode::kProcess,
-      .topology = Topology::flat(3),
-      .backend_main = pump_waves,
-  });
-  ASSERT_TRUE(net->is_process_mode());
-  churn_joins_and_leaves(*net);
-}
-
-TEST(ReconfigRemote, ChurnJoinsAndLeavesKeepExactSums) {
-  auto net = Network::create({
-      .mode = NetworkMode::kRemote,
-      .topology = Topology::flat(3),
-      .backend_main = pump_waves,
-  });
-  ASSERT_TRUE(net->is_remote_mode());
-  churn_joins_and_leaves(*net);
-}
+TBON_INSTANTIATE_MODES(ReconfigChurn);
 
 // Interior rebalancing needs runtimes the engine can rewire in-process;
 // the process/remote instantiations reject it with a typed failure instead

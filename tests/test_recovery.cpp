@@ -419,7 +419,9 @@ struct FaultSplitCase {
 };
 
 std::string fault_split_name(const FaultSplitCase& param) {
-  return std::string(param.mode == NetworkMode::kThreaded ? "threaded" : "process") +
+  return std::string(param.mode == NetworkMode::kThreaded  ? "threaded"
+                     : param.mode == NetworkMode::kProcess ? "process"
+                                                           : "remote") +
          (param.batched ? "_batched" : "_unbatched");
 }
 
@@ -433,27 +435,25 @@ void PrintTo(const FaultSplitCase& param, std::ostream* os) {
 std::vector<std::int64_t> deliveries_under(const FaultSplitCase& param,
                                            const RecoveryOptions& recovery) {
   constexpr std::uint32_t kStream = 1;
-  const auto send_values = [](BackEnd& be) {
-    if (be.rank() != 0) return;
-    try {
-      for (std::int64_t value = 0; value < 16; ++value) {
-        be.send(kStream, kTag, "i64", {value});
-      }
-    } catch (const std::exception&) {
-      // The parent died under the send: expected once the fault trips.
-    }
-  };
-  NetworkOptions options{.mode = param.mode,
-                         .topology = Topology::balanced(2, 2),
-                         .recovery = recovery,
-                         .batching = param.batched
-                                         ? BatchingOptions::on().max_delay(1ms)
-                                         : BatchingOptions::off()};
-  if (param.mode != NetworkMode::kThreaded) options.backend_main = send_values;
-  auto net = Network::create(std::move(options));
+  auto net = Network::create({.mode = param.mode,
+                              .topology = Topology::balanced(2, 2),
+                              .recovery = recovery,
+                              .batching = param.batched
+                                              ? BatchingOptions::on().max_delay(1ms)
+                                              : BatchingOptions::off(),
+                              .backend_main = [](BackEnd& be) {
+                                if (be.rank() != 0) return;
+                                try {
+                                  for (std::int64_t value = 0; value < 16; ++value) {
+                                    be.send(kStream, kTag, "i64", {value});
+                                  }
+                                } catch (const std::exception&) {
+                                  // The parent died under the send: expected
+                                  // once the fault trips.
+                                }
+                              }});
   Stream& stream = net->front_end().open_stream({.up_sync = "null"});
   EXPECT_EQ(stream.id(), kStream);
-  if (param.mode == NetworkMode::kThreaded) net->run_backends(send_values);
   std::vector<std::int64_t> values;
   const auto until = std::chrono::steady_clock::now() + 20s;
   while (std::chrono::steady_clock::now() < until) {
@@ -480,7 +480,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FaultSplitCase{NetworkMode::kThreaded, false},
                       FaultSplitCase{NetworkMode::kThreaded, true},
                       FaultSplitCase{NetworkMode::kProcess, false},
-                      FaultSplitCase{NetworkMode::kProcess, true}),
+                      FaultSplitCase{NetworkMode::kProcess, true},
+                      FaultSplitCase{NetworkMode::kRemote, false},
+                      FaultSplitCase{NetworkMode::kRemote, true}),
     [](const ::testing::TestParamInfo<FaultSplitCase>& info) {
       return fault_split_name(info.param);
     });

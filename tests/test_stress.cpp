@@ -43,11 +43,11 @@ class RandomTreeReduction : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RandomTreeReduction, SumMatchesClosedForm) {
   const Topology topology = random_topology(GetParam(), 40, 5);
   if (topology.is_leaf(topology.root())) GTEST_SKIP();
-  auto net = Network::create({.topology = topology});
+  auto net = Network::create({.topology = topology,
+                              .backend_main = [&](BackEnd& be) {
+                                be.send(1, kTag, "i64", {std::int64_t{be.rank()} * 3 + 1});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "i64", {std::int64_t{be.rank()} * 3 + 1});
-  });
   const auto result = stream.recv_for(10s);
   ASSERT_TRUE(result.has_value());
   const auto n = static_cast<std::int64_t>(topology.num_leaves());
@@ -64,11 +64,11 @@ class RandomTreeOrder : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RandomTreeOrder, ConcatKeepsRankOrder) {
   const Topology topology = random_topology(GetParam() + 1000, 30, 4);
   if (topology.is_leaf(topology.root())) GTEST_SKIP();
-  auto net = Network::create({.topology = topology});
+  auto net = Network::create({.topology = topology,
+                              .backend_main = [&](BackEnd& be) {
+                                be.send(1, kTag, "vi64", {std::vector<std::int64_t>{be.rank()}});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "concat"});
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "vi64", {std::vector<std::int64_t>{be.rank()}});
-  });
   const auto result = stream.recv_for(10s);
   ASSERT_TRUE(result.has_value());
   const auto& ranks = (*result)->get_vi64(0);
@@ -83,13 +83,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTreeOrder, ::testing::Values(7u, 11u, 19u,
 
 TEST(Stress, HighVolumeWaves) {
   constexpr int kWaves = 300;
-  auto net = Network::create({.topology = Topology::balanced(4, 2)});
+  auto net = Network::create({.topology = Topology::balanced(4, 2),
+                              .backend_main = [&](BackEnd& be) {
+                                for (int wave = 0; wave < kWaves; ++wave) {
+                                  be.send(1, kTag, "i64", {std::int64_t{1}});
+                                }
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  net->run_backends([&](BackEnd& be) {
-    for (int wave = 0; wave < kWaves; ++wave) {
-      be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-    }
-  });
   for (int wave = 0; wave < kWaves; ++wave) {
     const auto result = stream.recv_for(10s);
     ASSERT_TRUE(result.has_value()) << "wave " << wave;
@@ -101,17 +101,17 @@ TEST(Stress, HighVolumeWaves) {
 
 TEST(Stress, ManyConcurrentStreams) {
   constexpr std::size_t kStreams = 12;
-  auto net = Network::create({.topology = Topology::balanced(3, 2)});
+  auto net = Network::create({.topology = Topology::balanced(3, 2),
+                              .backend_main = [&](BackEnd& be) {
+                                for (std::size_t i = 0; i < kStreams; ++i) {
+                                  be.send(static_cast<std::uint32_t>(i + 1), kTag, "i64",
+                                          {static_cast<std::int64_t>(i * 100 + be.rank())});
+                                }
+                              }});
   std::vector<Stream*> streams;
   for (std::size_t i = 0; i < kStreams; ++i) {
     streams.push_back(&net->front_end().open_stream({.up_transform = "sum"}));
   }
-  net->run_backends([&](BackEnd& be) {
-    for (std::size_t i = 0; i < kStreams; ++i) {
-      be.send(streams[i]->id(), kTag, "i64",
-              {static_cast<std::int64_t>(i * 100 + be.rank())});
-    }
-  });
   for (std::size_t i = 0; i < kStreams; ++i) {
     const auto result = streams[i]->recv_for(10s);
     ASSERT_TRUE(result.has_value());
@@ -122,13 +122,13 @@ TEST(Stress, ManyConcurrentStreams) {
 }
 
 TEST(Stress, LargePayloads) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  constexpr std::size_t kDoubles = 100'000;  // 800 KB per packet
+  auto net = Network::create({.topology = Topology::balanced(2, 2),
+                              .backend_main = [&](BackEnd& be) {
+                                const auto value = static_cast<double>(be.rank());
+                                be.send(1, kTag, "vf64", {std::vector<double>(kDoubles, value)});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  const std::size_t kDoubles = 100'000;  // 800 KB per packet
-  net->run_backends([&](BackEnd& be) {
-    be.send(stream.id(), kTag, "vf64",
-            {std::vector<double>(kDoubles, static_cast<double>(be.rank()))});
-  });
   const auto result = stream.recv_for(30s);
   ASSERT_TRUE(result.has_value());
   const auto& values = (*result)->get_vf64(0);
@@ -138,22 +138,21 @@ TEST(Stress, LargePayloads) {
 }
 
 TEST(Stress, SurvivorsKeepProducingAfterKills) {
-  // Kill a third of the back-ends (one per subtree) before traffic starts;
-  // the survivors' waves must keep flowing.
-  auto net = Network::create({.topology = Topology::balanced(3, 2)});  // 9 leaves
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
+  // Kill a third of the back-ends (one per subtree) before they send; the
+  // survivors' waves must keep flowing.
+  constexpr int kWaves = 30;
   const std::set<std::uint32_t> victims = {0u, 4u, 8u};
+  auto net = Network::create({.topology = Topology::balanced(3, 2),  // 9 leaves
+                              .backend_main = [&](BackEnd& be) {
+                                if (victims.count(be.rank())) return;  // its node dies
+                                for (int wave = 0; wave < kWaves; ++wave) {
+                                  be.send(1, kTag, "i64", {std::int64_t{1}});
+                                }
+                              }});
+  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
   for (const std::uint32_t victim : victims) {
     net->kill_node(net->topology().leaves()[victim]);
   }
-
-  constexpr int kWaves = 30;
-  net->run_backends([&](BackEnd& be) {
-    if (victims.count(be.rank())) return;  // its node is dead
-    for (int wave = 0; wave < kWaves; ++wave) {
-      be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-    }
-  });
 
   std::size_t delivered = 0;
   std::int64_t total = 0;
@@ -170,7 +169,16 @@ TEST(Stress, SurvivorsKeepProducingAfterKills) {
 TEST(Stress, ConcurrentFailureStormShutsDownCleanly) {
   // Kills racing live traffic: delivery is timing-dependent, but the network
   // must never hang, crash or double-count shutdown acknowledgements.
-  auto net = Network::create({.topology = Topology::balanced(3, 2)});
+  auto net = Network::create({.topology = Topology::balanced(3, 2),
+                              .backend_main = [&](BackEnd& be) {
+                                for (int wave = 0; wave < 10 && !be.shutting_down(); ++wave) {
+                                  try {
+                                    be.send(1, kTag, "i64", {std::int64_t{1}});
+                                  } catch (const Error&) {
+                                    return;  // killed mid-send (stream announcement lost)
+                                  }
+                                }
+                              }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
 
   std::jthread killer([&] {
@@ -179,15 +187,6 @@ TEST(Stress, ConcurrentFailureStormShutsDownCleanly) {
     }
   });
 
-  net->run_backends([&](BackEnd& be) {
-    for (int wave = 0; wave < 10 && !be.shutting_down(); ++wave) {
-      try {
-        be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-      } catch (const Error&) {
-        return;  // killed mid-send (stream announcement lost)
-      }
-    }
-  });
   while (stream.recv_for(std::chrono::milliseconds(0))) {
   }
   net->shutdown();
@@ -210,13 +209,13 @@ TEST(Stress, BackpressureSoakConservesPacketsAcrossRepeats) {
          .recovery = recovery,
          .flow_control = {.enabled = true,
                           .capacity = 4,
-                          .policy = FlowControlPolicy::kDropOldest}});
+                          .policy = FlowControlPolicy::kDropOldest},
+         .backend_main = [&](BackEnd& be) {
+           for (std::int64_t i = 0; i < kPerLeaf; ++i) {
+             be.send(1, kTag, "i64", {i});  // full-speed burst
+           }
+         }});
     Stream& stream = net->front_end().open_stream({.up_sync = "null"});
-    net->run_backends([&](BackEnd& be) {
-      for (std::int64_t i = 0; i < kPerLeaf; ++i) {
-        be.send(stream.id(), kTag, "i64", {i});  // full-speed burst
-      }
-    });
 
     const std::uint64_t sent = 4 * kPerLeaf;
     std::uint64_t delivered = 0;

@@ -1,6 +1,6 @@
 // In-band telemetry subsystem: merge_records algebra, the wire codec, the
 // front-end collector, and end-to-end exactness of FrontEnd::metrics() in
-// both instantiations — including across an interior kill with re-adoption.
+// every instantiation — including across an interior kill with re-adoption.
 //
 // Exactness protocol: a downstream "go" broadcast gates the back-end sends,
 // so the stream announcement (FIFO-ordered ahead of the go packet on every
@@ -10,8 +10,8 @@
 // so the frozen snapshot is exact, not approximate.
 //
 // NOTE: fork-based tests must not create threads before the network; the
-// process-mode test builds its network first thing (prior tests' threads
-// are joined by their shutdown()).
+// forked cases build their network first thing (prior tests' threads are
+// joined by their shutdown()).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "core/network.hpp"
+#include "modes.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -229,49 +230,36 @@ void run_exact_counters_check(Network& net, Stream& stream, int waves) {
   EXPECT_EQ(observations, 3 * n + 3);
 }
 
-TEST(TelemetryProcess, AggregateCountersAreExact) {
-  constexpr int kWaves = 5;
-  auto net = Network::create(
-      {.mode = NetworkMode::kProcess,
-       .topology = Topology::balanced(2, 2),
-       .telemetry = {.enabled = true, .interval_ms = 25},
-       .backend_main = [](BackEnd& be) {
-         if (!be.recv_for(30s).ok()) return;  // the go broadcast
-         for (int wave = 0; wave < kWaves; ++wave) {
-           be.send(1, kTag, "vf64", {std::vector<double>{1.0, 2.0}});
-         }
-       }});
+class AggregateTelemetry : public modes::Test {};
+
+TEST_P(AggregateTelemetry, CountersAreExact) {
+  constexpr int kWaves = 10;
+  auto net = create({.topology = Topology::balanced(2, 2),
+                     .telemetry = {.enabled = true, .interval_ms = 25},
+                     .backend_main = [](BackEnd& be) {
+                       if (!be.recv_for(30s).ok()) return;  // the go broadcast
+                       for (int wave = 0; wave < kWaves; ++wave) {
+                         be.send(1, kTag, "vf64", {std::vector<double>{1.0, 2.0}});
+                       }
+                     }});
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
   ASSERT_EQ(stream.id(), 1u);
   stream.send(kTag, "str", {std::string("go")});
   run_exact_counters_check(*net, stream, kWaves);
 
-  // Process mode serializes every hop: wire accounting must be live.
   const TreeMetricsSnapshot snap = net->front_end().metrics();
-  EXPECT_GT(snap.total.wire_bytes_out, 0u);
-  EXPECT_GT(snap.total.wire_bytes_in, 0u);
-}
-
-TEST(TelemetryThreaded, AggregateCountersAreExact) {
-  constexpr int kWaves = 10;
-  auto net = Network::create({.topology = Topology::balanced(2, 2),
-                              .telemetry = {.enabled = true, .interval_ms = 25}});
-  Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
-  // The go broadcast is sent first: run_backends joins its workers, so the
-  // gate must already be in flight when the back-end bodies start.
-  stream.send(kTag, "str", {std::string("go")});
-  net->run_backends([&](BackEnd& be) {
-    if (!be.recv_for(30s).ok()) return;
-    for (int wave = 0; wave < kWaves; ++wave) {
-      be.send(stream.id(), kTag, "vf64", {std::vector<double>{1.0, 2.0}});
-    }
-  });
-  run_exact_counters_check(*net, stream, kWaves);
-
+  if (forked()) {
+    // Only the forked modes serialize every hop, so only there must wire
+    // accounting be live.
+    EXPECT_GT(snap.total.wire_bytes_out, 0u);
+    EXPECT_GT(snap.total.wire_bytes_in, 0u);
+  }
   const std::string json = net->front_end().metrics_json();
   EXPECT_NE(json.find("\"nodes\""), std::string::npos);
   EXPECT_NE(json.find("\"packets_up\""), std::string::npos);
 }
+
+TBON_INSTANTIATE_MODES(AggregateTelemetry);
 
 TEST(TelemetryThreaded, MetricsThrowWhenTelemetryDisabled) {
   auto net = Network::create({.topology = Topology::flat(2)});
@@ -301,16 +289,18 @@ TEST(TelemetryThreaded, SnapshotSurvivesInteriorKillAndReadoption) {
   RecoveryOptions recovery;
   recovery.auto_readopt = true;
   recovery.fault_plan.kill(1, 6);
+  // Threaded: the test thread times the crash and the second phase through
+  // net->backend(rank).
   auto net = Network::create({.topology = Topology::balanced(2, 2),
                               .recovery = recovery,
-                              .telemetry = {.enabled = true, .interval_ms = 20}});
+                              .telemetry = {.enabled = true, .interval_ms = 20},
+                              .backend_main = [](BackEnd& be) {
+                                if (!be.recv_for(30s).ok()) return;
+                                be.send(1, kTag, "i64", {std::int64_t{1}});
+                                be.send(1, kTag, "i64", {std::int64_t{1}});
+                              }});
   Stream& stream = net->front_end().open_stream({.up_sync = "null"});
   stream.send(kTag, "str", {std::string("go")});
-  net->run_backends([&](BackEnd& be) {
-    if (!be.recv_for(30s).ok()) return;
-    be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-    be.send(stream.id(), kTag, "i64", {std::int64_t{1}});
-  });
   for (int i = 0; i < 8; ++i) ASSERT_TRUE(stream.recv_for(30s).has_value());
 
   net->backend(0).send(stream.id(), kTag, "i64", {std::int64_t{1}});  // the kill

@@ -1,6 +1,6 @@
 // Multi-tenant topic streams: the StreamSpec builder, prefix pub/sub with
 // subtree pruning, weighted priority drain, per-tenant QoS budgets, and
-// subscription routing across kill/re-adoption — threaded and process modes.
+// subscription routing across kill/re-adoption — in every instantiation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include "core/network.hpp"
 #include "core/protocol.hpp"
 #include "core/tenant.hpp"
+#include "modes.hpp"
 
 namespace tbon {
 namespace {
@@ -211,39 +212,9 @@ TreeMetricsSnapshot await_metrics(FrontEnd& fe, Pred done,
   return snap;
 }
 
-TEST(TenantThreaded, PrefixRoutingDeliversOnlyToSubscribers) {
-  auto net = Network::create({.topology = Topology::balanced(2, 2),  // 4 leaves
-                              .telemetry = {.enabled = true, .interval_ms = 25}});
-  FrontEnd& fe = net->front_end();
-
-  net->backend(0).subscribe("/app/metrics");  // exact
-  net->backend(2).subscribe("/app");          // covering prefix
-  ASSERT_TRUE(fe.wait_subscribers("/app/metrics", 2, 10s));
-  EXPECT_EQ(fe.subscriber_count("/app/metrics"), 2u);
-
-  Stream& stream = fe.publish("/app/metrics", kTag, "str", {std::string("evt")});
-  EXPECT_EQ(stream.topic(), "/app/metrics");
-
-  for (const std::uint32_t rank : {0u, 2u}) {
-    const auto packet = net->backend(rank).recv_for(10s);
-    ASSERT_TRUE(packet.has_value()) << "subscriber rank " << rank;
-    EXPECT_EQ((*packet)->get_str(0), "evt");
-    EXPECT_EQ((*packet)->stream_id(), stream.id());
-  }
-  for (const std::uint32_t rank : {1u, 3u}) {
-    EXPECT_EQ(net->backend(rank).recv_for(300ms).status(), RecvStatus::kTimeout)
-        << "non-subscriber rank " << rank << " received a pruned packet";
-  }
-
-  // Each interior forwarded to its subscriber leaf and pruned the other:
-  // two pruned sends, visible tree-wide through telemetry.
-  const auto snap = await_metrics(
-      fe, [](const TreeMetricsSnapshot& s) { return s.total.topic_packets_pruned >= 2; });
-  EXPECT_EQ(snap.total.topic_packets_pruned, 2u);
-  net->shutdown();
-}
-
 TEST(TenantThreaded, PublishReusesTheTopicStreamAndUnsubscribeStops) {
+  // Threaded: the test thread subscribes, receives and unsubscribes through
+  // net->backend(0) between its own publishes.
   auto net = Network::create({.topology = Topology::flat(2)});
   FrontEnd& fe = net->front_end();
 
@@ -279,7 +250,12 @@ TEST(TenantThreaded, PriorityCeilingClampsAndDrainCountersFlowTreeWide) {
        .flow_control = {.enabled = true, .capacity = 64},
        .execution = {.num_workers = 2},
        .tenancy = TenancyOptions().tenant(
-           "acme", TenantOptions().priority_ceiling(Priority::kNormal))});
+           "acme", TenantOptions().priority_ceiling(Priority::kNormal)),
+       .backend_main = [](BackEnd& be) {
+         for (std::uint32_t stream = 1; stream <= 3; ++stream) {
+           be.send(stream, kTag, "i64", {std::int64_t{1}});
+         }
+       }});
   FrontEnd& fe = net->front_end();
 
   Stream& high = fe.open_stream(
@@ -292,12 +268,6 @@ TEST(TenantThreaded, PriorityCeilingClampsAndDrainCountersFlowTreeWide) {
   EXPECT_EQ(capped.spec().priority_class, Priority::kNormal)
       << "tenant ceiling must clamp the requested class";
   Stream& bulk = fe.open_stream(StreamSpec().priority(Priority::kBulk).up("sum"));
-
-  net->run_backends([&](BackEnd& be) {
-    for (const Stream* s : {&high, &capped, &bulk}) {
-      be.send(s->id(), kTag, "i64", {std::int64_t{1}});
-    }
-  });
   for (Stream* s : {&high, &capped, &bulk}) {
     const auto result = s->recv_for(10s);
     ASSERT_TRUE(result.has_value());
@@ -346,21 +316,20 @@ TEST(TenantThreaded, NoisyBulkTenantCannotStarveHighTenant) {
                .tenant("noisy", TenantOptions()
                                     .credit_share(0.25)
                                     .priority_ceiling(Priority::kBulk))
-               .tenant("fast", TenantOptions())});
+               .tenant("fast", TenantOptions()),
+       .backend_main = [](BackEnd& be) {
+         for (int wave = 0; wave < kWaves; ++wave) {
+           for (int i = 0; i < kFloodPerWave; ++i) {
+             be.send(1, kTag, "i64", {std::int64_t{1}});  // noisy
+           }
+           be.send(2, kTag, "i64", {std::int64_t{1}});  // fast
+         }
+       }});
   FrontEnd& fe = net->front_end();
   Stream& noisy = fe.open_stream(
       StreamSpec().up("sum").tenant("noisy").priority(Priority::kBulk));
   Stream& fast = fe.open_stream(
       StreamSpec().up("sum").tenant("fast").priority(Priority::kHigh));
-
-  net->run_backends([&](BackEnd& be) {
-    for (int wave = 0; wave < kWaves; ++wave) {
-      for (int i = 0; i < kFloodPerWave; ++i) {
-        be.send(noisy.id(), kTag, "i64", {std::int64_t{1}});
-      }
-      be.send(fast.id(), kTag, "i64", {std::int64_t{1}});
-    }
-  });
 
   // The well-behaved tenant's waves all aggregate to full weight.
   for (int wave = 0; wave < kWaves; ++wave) {
@@ -387,117 +356,128 @@ TEST(TenantThreaded, NoisyBulkTenantCannotStarveHighTenant) {
   net->shutdown();
 }
 
-TEST(TenantThreaded, SubscriptionsSurviveKillAndReadoption) {
-  const Topology topo = Topology::balanced(2, 2);
-  auto net = Network::create({.topology = topo, .recovery = {.auto_readopt = true}});
-  FrontEnd& fe = net->front_end();
+// ---- topic routing, every instantiation --------------------------------------
+//
+// Back-ends report what they received on an untopiced stream.  A fence
+// packet broadcast to every back-end after a publish proves the negative for
+// non-subscribers without a timeout: channels are FIFO, so a topic packet
+// routed to a back-end would reach it before the fence.
 
-  net->backend(0).subscribe("/evt");
-  ASSERT_TRUE(fe.wait_subscribers("/evt", 1, 10s));
+class TopicRouting : public modes::Test {};
 
-  fe.publish("/evt", kTag, "i64", {std::int64_t{1}});
-  ASSERT_TRUE(net->backend(0).recv_for(10s).has_value());
-
-  // Kill the subscriber's parent: both of its leaves re-adopt (to the root),
-  // and the climb-only subscription design means every adopter — always an
-  // ancestor — already holds the prefix.
-  const NodeId victim = topo.node(topo.leaves()[0]).parent;
-  ASSERT_FALSE(topo.is_root(victim));
-  net->kill_node(victim);
-  ASSERT_TRUE(net->wait_for_adoptions(2, 20s));
-
-  fe.publish("/evt", kTag, "i64", {std::int64_t{2}});
-  const auto packet = net->backend(0).recv_for(10s);
-  ASSERT_TRUE(packet.has_value()) << "subscription lost across re-adoption";
-  EXPECT_EQ((*packet)->get_i64(0), 2);
-  // Its re-adopted sibling is not subscribed: pruning must still hold on
-  // the post-adoption routes.
-  EXPECT_EQ(net->backend(1).recv_for(300ms).status(), RecvStatus::kTimeout);
-  net->shutdown();
-}
-
-// ---- Process-mode end-to-end ------------------------------------------------
-
-TEST(TenantProcess, PrefixRoutingPrunesAcrossProcesses) {
+TEST_P(TopicRouting, PrefixRoutingDeliversOnlyToSubscribers) {
   constexpr std::uint32_t kResults = 1;
-  auto net = Network::create(
-      {.mode = NetworkMode::kProcess,
-       .topology = Topology::balanced(2, 2),
-       .backend_main = [](BackEnd& be) {
-         const bool subscriber = be.rank() % 2 == 0;
-         if (subscriber) be.subscribe("/app");
-         // Subscribers block generously; non-subscribers prove a negative,
-         // so they only wait long enough to catch a routing leak.
-         const auto packet = be.recv_for(subscriber ? 30s : 2s);
-         be.send(kResults, kTag, "vi64",
-                 {std::vector<std::int64_t>{std::int64_t{be.rank()},
-                                            packet.has_value() ? 1 : 0}});
-       }});
+  constexpr std::uint32_t kFence = 3;  // opened after the topic stream (2)
+  auto net = create({.topology = Topology::balanced(2, 2),  // 4 leaves
+                     .telemetry = {.enabled = true, .interval_ms = 25},
+                     .backend_main = [](BackEnd& be) {
+                       if (be.rank() == 0) be.subscribe("/app/metrics");  // exact
+                       if (be.rank() == 2) be.subscribe("/app");  // covering prefix
+                       std::int64_t got = 0, evt = 0, stream = 0;
+                       for (;;) {
+                         const auto packet = be.recv_for(60s);
+                         if (!packet || (*packet)->stream_id() == kFence) break;
+                         ++got;
+                         evt = (*packet)->get_str(0) == "evt";
+                         stream = (*packet)->stream_id();
+                       }
+                       be.send(kResults, kTag, "vi64",
+                               {std::vector<std::int64_t>{be.rank(), got, evt, stream}});
+                     }});
   FrontEnd& fe = net->front_end();
   Stream& results = fe.open_stream({.up_transform = "concat"});
   ASSERT_EQ(results.id(), kResults);
+  ASSERT_TRUE(fe.wait_subscribers("/app/metrics", 2, 30s));
+  EXPECT_EQ(fe.subscriber_count("/app/metrics"), 2u);
 
-  ASSERT_TRUE(fe.wait_subscribers("/app", 2, 30s));
-  fe.publish("/app/metrics", kTag, "str", {std::string("evt")});
+  Stream& stream = fe.publish("/app/metrics", kTag, "str", {std::string("evt")});
+  EXPECT_EQ(stream.topic(), "/app/metrics");
+  Stream& fence = fe.open_stream({});
+  ASSERT_EQ(fence.id(), kFence);
+  fence.send(kTag, "str", {std::string("fence")});
 
   const auto result = results.recv_for(60s);
   ASSERT_TRUE(result.has_value());
-  const auto& pairs = (*result)->get_vi64(0);
-  ASSERT_EQ(pairs.size(), 8u);  // 4 back-ends x (rank, got)
-  for (std::size_t i = 0; i < pairs.size(); i += 2) {
-    const std::int64_t rank = pairs[i];
-    const std::int64_t got = pairs[i + 1];
-    EXPECT_EQ(got, rank % 2 == 0 ? 1 : 0) << "rank " << rank;
+  const auto& rows = (*result)->get_vi64(0);
+  ASSERT_EQ(rows.size(), 16u);  // 4 back-ends x (rank, got, evt, stream)
+  for (std::size_t i = 0; i < rows.size(); i += 4) {
+    const std::int64_t rank = rows[i];
+    const bool subscriber = rank == 0 || rank == 2;
+    EXPECT_EQ(rows[i + 1], subscriber ? 1 : 0)
+        << "rank " << rank << (subscriber ? " missed its topic packet"
+                                          : " received a pruned packet");
+    if (subscriber) {
+      EXPECT_EQ(rows[i + 2], 1) << "rank " << rank;
+      EXPECT_EQ(rows[i + 3], std::int64_t{stream.id()}) << "rank " << rank;
+    }
   }
+
+  // Each interior forwarded to its subscriber leaf and pruned the other:
+  // two pruned sends, visible tree-wide through telemetry.
+  const auto snap = await_metrics(
+      fe, [](const TreeMetricsSnapshot& s) { return s.total.topic_packets_pruned >= 2; });
+  EXPECT_EQ(snap.total.topic_packets_pruned, 2u);
   net->shutdown();
 }
 
-TEST(TenantProcess, SubscriptionsSurviveKillAndReadoptionAcrossProcesses) {
+TEST_P(TopicRouting, SubscriptionsSurviveKillAndReadoption) {
   constexpr std::uint32_t kAcks = 1;
   const Topology topo = Topology::balanced(2, 2);
-  auto net = Network::create(
-      {.mode = NetworkMode::kProcess,
-       .topology = topo,
-       .recovery = {.auto_readopt = true},
-       .backend_main = [](BackEnd& be) {
-         if (be.rank() % 2 == 0) be.subscribe("/evt");
-         while (true) {
-           const auto packet = be.recv();
-           if (!packet.has_value()) return;  // shutdown
-           be.send(kAcks, kTag, "vi64",
-                   {std::vector<std::int64_t>{std::int64_t{be.rank()},
-                                              (*packet)->get_i64(0)}});
-         }
-       }});
+  auto net = create({.topology = topo,
+                     .recovery = {.auto_readopt = true},
+                     .backend_main = [](BackEnd& be) {
+                       if (be.rank() % 2 == 0) be.subscribe("/evt");
+                       // Ack every packet (topic packets and fences alike)
+                       // with (rank, value) until shutdown.
+                       while (const auto packet = be.recv()) {
+                         be.send(kAcks, kTag, "vi64",
+                                 {std::vector<std::int64_t>{std::int64_t{be.rank()},
+                                                            (*packet)->get_i64(0)}});
+                       }
+                     }});
   FrontEnd& fe = net->front_end();
   Stream& acks = fe.open_stream({.up_transform = "concat", .up_sync = "null"});
   ASSERT_EQ(acks.id(), kAcks);
   ASSERT_TRUE(fe.wait_subscribers("/evt", 2, 30s));
 
-  const auto collect_acks = [&](std::int64_t seq) {
-    std::set<std::int64_t> ranks;
+  // Publish `seq`, then fence; return the ranks that acked `seq` before all
+  // four fence acks were in.
+  Stream* fence = nullptr;
+  const auto publish_and_collect = [&](std::int64_t seq) {
+    fe.publish("/evt", kTag, "i64", {seq});
+    if (fence == nullptr) fence = &fe.open_stream({});
+    fence->send(kTag, "i64", {std::int64_t{-1}});
+    std::set<std::int64_t> ranks, fenced;
     const auto deadline = std::chrono::steady_clock::now() + 60s;
-    while (ranks.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+    while (fenced.size() < 4 && std::chrono::steady_clock::now() < deadline) {
       const auto ack = acks.recv_for(100ms);
       if (!ack.has_value()) continue;
       const auto& pair = (*ack)->get_vi64(0);
-      if (pair.size() == 2 && pair[1] == seq) ranks.insert(pair[0]);
+      if (pair.size() != 2) continue;
+      if (pair[1] == seq) ranks.insert(pair[0]);
+      if (pair[1] == -1) fenced.insert(pair[0]);
     }
+    EXPECT_EQ(fenced.size(), 4u) << "fence " << seq << " did not reach every back-end";
     return ranks;
   };
 
-  fe.publish("/evt", kTag, "i64", {std::int64_t{1}});
-  EXPECT_EQ(collect_acks(1), (std::set<std::int64_t>{0, 2}));
+  EXPECT_EQ(publish_and_collect(1), (std::set<std::int64_t>{0, 2}));
 
+  // Kill the subscriber's parent: both of its leaves re-adopt (to the root),
+  // and the climb-only subscription design means every adopter — always an
+  // ancestor — already holds the prefix.  Its re-adopted sibling is not
+  // subscribed: pruning must still hold on the post-adoption routes.
   const NodeId victim = topo.node(topo.leaves()[0]).parent;
+  ASSERT_FALSE(topo.is_root(victim));
   net->kill_node(victim);
   ASSERT_TRUE(net->wait_for_adoptions(2, 30s));
 
-  fe.publish("/evt", kTag, "i64", {std::int64_t{2}});
-  EXPECT_EQ(collect_acks(2), (std::set<std::int64_t>{0, 2}))
-      << "subscriptions lost across process re-adoption";
+  EXPECT_EQ(publish_and_collect(2), (std::set<std::int64_t>{0, 2}))
+      << "subscriptions lost or pruning broken across re-adoption";
   net->shutdown();
 }
+
+TBON_INSTANTIATE_MODES(TopicRouting);
 
 }  // namespace
 }  // namespace tbon
