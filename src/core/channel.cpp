@@ -14,26 +14,25 @@ ChannelFactory::ChannelFactory(const FlowControlOptions& flow_control,
       batching_(batching),
       flusher_(batching.enabled() ? std::make_shared<BatchFlusher>() : nullptr) {}
 
-std::shared_ptr<CreditGate> ChannelFactory::make_gate(NodeRuntime* sender) const {
+std::shared_ptr<CreditGate> ChannelFactory::make_gate(NodeRuntime& sender) const {
   if (!flow_control_.enabled) return nullptr;
   auto gate = std::make_shared<CreditGate>(flow_control_.window());
-  if (sender != nullptr && flow_control_.policy == FlowControlPolicy::kDropOldest) {
+  if (flow_control_.policy == FlowControlPolicy::kDropOldest) {
     // Wake the sender's event loop (a no-op marker envelope) so its pending
     // rings are pumped right after a grant lands.  Only drop_oldest keeps
     // pending rings; under the other policies the wake-up would find nothing
     // to pump.  try_push: a full inbox is an awake inbox.
-    gate->set_drain_hook([inbox = sender->inbox(), marker = make_attach_marker_packet()] {
+    gate->set_drain_hook([inbox = sender.inbox(), marker = make_attach_marker_packet()] {
       inbox->try_push(Envelope{Origin::kParent, 0, marker});
     });
   }
   return gate;
 }
 
-std::shared_ptr<Link> ChannelFactory::build(std::shared_ptr<Link> raw, NodeRuntime* sender,
-                                            const TenantTablePtr& tenants,
+std::shared_ptr<Link> ChannelFactory::build(std::shared_ptr<Link> raw, NodeRuntime& sender,
                                             const std::shared_ptr<CreditGate>& gate,
                                             bool app_edge) const {
-  MetricsRegistry* metrics = sender != nullptr ? &sender->metrics() : nullptr;
+  MetricsRegistry* metrics = &sender.metrics();
   std::shared_ptr<Link> link = std::move(raw);
   if (batching_.enabled()) {
     // On a flow-controlled channel a batch holds at most one grant quantum.
@@ -55,8 +54,8 @@ std::shared_ptr<Link> ChannelFactory::build(std::shared_ptr<Link> raw, NodeRunti
   }
   if (gate == nullptr) return link;
   auto controlled = std::make_shared<FlowControlledLink>(
-      std::move(link), gate, flow_control_, metrics, app_edge, tenants);
-  if (sender != nullptr) sender->register_fc_link(controlled);
+      std::move(link), gate, flow_control_, metrics, app_edge, sender.tenants());
+  sender.register_fc_link(controlled);
   return controlled;
 }
 
@@ -69,15 +68,15 @@ void ChannelFactory::set_granter(NodeRuntime& runtime, Origin origin, std::uint3
   }
 }
 
-std::shared_ptr<Link> ChannelFactory::inproc(NodeRuntime* sender, NodeRuntime& receiver,
+std::shared_ptr<Link> ChannelFactory::inproc(NodeRuntime& sender, NodeRuntime& receiver,
                                              Origin origin, std::uint32_t slot,
                                              bool app_edge) const {
   const auto gate = make_gate(sender);
   if (gate != nullptr) {
     set_granter(receiver, origin, slot, [gate](std::uint32_t n) { gate->grant(n); });
   }
-  return build(std::make_shared<InprocLink>(receiver.inbox(), origin, slot), sender,
-               sender != nullptr ? sender->tenants() : receiver.tenants(), gate, app_edge);
+  return build(std::make_shared<InprocLink>(receiver.inbox(), origin, slot), sender, gate,
+               app_edge);
 }
 
 std::shared_ptr<CreditGate> ChannelFactory::socket_gate(
@@ -89,7 +88,7 @@ std::shared_ptr<CreditGate> ChannelFactory::socket_gate(
   set_socket_buffers(fd, std::clamp<std::size_t>(std::size_t{flow_control_.window()} * 8192,
                                                  std::size_t{256} << 10,
                                                  std::size_t{4} << 20));
-  if (reuse == nullptr) return make_gate(&sender);
+  if (reuse == nullptr) return make_gate(sender);
   reuse->reset();
   return reuse;
 }
@@ -98,7 +97,7 @@ std::shared_ptr<Link> ChannelFactory::socket_stack(std::shared_ptr<Link> raw,
                                                    NodeRuntime& sender,
                                                    const std::shared_ptr<CreditGate>& gate,
                                                    bool app_edge) const {
-  return build(std::move(raw), &sender, sender.tenants(), gate, app_edge);
+  return build(std::move(raw), sender, gate, app_edge);
 }
 
 void ChannelFactory::grant_in_band(NodeRuntime& runtime, Origin origin, std::uint32_t slot,

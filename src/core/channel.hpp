@@ -64,11 +64,12 @@ class ChannelFactory {
     return flow_control_.enabled ? flow_control_.window() : 0;
   }
 
-  /// A threaded channel into `receiver`'s inbox.  `sender` is the runtime
-  /// that sends on it, or null for a dynamic leaf service (no event loop to
-  /// wake or pump, no metrics; the receiver's tenant table classifies its
-  /// sends).  Installs the receiver's granter: a direct call into the gate.
-  std::shared_ptr<Link> inproc(NodeRuntime* sender, NodeRuntime& receiver,
+  /// The flow-control options every stack this factory builds runs under.
+  const FlowControlOptions& flow_control() const noexcept { return flow_control_; }
+
+  /// A channel in this process from runtime `sender` into `receiver`'s
+  /// inbox.  Installs the receiver's granter: a direct call into the gate.
+  std::shared_ptr<Link> inproc(NodeRuntime& sender, NodeRuntime& receiver,
                                Origin origin, std::uint32_t slot,
                                bool app_edge = false) const;
 
@@ -96,9 +97,8 @@ class ChannelFactory {
                      std::shared_ptr<Link> link) const;
 
  private:
-  std::shared_ptr<CreditGate> make_gate(NodeRuntime* sender) const;
-  std::shared_ptr<Link> build(std::shared_ptr<Link> raw, NodeRuntime* sender,
-                              const TenantTablePtr& tenants,
+  std::shared_ptr<CreditGate> make_gate(NodeRuntime& sender) const;
+  std::shared_ptr<Link> build(std::shared_ptr<Link> raw, NodeRuntime& sender,
                               const std::shared_ptr<CreditGate>& gate,
                               bool app_edge) const;
   static void set_granter(NodeRuntime& runtime, Origin origin, std::uint32_t slot,

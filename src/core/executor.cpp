@@ -1,7 +1,5 @@
 #include "core/executor.hpp"
 
-#include <chrono>
-
 #include "common/timer.hpp"
 
 namespace tbon {
@@ -47,14 +45,10 @@ std::uint32_t FilterExecutor::shard_of(std::uint32_t stream_id) const noexcept {
   return static_cast<std::uint32_t>(mix64(stream_id) % workers_.size());
 }
 
-void FilterExecutor::add_stream(std::uint32_t stream_id, DeadlinePoll poll,
-                                Priority priority) {
+void FilterExecutor::add_stream(std::uint32_t stream_id, Priority priority) {
   Worker& worker = *workers_[shard_of(stream_id)];
   std::lock_guard<std::mutex> lock(worker.mutex);
-  StreamState& state = worker.streams[stream_id];
-  state.poll = std::move(poll);
-  state.priority = priority;
-  state.deadline_ns = -1;
+  worker.streams[stream_id].priority = priority;
 }
 
 void FilterExecutor::remove_stream(std::uint32_t stream_id) {
@@ -79,17 +73,6 @@ void FilterExecutor::post(std::uint32_t stream_id, Task task) {
   worker.queues[static_cast<std::size_t>(state.priority)].emplace_back(
       stream_id, std::move(task));
   if (metrics_) update_max(metrics_->exec_queue_peak, state.queued);
-  worker.wake.notify_one();
-}
-
-void FilterExecutor::set_deadline(std::uint32_t stream_id, std::int64_t deadline_ns) {
-  Worker& worker = *workers_[shard_of(stream_id)];
-  {
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    const auto it = worker.streams.find(stream_id);
-    if (it == worker.streams.end()) return;
-    it->second.deadline_ns = deadline_ns;
-  }
   worker.wake.notify_one();
 }
 
@@ -220,42 +203,7 @@ void FilterExecutor::worker_loop(Worker& worker) {
       worker.settled.notify_all();
       continue;
     }
-
-    // Idle: fire an expired drain deadline on this shard, or sleep until
-    // the earliest one (tasks take priority — every task re-polls its
-    // stream's sync policy anyway, so a due deadline is never starved).
-    const std::int64_t now = now_ns();
-    std::int64_t earliest = -1;
-    std::uint32_t due_stream = 0;
-    StreamState* due = nullptr;
-    for (auto& [stream_id, state] : worker.streams) {
-      if (state.deadline_ns < 0) continue;
-      if (state.deadline_ns <= now) {
-        due_stream = stream_id;
-        due = &state;
-        break;
-      }
-      if (earliest < 0 || state.deadline_ns < earliest) earliest = state.deadline_ns;
-    }
-    if (due != nullptr) {
-      due->deadline_ns = -1;
-      const DeadlinePoll poll = due->poll;
-      due->running = true;
-      ++worker.executing;
-      lock.unlock();
-      if (poll) poll(now);
-      lock.lock();
-      --worker.executing;
-      const auto after = worker.streams.find(due_stream);
-      if (after != worker.streams.end()) after->second.running = false;
-      worker.settled.notify_all();
-      continue;
-    }
-    if (earliest >= 0) {
-      worker.wake.wait_for(lock, std::chrono::nanoseconds(earliest - now));
-    } else {
-      worker.wake.wait(lock);
-    }
+    worker.wake.wait(lock);
   }
 }
 

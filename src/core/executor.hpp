@@ -14,9 +14,9 @@
 // The executor knows nothing about packets or links: the NodeRuntime posts
 // closures that run the sync/filter machinery and hand their outputs back to
 // the event loop as completion records (see node.hpp).  Timed sync policies
-// (time_out) are served by per-stream deadline polls that fire on the
-// stream's own shard, so even timer-driven drains keep the sharding
-// guarantee.
+// (time_out) are drained by tasks too: each completion reports the stream's
+// next sync deadline, and the loop posts a drain task to the stream's shard
+// when it falls due, so even timer-driven drains keep the sharding guarantee.
 #pragma once
 
 #include <array>
@@ -55,9 +55,6 @@ struct ExecutionOptions {
 class FilterExecutor {
  public:
   using Task = std::function<void()>;
-  /// Deadline poll: runs on the stream's shard when its armed deadline
-  /// expires (the executor-mode replacement for the loop's poll_timeouts).
-  using DeadlinePoll = std::function<void(std::int64_t now_ns)>;
 
   /// `metrics` (optional) receives exec_tasks / exec_task_ns /
   /// exec_queue_peak as work flows through; workers start immediately.
@@ -74,13 +71,11 @@ class FilterExecutor {
   /// The worker a stream is pinned to (stable for the executor's lifetime).
   std::uint32_t shard_of(std::uint32_t stream_id) const noexcept;
 
-  /// Register a stream before posting work for it.  `poll` may be empty for
-  /// streams whose sync policy never arms deadlines.  `priority` places the
+  /// Register a stream before posting work for it.  `priority` places the
   /// stream's tasks in its shard's weighted drain (control > high > normal >
   /// bulk with weights 4/2/1 below control, which always drains first) so a
   /// bulk flood sharing a shard cannot starve a high-priority stream.
-  void add_stream(std::uint32_t stream_id, DeadlinePoll poll,
-                  Priority priority = Priority::kNormal);
+  void add_stream(std::uint32_t stream_id, Priority priority = Priority::kNormal);
 
   /// Unregister (call only after drain_stream: no tasks may be in flight).
   void remove_stream(std::uint32_t stream_id);
@@ -89,11 +84,6 @@ class FilterExecutor {
   /// Blocks while the stream's queue is at capacity (backpressure toward
   /// the event loop, which is what keeps credits unreturned).
   void post(std::uint32_t stream_id, Task task);
-
-  /// Arm (or clear, with deadline_ns < 0) the stream's drain deadline.
-  /// Called from the stream's own shard at the end of each task, so it can
-  /// never race that stream's execution.
-  void set_deadline(std::uint32_t stream_id, std::int64_t deadline_ns);
 
   /// Barrier: every task posted so far (all streams) has finished.
   void drain();
@@ -110,22 +100,20 @@ class FilterExecutor {
 
  private:
   struct StreamState {
-    DeadlinePoll poll;
     Priority priority = Priority::kNormal;
     std::size_t queued = 0;           ///< tasks waiting in the run queue
-    bool running = false;             ///< a task or poll is executing now
-    std::int64_t deadline_ns = -1;    ///< armed drain deadline; -1 = none
+    bool running = false;             ///< a task is executing now
   };
 
   struct Worker {
     mutable std::mutex mutex;
-    std::condition_variable wake;     ///< work arrived / deadline re-armed / stop
+    std::condition_variable wake;     ///< work arrived / stop
     std::condition_variable settled;  ///< task finished (post backpressure, drains)
     /// Per-priority cross-stream FIFOs; within one class tasks run in post
     /// order, so per-stream FIFO holds (a stream lives in exactly one class).
     std::array<std::deque<std::pair<std::uint32_t, Task>>, kNumPriorities> queues;
     std::map<std::uint32_t, StreamState> streams;
-    std::size_t executing = 0;        ///< tasks/polls running right now
+    std::size_t executing = 0;        ///< tasks running right now
     /// Weighted-round-robin drain state over kHigh/kNormal/kBulk.
     std::size_t wrr_class = static_cast<std::size_t>(Priority::kHigh);
     std::uint32_t wrr_left = 0;

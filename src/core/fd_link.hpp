@@ -22,23 +22,6 @@
 
 namespace tbon {
 
-/// Adapter giving several owners (a back-end handle and its runtime) one
-/// shared link — two independent raw links on the same socket could
-/// interleave partial frames.
-class SharedLink final : public Link {
- public:
-  explicit SharedLink(std::shared_ptr<Link> inner) : inner_(std::move(inner)) {}
-  bool send(const PacketPtr& packet) override { return inner_->send(packet); }
-  bool send_batch(std::span<const PacketPtr> packets) override {
-    return inner_->send_batch(packets);
-  }
-  bool flush() override { return inner_->flush(); }
-  void close() override { inner_->close(); }
-
- private:
-  std::shared_ptr<Link> inner_;
-};
-
 /// Process mode's SocketPump.  Each socket gets a blocking reader thread,
 /// so an interior node reads its child edges in parallel; its raw links
 /// write in the sending thread, so a send that returned is in the kernel.

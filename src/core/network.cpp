@@ -7,7 +7,7 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "core/delegates.hpp"
-#include "core/fd_link.hpp"
+#include "core/socket_pump.hpp"
 
 namespace tbon {
 
@@ -15,86 +15,10 @@ using namespace std::chrono_literals;
 
 // ---- dynamic back-ends --------------------------------------------------------
 
-/// Service loop for a back-end attached after instantiation.  Implements the
-/// leaf subset of the control protocol (stream announcements, shutdown
-/// handshake, peer delivery) without a topology slot.
-class Network::DynamicLeafService {
- public:
-  DynamicLeafService(std::uint32_t rank, FilterRegistry& registry)
-      : registry_(registry),
-        inbox_(std::make_shared<Inbox>(4096)),
-        backend_(new BackEnd(rank, nullptr)),
-        delegate_(*backend_) {}
-
-  void start() {
-    thread_ = std::jthread([this] { run(); });
-  }
-
-  const InboxPtr& inbox() const noexcept { return inbox_; }
-  BackEnd& backend() noexcept { return *backend_; }
-  void set_up_link(LinkPtr link) { backend_->up_link_ = std::move(link); }
-
-  /// The parent's link down to this service: a bare InprocLink, never the
-  /// channel stack.  The service has no runtime to grant credits, and run()
-  /// reads a packet-less envelope — which is what a coalesced batch looks
-  /// like — as EOF.
-  LinkPtr down_link() const {
-    return std::make_unique<InprocLink>(inbox_, Origin::kParent, 0);
-  }
-
- private:
-  void run() {
-    while (auto envelope = inbox_->pop()) {
-      if (!envelope->packet) break;  // parent gone
-      const Packet& packet = *envelope->packet;
-      if (packet.stream_id() != kControlStream) {
-        delegate_.on_downstream(envelope->packet);
-        continue;
-      }
-      switch (packet.tag()) {
-        case kTagNewStream:
-          delegate_.on_stream_known(StreamSpec::from_packet(packet));
-          break;
-        case kTagDeleteStream:
-          delegate_.on_stream_deleted(static_cast<std::uint32_t>(packet.get_i64(0)));
-          break;
-        case kTagPeerMessage:
-          delegate_.on_peer_message(unwrap_peer_packet(packet));
-          break;
-        case kTagLoadFilter:
-          try {
-            registry_.load_library(packet.get_str(0));
-          } catch (const FilterError& error) {
-            TBON_ERROR("dynamic back-end: " << error.what());
-          }
-          break;
-        case kTagShutdown:
-          delegate_.on_shutdown();
-          backend_->up_link_->send(make_shutdown_ack_packet());
-          backend_->up_link_->close();
-          return;
-        default:
-          TBON_WARN("dynamic back-end dropping control tag " << packet.tag());
-      }
-    }
-    delegate_.on_shutdown();
-  }
-
-  FilterRegistry& registry_;
-  InboxPtr inbox_;
-  std::unique_ptr<BackEnd> backend_;
-  BackEndDelegate delegate_;
-  std::jthread thread_;
-};
-
-BackEnd& Network::dynamic_backend(std::size_t index) {
-  return dynamic_leaves_[index]->backend();
-}
-
 BackEnd& Network::attach_backend_at(NodeId parent) {
   if (forked() && parent != topology_.root()) {
     // Only the root runtime shares the front-end's address space in these
-    // modes, so a dynamic leaf service can splice in nowhere else.
+    // modes, so a new leaf can be adopted nowhere else.
     throw ProtocolError(
         "dynamic back-ends attach at the root in process/remote mode");
   }
@@ -102,43 +26,34 @@ BackEnd& Network::attach_backend_at(NodeId parent) {
   if (topology_.is_leaf(parent)) {
     throw ProtocolError("cannot attach a back-end under another back-end");
   }
+  std::lock_guard<std::mutex> lock(recovery_mutex_);
+  NodeRuntime& adopter = *runtimes_[parent];
+  if (adopter.is_dead()) throw ProtocolError("parent node is dead");
+  std::lock_guard<std::mutex> dynamic_lock(dynamic_mutex_);
   {
-    std::lock_guard<std::mutex> lock(shutdown_mutex_);
+    std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
     if (shutdown_requested_) throw ProtocolError("network is shutting down");
   }
 
-  NodeRuntime& runtime = *runtimes_[parent];
-  if (runtime.is_dead()) throw ProtocolError("parent node is dead");
-  const std::uint32_t slot = runtime.reserve_child_slot();
+  // An ordinary leaf: its id and rank continue the static numbering.
+  const auto id = static_cast<NodeId>(current_parent_.size());
+  const auto rank = static_cast<std::uint32_t>(backends_.size());
+  auto backend = std::unique_ptr<BackEnd>(new BackEnd(rank));
+  auto delegate = std::make_unique<BackEndDelegate>(*backend);
+  auto runtime = std::make_unique<NodeRuntime>(id, rank, registry_, delegate.get());
+  configure_local(*runtime);
+  // The handle sends through a relink seam, as a static leaf's does;
+  // attach_threaded links it to the new edge before anything can send.
+  backend->up_link_ = backend_relinks_.emplace_back(std::make_shared<RelinkableLink>(nullptr));
+  current_parent_.push_back(parent);
+  edge_slots_[{parent, id}] = attach_threaded(*runtime, adopter, {rank});
+  // A new leaf has no old parent chain: this routes its rank above `parent`.
+  reroute_ranks_locked({rank}, parent, parent);
 
-  std::lock_guard<std::mutex> lock(dynamic_mutex_);
-  const std::uint32_t rank = next_dynamic_rank_++;
-  auto service = std::make_unique<DynamicLeafService>(rank, registry_);
-  // The handle sends through a relink seam so planned moves can swap the
-  // upstream edge underneath the application thread.
-  auto relink = std::make_shared<RelinkableLink>(channels_.inproc(
-      /*sender=*/nullptr, runtime, Origin::kChild, slot, /*app_edge=*/true));
-  service->set_up_link(std::make_unique<SharedLink>(relink));
-  service->start();
-  runtime.request_attach(slot, rank, service->down_link());
-  // Teach every ancestor along the *effective* (post-move) topology which
-  // child slot now leads to the new rank, so peer messages route from
-  // anywhere in the tree.
-  {
-    std::lock_guard<std::mutex> recovery_lock(recovery_mutex_);
-    for (NodeId node = parent; node != topology_.root();) {
-      const NodeId ancestor = current_parent_[node];
-      const auto edge = edge_slots_.find({ancestor, node});
-      if (edge != edge_slots_.end() && ancestor < runtimes_.size() &&
-          runtimes_[ancestor]) {
-        runtimes_[ancestor]->request_route(rank, edge->second);
-      }
-      node = ancestor;
-    }
-  }
-  dyn_leaf_state_[rank] = DynamicLeafState{parent, slot, service.get(), relink};
-  dynamic_leaves_.push_back(std::move(service));
-  return dynamic_leaves_.back()->backend();
+  NodeRuntime& leaf = *dynamic_runtimes_.emplace_back(std::move(runtime));
+  leaf_delegates_.push_back(std::move(delegate));
+  threads_.emplace_back([&leaf] { leaf.run(); });
+  return *backends_.emplace_back(std::move(backend));
 }
 
 // ---- Stream -----------------------------------------------------------------
@@ -409,10 +324,8 @@ void BackEnd::wait_stream_known(std::uint32_t stream_id) {
 void BackEnd::pause_sends() {
   std::lock_guard<std::mutex> lock(send_mutex_);
   sends_paused_ = true;
-  // A coalescer may still hold what the application sent: push it out so it
-  // precedes the fence too.  A static leaf's quiesce ack would flush it as
-  // well (same stack); a dynamic leaf has no runtime ack to do so.
-  if (up_link_) up_link_->flush();
+  // What a coalescer still holds goes out ahead of the leaf runtime's
+  // quiesce ack, which shares this stack and flushes it.
 }
 
 void BackEnd::resume_sends() {
@@ -538,6 +451,11 @@ Network::Network(const NetworkOptions& options)
       channels_(options.flow_control, options.batching),
       recovery_(options.recovery),
       mode_(options.mode) {
+  backends_.resize(topology_.num_leaves());
+  backend_relinks_.resize(topology_.num_leaves());
+  if (!recovery_.fault_plan.empty()) {
+    injector_ = std::make_shared<FaultInjector>(recovery_.fault_plan);
+  }
   current_parent_.resize(topology_.num_nodes());
   for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
     current_parent_[id] = topology_.is_root(id) ? id : topology_.node(id).parent;
@@ -611,74 +529,51 @@ std::unique_ptr<Network> Network::create_threaded_impl(const NetworkOptions& opt
 
   net.root_delegate_ = std::make_unique<RootDelegate>(net);
 
-  // First pass: create back-end handles (they own the upstream link used by
-  // application threads) and delegates.
+  // First pass: runtimes, and each leaf's back-end handle and delegate.
   net.runtimes_.resize(topo.num_nodes());
   net.leaf_delegates_.resize(topo.num_leaves());
-  net.backends_.resize(topo.num_leaves());
-
-  // Create runtimes top-down so a child can reference its parent's inbox.
   for (NodeId id = 0; id < topo.num_nodes(); ++id) {
     NodeRuntime::Delegate* delegate = nullptr;
     if (topo.is_root(id)) {
       delegate = net.root_delegate_.get();
     } else if (topo.is_leaf(id)) {
       const auto rank = topo.leaf_rank(id);
-      // The BackEnd's upstream link is wired after the parent runtime exists;
-      // create the handle first with a placeholder.
-      net.backends_[rank] = std::unique_ptr<BackEnd>(new BackEnd(rank, nullptr));
+      net.backends_[rank] = std::unique_ptr<BackEnd>(new BackEnd(rank));
       net.leaf_delegates_[rank] = std::make_unique<BackEndDelegate>(*net.backends_[rank]);
       delegate = net.leaf_delegates_[rank].get();
     }
     net.runtimes_[id] = std::make_unique<NodeRuntime>(topo, id, net.registry_, delegate);
+    // Leaves ignore the execution options (they run no filters).
+    net.runtimes_[id]->set_execution(options.execution);
+    net.configure_local(*net.runtimes_[id]);
   }
-
-  if (options.flow_control.enabled) {
-    for (auto& runtime : net.runtimes_) runtime->set_flow_control(options.flow_control);
-  }
-  // Parallel filter execution: every runtime learns the options; leaves
-  // ignore them (they run no filters), so only non-leaf nodes build pools.
-  for (auto& runtime : net.runtimes_) runtime->set_execution(options.execution);
 
   // Second pass: one channel each way along every edge.  A leaf's runtime
   // and its application threads share the upstream stack, so the control
   // packets the runtime sends (quiesce and detach acks among them) flush
   // whatever the application left in its coalescer first.
-  net.backend_relinks_.resize(topo.num_leaves());
   for (NodeId id = 0; id < topo.num_nodes(); ++id) {
     const auto& children = topo.node(id).children;
     for (std::uint32_t slot = 0; slot < children.size(); ++slot) {
       const NodeId child = children[slot];
       NodeRuntime& parent_rt = *net.runtimes_[id];
       NodeRuntime& child_rt = *net.runtimes_[child];
-      parent_rt.add_child_link(std::make_unique<SharedLink>(
-          net.channels_.inproc(&parent_rt, child_rt, Origin::kParent, 0)));
+      parent_rt.add_child_link(net.channels_.inproc(parent_rt, child_rt, Origin::kParent, 0));
       const bool leaf = topo.is_leaf(child);
-      auto up = net.channels_.inproc(&child_rt, parent_rt, Origin::kChild, slot,
+      auto up = net.channels_.inproc(child_rt, parent_rt, Origin::kChild, slot,
                                      /*app_edge=*/leaf);
-      child_rt.set_parent_link(std::make_unique<SharedLink>(up));
+      child_rt.set_parent_link(up);
       if (leaf) {
         // Always relinkable: the handle must survive a parent swap whether
         // it comes from re-adoption (failure) or a planned re-home.
         const auto rank = topo.leaf_rank(child);
         net.backend_relinks_[rank] = std::make_shared<RelinkableLink>(std::move(up));
-        net.backends_[rank]->up_link_ =
-            std::make_unique<SharedLink>(net.backend_relinks_[rank]);
+        net.backends_[rank]->up_link_ = net.backend_relinks_[rank];
       }
     }
   }
 
   net.front_end_ = std::unique_ptr<FrontEnd>(new FrontEnd(net));
-  net.next_dynamic_rank_ = static_cast<std::uint32_t>(topo.num_leaves());
-  net.apply_recovery_threaded();
-  // Planned re-homes run on the mover's own runtime thread (the rehome frame
-  // arrives there), independent of auto_readopt.
-  for (auto& runtime : net.runtimes_) {
-    if (runtime->role() == NodeRole::kRoot) continue;
-    runtime->set_rehome_handler([&net](NodeRuntime& mover, NodeId new_parent) {
-      return net.rehome_threaded(mover, new_parent);
-    });
-  }
 
   // Launch one service thread per node.
   net.threads_.reserve(topo.num_nodes());
@@ -695,12 +590,12 @@ void Network::start_backends(std::function<void(BackEnd&)> backend_main) {
   backend_main_ = std::move(backend_main);
   // Like a forked leaf, each leaf stays in the tree after its body returns,
   // until shutdown.
-  backend_threads_.reserve(backends_.size());
-  for (std::uint32_t rank = 0; rank < backends_.size(); ++rank) {
-    backend_threads_.emplace_back([this, rank] {
-      run_backend_main(backend_main_, *backends_[rank],
-                       *runtimes_[topology_.leaves()[rank]]);
-    });
+  backend_threads_.reserve(topology_.num_leaves());
+  for (std::uint32_t rank = 0; rank < topology_.num_leaves(); ++rank) {
+    BackEnd& backend = *backends_[rank];
+    NodeRuntime& leaf = *runtimes_[topology_.leaves()[rank]];
+    backend_threads_.emplace_back(
+        [this, &backend, &leaf] { run_backend_main(backend_main_, backend, leaf); });
   }
 }
 
@@ -717,22 +612,20 @@ void Network::run_backend_main(const std::function<void(BackEnd&)>& backend_main
   leaf.inbox()->close();  // what kill_node does to a threaded node
 }
 
-void Network::apply_recovery_threaded() {
-  if (!recovery_.fault_plan.empty()) {
-    injector_ = std::make_shared<FaultInjector>(recovery_.fault_plan);
-    for (auto& runtime : runtimes_) runtime->set_fault_injector(injector_);
-  }
+void Network::configure_local(NodeRuntime& runtime) {
+  if (channels_.flow_control().enabled) runtime.set_flow_control(channels_.flow_control());
+  if (injector_) runtime.set_fault_injector(injector_);
   const HeartbeatConfig hb = recovery_.heartbeat();
-  if (hb.enabled()) {
-    for (auto& runtime : runtimes_) runtime->set_recovery(hb);
-  }
+  if (hb.enabled()) runtime.set_recovery(hb);
+  if (runtime.role() == NodeRole::kRoot) return;
   if (recovery_.auto_readopt) {
-    for (auto& runtime : runtimes_) {
-      if (runtime->role() == NodeRole::kRoot) continue;
-      runtime->set_orphan_handler(
-          [this](NodeRuntime& orphan) { return readopt_threaded(orphan); });
-    }
+    runtime.set_orphan_handler([this](NodeRuntime& orphan) { return readopt_threaded(orphan); });
   }
+  // Planned re-homes run on the mover's own runtime thread (the rehome frame
+  // arrives there), independent of auto_readopt.
+  runtime.set_rehome_handler([this](NodeRuntime& mover, NodeId new_parent) {
+    return rehome_threaded(mover, new_parent);
+  });
 }
 
 bool Network::readopt_threaded(NodeRuntime& orphan) {
@@ -754,8 +647,10 @@ bool Network::readopt_threaded(NodeRuntime& orphan) {
   if (runtimes_[ancestor]->is_dead()) return false;  // tearing down
   NodeRuntime& adopter = *runtimes_[ancestor];
 
-  const std::uint32_t slot =
-      attach_threaded(orphan, adopter, topology_.subtree_leaf_ranks(self));
+  const std::uint32_t slot = attach_threaded(
+      orphan, adopter,
+      orphan.role() == NodeRole::kLeaf ? orphan.served_ranks()
+                                       : topology_.subtree_leaf_ranks(self));
   TBON_INFO("node " << self << " re-adopted by ancestor " << ancestor
                     << " at slot " << slot);
   edge_slots_.erase({current_parent_[self], self});
@@ -778,12 +673,11 @@ std::uint32_t Network::attach_threaded(NodeRuntime& node, NodeRuntime& adopter,
   // fence drained the old one — and both granters are swapped inside
   // inproc(), before any data can flow.
   adopter.request_adopt(slot, std::move(ranks),
-                        std::make_unique<SharedLink>(
-                            channels_.inproc(&adopter, node, Origin::kParent, epoch)));
-  const bool leaf = topology_.is_leaf(node.id());
-  auto up = channels_.inproc(&node, adopter, Origin::kChild, slot, /*app_edge=*/leaf);
-  node.set_parent_link(std::make_unique<SharedLink>(up));
-  if (leaf) backend_relinks_[topology_.leaf_rank(node.id())]->relink(std::move(up));
+                        channels_.inproc(adopter, node, Origin::kParent, epoch));
+  const bool leaf = node.role() == NodeRole::kLeaf;
+  auto up = channels_.inproc(node, adopter, Origin::kChild, slot, /*app_edge=*/leaf);
+  node.set_parent_link(up);
+  if (leaf) backend_relinks_[node.leaf_rank()]->relink(std::move(up));
   return slot;
 }
 
@@ -798,19 +692,17 @@ std::size_t Network::adoption_count() const {
 }
 
 NodeId Network::effective_parent(NodeId id) const {
-  if (id >= topology_.num_nodes()) throw ProtocolError("node id out of range");
   std::lock_guard<std::mutex> lock(recovery_mutex_);
+  if (id >= current_parent_.size()) throw ProtocolError("node id out of range");
   return current_parent_[id];
 }
 
 // ---- planned reconfiguration engine -----------------------------------------
 //
 // The engine runs on the operator's thread (FrontEnd::reconfigure), fully
-// serialized under reconfig_op_mutex_.  Wire-protocol phases (quiesce /
-// rehome / detach of nodes with their own runtime threads or processes) are
-// fenced by control-stream acknowledgements; dynamic leaves — whose service
-// loop and handle both live in this process — are rewired directly with the
-// pause_sends() fence.
+// serialized under reconfig_op_mutex_.  Its wire-protocol phases (quiesce /
+// rehome / detach) are fenced by control-stream acknowledgements, for static
+// and dynamic back-ends alike.
 
 ReconfigResult Network::reconfigure(TopologyDelta delta) {
   std::lock_guard<std::mutex> op_lock(reconfig_op_mutex_);
@@ -894,17 +786,38 @@ std::vector<NodeLoad> Network::node_loads() const {
 
 std::vector<NodeId> Network::effective_children_locked(NodeId node) const {
   std::vector<NodeId> children;
-  for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
-    if (id == node || topology_.is_root(id)) continue;
-    if (current_parent_[id] != node) continue;
-    if (topology_.is_leaf(id) &&
-        detached_ranks_.count(topology_.leaf_rank(id)) != 0) {
-      continue;
-    }
-    if (id < runtimes_.size() && runtimes_[id] && runtimes_[id]->is_dead()) continue;
+  for (NodeId id = 0; id < current_parent_.size(); ++id) {
+    if (id == node || id == topology_.root() || current_parent_[id] != node) continue;
+    const std::optional<std::uint32_t> rank = leaf_rank_locked(id);
+    if (rank && detached_ranks_.count(*rank) != 0) continue;
+    const NodeRuntime* runtime = local_runtime(id);
+    if (runtime != nullptr && runtime->is_dead()) continue;
     children.push_back(id);
   }
   return children;
+}
+
+std::optional<NodeId> Network::leaf_node_locked(std::uint32_t rank) const {
+  if (rank < topology_.num_leaves()) return topology_.leaves()[rank];
+  const NodeId id = topology_.num_nodes() + (rank - topology_.num_leaves());
+  if (id >= current_parent_.size()) return std::nullopt;
+  return id;
+}
+
+std::optional<std::uint32_t> Network::leaf_rank_locked(NodeId id) const {
+  if (id < topology_.num_nodes()) {
+    if (!topology_.is_leaf(id)) return std::nullopt;
+    return topology_.leaf_rank(id);
+  }
+  if (id >= current_parent_.size()) return std::nullopt;
+  return static_cast<std::uint32_t>(topology_.num_leaves() + (id - topology_.num_nodes()));
+}
+
+NodeRuntime* Network::local_runtime(NodeId id) const {
+  if (id < runtimes_.size()) return runtimes_[id].get();
+  std::lock_guard<std::mutex> lock(dynamic_mutex_);
+  const std::size_t index = id - topology_.num_nodes();
+  return index < dynamic_runtimes_.size() ? dynamic_runtimes_[index].get() : nullptr;
 }
 
 NodeId Network::resolve_parent(NodeId requested) const {
@@ -958,63 +871,22 @@ ReconfigOpResult Network::reconfig_remove_leaf(const ReconfigOp& op) {
   ReconfigOpResult r;
   r.op = op;
   const std::uint32_t rank = op.rank;
-
-  // Dynamic leaf: handle and service are local whatever the mode, so the
-  // whole detach is engine-side.  Fence order: pause (drains any in-flight
-  // send), detach marker at the old parent (behind all data, FIFO), then
-  // end the service loop and unroute the rank tree-wide.
-  {
-    std::lock_guard<std::mutex> lock(dynamic_mutex_);
-    const auto it = dyn_leaf_state_.find(rank);
-    if (it != dyn_leaf_state_.end()) {
-      DynamicLeafState state = it->second;
-      state.service->backend().pause_sends();
-      runtimes_[state.parent]->request_detach(state.slot);
-      runtimes_[state.parent]->metrics().reconfig_detaches.fetch_add(
-          1, std::memory_order_relaxed);
-      state.service->inbox()->push(Envelope{Origin::kParent, 0, nullptr});
-      {
-        std::lock_guard<std::mutex> recovery_lock(recovery_mutex_);
-        detached_ranks_.insert(rank);
-        for (NodeId node = state.parent;; node = current_parent_[node]) {
-          if (node < runtimes_.size() && runtimes_[node]) {
-            runtimes_[node]->request_unroute(rank);
-          }
-          if (node == topology_.root()) break;
-        }
-      }
-      dyn_leaf_state_.erase(it);
-      // Unblock any sender parked on the fence; later sends land on the dead
-      // slot and are dropped there (the documented caller contract: stop
-      // sending before removing a leaf).
-      state.service->backend().resume_sends();
-      r.ok = true;
-      r.new_rank = rank;
-      return r;
-    }
-  }
-
-  // Static leaf: drive the wire protocol so it works identically when the
-  // leaf runs in another process or on another host.
-  NodeId leaf = kAutoPlacement;
-  for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
-    if (topology_.is_leaf(id) && topology_.leaf_rank(id) == rank) {
-      leaf = id;
-      break;
-    }
-  }
-  if (leaf == kAutoPlacement) {
-    r.message = "remove_leaf: unknown rank " + std::to_string(rank);
-    return r;
-  }
+  NodeId leaf = 0;
   {
     std::lock_guard<std::mutex> lock(recovery_mutex_);
-    if (detached_ranks_.count(rank) != 0) {
-      r.message = "remove_leaf: rank " + std::to_string(rank) +
-                  " already detached";
+    const std::optional<NodeId> node = leaf_node_locked(rank);
+    if (!node) {
+      r.message = "remove_leaf: unknown rank " + std::to_string(rank);
       return r;
     }
+    if (detached_ranks_.count(rank) != 0) {
+      r.message = "remove_leaf: rank " + std::to_string(rank) + " already detached";
+      return r;
+    }
+    leaf = *node;
   }
+  // Drive the wire protocol, so it works identically when the leaf runs in
+  // another process or on another host.
   const std::int64_t op_id = next_reconfig_op_.fetch_add(1);
   if (!await_reconfig_ack(op_id, leaf, make_detach_packet(op_id, rank))) {
     r.message = "remove_leaf: detach of rank " + std::to_string(rank) +
@@ -1042,9 +914,12 @@ ReconfigOpResult Network::reconfig_move_subtree(const ReconfigOp& op) {
   ReconfigOpResult r;
   r.op = op;
   const NodeId node = op.node;
-  if (node >= topology_.num_nodes() || topology_.is_root(node)) {
-    r.message = "move_subtree: invalid node " + std::to_string(node);
-    return r;
+  {
+    std::lock_guard<std::mutex> lock(recovery_mutex_);
+    if (node >= current_parent_.size() || node == topology_.root()) {
+      r.message = "move_subtree: invalid node " + std::to_string(node);
+      return r;
+    }
   }
 
   // Membership of the *effective* subtree decides both cycle prevention and
@@ -1107,11 +982,9 @@ ReconfigOpResult Network::reconfig_move_subtree(const ReconfigOp& op) {
   std::optional<std::uint32_t> via;
   {
     std::lock_guard<std::mutex> lock(recovery_mutex_);
-    for (NodeId id = 0; id < topology_.num_nodes() && !via; ++id) {
-      if (!topology_.is_leaf(id)) continue;
-      const std::uint32_t rank = topology_.leaf_rank(id);
-      if (detached_ranks_.count(rank) != 0) continue;
-      if (inside_subtree(id)) via = rank;
+    for (NodeId id = 0; id < current_parent_.size() && !via; ++id) {
+      const std::optional<std::uint32_t> rank = leaf_rank_locked(id);
+      if (rank && detached_ranks_.count(*rank) == 0 && inside_subtree(id)) via = rank;
     }
   }
   if (!via) {
@@ -1136,44 +1009,6 @@ ReconfigOpResult Network::reconfig_move_subtree(const ReconfigOp& op) {
   }
   r.ok = true;
   return r;
-}
-
-bool Network::move_dynamic_leaf(std::uint32_t rank, NodeId new_parent) {
-  if (new_parent >= topology_.num_nodes() || topology_.is_leaf(new_parent)) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(dynamic_mutex_);
-  const auto it = dyn_leaf_state_.find(rank);
-  if (it == dyn_leaf_state_.end()) return false;
-  DynamicLeafState& state = it->second;
-  if (state.parent == new_parent) return true;
-  NodeRuntime& target = *runtimes_[new_parent];
-  if (target.is_dead()) return false;
-  BackEnd& backend = state.service->backend();
-
-  backend.pause_sends();  // fence: in-flight send drained, edge quiet
-  runtimes_[state.parent]->request_detach(state.slot);
-  runtimes_[state.parent]->metrics().reconfig_detaches.fetch_add(
-      1, std::memory_order_relaxed);
-  const std::uint32_t slot = target.reserve_child_slot();
-  // Fresh gate on the new edge: the fence drained the old edge, so the full
-  // window re-baselines here.
-  auto up = channels_.inproc(/*sender=*/nullptr, target, Origin::kChild, slot,
-                             /*app_edge=*/true);
-  // Attach marker first, then relink + resume: the marker is FIFO-ahead of
-  // anything the resumed handle can push into the same inbox.
-  target.request_attach(slot, rank, state.service->down_link());
-  state.relink->relink(std::move(up));
-  {
-    std::lock_guard<std::mutex> recovery_lock(recovery_mutex_);
-    reroute_ranks_locked({rank}, state.parent, new_parent);
-  }
-  state.parent = new_parent;
-  state.slot = slot;
-  backend.resume_sends();
-  runtimes_[topology_.root()]->metrics().reconfig_moves.fetch_add(
-      1, std::memory_order_relaxed);
-  return true;
 }
 
 void Network::reroute_ranks_locked(const std::vector<std::uint32_t>& ranks,
@@ -1261,20 +1096,12 @@ ReconfigOpResult Network::migrate_children(const ReconfigOp& op, bool merge_all)
     return r;
   }
 
-  std::vector<NodeId> statics;
+  std::vector<NodeId> children;
   {
     std::lock_guard<std::mutex> lock(recovery_mutex_);
-    statics = effective_children_locked(node);
+    children = effective_children_locked(node);
   }
-  std::vector<std::uint32_t> dynamics;
-  {
-    std::lock_guard<std::mutex> lock(dynamic_mutex_);
-    for (const auto& [rank, state] : dyn_leaf_state_) {
-      if (state.parent == node) dynamics.push_back(rank);
-    }
-  }
-  const std::size_t total = statics.size() + dynamics.size();
-  if (total == 0 || (!merge_all && total < 2)) {
+  if (children.empty() || (!merge_all && children.size() < 2)) {
     r.message = std::string(verb) + ": node " + std::to_string(node) +
                 " has nothing to migrate";
     return r;
@@ -1303,12 +1130,12 @@ ReconfigOpResult Network::migrate_children(const ReconfigOp& op, bool merge_all)
   // move one at a time through the same quiesce->rewire->replay path a
   // standalone move_subtree uses, so FIFO and filter-state guarantees hold
   // per child.
-  const std::size_t keep = merge_all ? 0 : (total + 1) / 2;
-  std::size_t index = 0;
+  const std::size_t keep = merge_all ? 0 : (children.size() + 1) / 2;
   std::size_t moved = 0;
   std::vector<std::string> failures;
-  for (const NodeId child : statics) {
-    if (index++ < keep || child == target) continue;
+  for (std::size_t index = keep; index < children.size(); ++index) {
+    const NodeId child = children[index];
+    if (child == target) continue;
     ReconfigOp sub;
     sub.kind = ReconfigOpKind::kMoveSubtree;
     sub.node = child;
@@ -1318,15 +1145,6 @@ ReconfigOpResult Network::migrate_children(const ReconfigOp& op, bool merge_all)
       ++moved;
     } else {
       failures.push_back(sr.message);
-    }
-  }
-  for (const std::uint32_t rank : dynamics) {
-    if (index++ < keep) continue;
-    if (move_dynamic_leaf(rank, target)) {
-      ++moved;
-    } else {
-      failures.push_back("dynamic rank " + std::to_string(rank) +
-                         " could not be moved");
     }
   }
   if (moved == 0) {
@@ -1357,29 +1175,18 @@ Network::~Network() {
 }
 
 BackEnd& Network::backend(std::uint32_t rank) {
-  // Static ranks live below the topology's leaves; dynamic ranks are
-  // numbered after them (in process/remote mode `backends_` is empty, so
-  // the static leaf count — not its size — is the dynamic base).
-  const std::uint32_t static_ranks =
-      static_cast<std::uint32_t>(topology_.num_leaves());
-  if (rank < static_ranks) {
-    if (forked()) {
-      throw ProtocolError(
-          "back-end handles live in their own processes in process/remote mode");
-    }
-    return *backends_[rank];
-  }
-  // Dynamically attached ranks always have their handle in this process,
-  // whatever the instantiation mode.
   std::lock_guard<std::mutex> lock(dynamic_mutex_);
-  const std::size_t index = rank - static_ranks;
-  if (index >= dynamic_leaves_.size()) throw ProtocolError("back-end rank out of range");
-  return dynamic_backend(index);
+  if (rank >= backends_.size()) throw ProtocolError("back-end rank out of range");
+  if (!backends_[rank]) {
+    throw ProtocolError(
+        "back-end handles live in their own processes in process/remote mode");
+  }
+  return *backends_[rank];
 }
 
 std::size_t Network::num_backends() const {
   std::lock_guard<std::mutex> lock(dynamic_mutex_);
-  return topology_.num_leaves() + dynamic_leaves_.size();
+  return backends_.size();
 }
 
 void Network::kill_node(NodeId id) {
@@ -1499,12 +1306,6 @@ void Network::shutdown() {
     for (auto& runtime : runtimes_) {
       if (runtime) runtime->inbox()->close();
     }
-    {
-      // Dynamic leaf services block on their own inboxes; wake them too or
-      // their jthreads would never join.
-      std::lock_guard<std::mutex> dynamic_lock(dynamic_mutex_);
-      for (auto& leaf : dynamic_leaves_) leaf->inbox()->close();
-    }
     shutdown_cv_.wait_for(lock, 5s, [&] { return shutdown_complete_; });
   }
   lock.unlock();
@@ -1514,7 +1315,15 @@ void Network::shutdown() {
   // Stop accepting orphans before tearing down transport state; after this
   // join no adoption can open a channel on the pump.
   if (rendezvous_) rendezvous_->stop();
-  threads_.clear();  // join all service threads
+  std::vector<std::jthread> threads;
+  {
+    std::lock_guard<std::mutex> dynamic_lock(dynamic_mutex_);
+    // A dynamic leaf whose parent finished before adopting it never heard
+    // of the shutdown; its closed inbox ends it (the others are done).
+    for (auto& runtime : dynamic_runtimes_) runtime->inbox()->close();
+    threads.swap(threads_);
+  }
+  threads.clear();  // join all service threads
   if (pump_) {
     // The root runtime shut down its child links on exit, so every node
     // process finishes and closes its end; stopping the pump releases the

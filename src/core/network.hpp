@@ -487,16 +487,15 @@ class BackEnd {
  private:
   friend class Network;
   friend class BackEndDelegate;
-  BackEnd(std::uint32_t rank, LinkPtr up_link) : rank_(rank), up_link_(std::move(up_link)) {}
+  explicit BackEnd(std::uint32_t rank) : rank_(rank) {}
 
   void wait_stream_known(std::uint32_t stream_id);
 
   /// Reconfiguration quiesce fence: pause_sends() blocks new application
   /// sends AND waits out any in-flight one (it acquires send_mutex_, which
-  /// every send path holds across the link handoff), then flushes the
-  /// upstream link, so after it returns no packet can enter the old channel
-  /// and none is left buffered in front of it.  resume_sends() releases the
-  /// fence after this leaf's subtree is rewired to its new parent.
+  /// every send path holds across the link handoff), so after it returns no
+  /// packet can enter the old channel.  resume_sends() releases the fence
+  /// after this leaf is rewired to its new parent.
   void pause_sends();
   void resume_sends();
   /// Blocks while paused; every upstream-sending path calls this with
@@ -551,10 +550,11 @@ class Network {
   const Topology& topology() const noexcept { return topology_; }
   FrontEnd& front_end() noexcept { return *front_end_; }
 
-  /// Back-end handle by rank: dynamic ranks in every mode, static ranks in
-  /// threaded mode only.  backend_main is the portable entry point; this
-  /// stays for in-process programs that send from threads of their own, such
-  /// as perfbench's fixed-schedule generator or a test timing a kill.
+  /// Back-end handle by rank: dynamic ranks (numbered after the static
+  /// ones) in every mode, static ranks in threaded mode only.  backend_main
+  /// is the portable entry point; this stays for in-process programs that
+  /// send from threads of their own, such as perfbench's fixed-schedule
+  /// generator or a test timing a kill.
   BackEnd& backend(std::uint32_t rank);
   /// Number of back-ends, including dynamically attached ones.
   std::size_t num_backends() const;
@@ -575,7 +575,8 @@ class Network {
   std::size_t adoption_count() const;
 
   /// Current parent of `id` in the effective (post-recovery) topology; this
-  /// diverges from topology() once subtrees have been re-adopted.
+  /// diverges from topology() once subtrees have been re-adopted.  Dynamic
+  /// back-ends have node ids numbered after the topology's last node.
   NodeId effective_parent(NodeId id) const;
 
   /// Orderly tree-wide teardown (idempotent): broadcasts SHUTDOWN, waits for
@@ -591,7 +592,6 @@ class Network {
   friend class Stream;
   friend class FrontEnd;
   class RootDelegate;
-  class DynamicLeafService;
 
   /// Topology, mode, recovery options and channel factory; no runtimes yet.
   explicit Network(const NetworkOptions& options);
@@ -609,7 +609,6 @@ class Network {
   void start_telemetry(const TelemetryOptions& telemetry);
   void send_to_root(PacketPtr packet);
   void send_batch_to_root(std::span<const PacketPtr> packets);
-  BackEnd& dynamic_backend(std::size_t index);
   void on_result(std::uint32_t stream_id, PacketPtr packet);
   void on_stream_deleted(std::uint32_t stream_id);
   void on_subscription(const std::string& prefix, std::uint32_t rank, bool added);
@@ -648,20 +647,29 @@ class Network {
   std::uint32_t attach_threaded(NodeRuntime& node, NodeRuntime& adopter,
                                 std::vector<std::uint32_t> ranks);
   /// Attach a dynamic back-end under `parent` (reconfig_add_leaf's engine
-  /// path) and return its handle.
+  /// path) and return its handle: a leaf runtime, handle and thread like a
+  /// static leaf's, adopted through attach_threaded.
   BackEnd& attach_backend_at(NodeId parent);
-  /// Engine-side move of a dynamically attached leaf: its service and
-  /// handle live in this process, so the fence is pause_sends -> detach at
-  /// the old parent -> attach at the new one -> resume; no wire protocol.
-  bool move_dynamic_leaf(std::uint32_t rank, NodeId new_parent);
-  /// Static-topology children of `node` in the effective (post-move)
-  /// topology, skipping planned-detached leaves (recovery_mutex_ held).
+  /// Live children of `node` in the effective (post-move) topology, dynamic
+  /// back-ends included, skipping planned-detached leaves (recovery_mutex_
+  /// held).
   std::vector<NodeId> effective_children_locked(NodeId node) const;
+  /// Node id of back-end `rank`, nullopt for an unknown rank; and the rank
+  /// of leaf `id`, nullopt for an interior or unknown node.  Dynamic
+  /// back-ends continue both numberings past the static topology
+  /// (recovery_mutex_ held).
+  std::optional<NodeId> leaf_node_locked(std::uint32_t rank) const;
+  std::optional<std::uint32_t> leaf_rank_locked(NodeId id) const;
+  /// The runtime of node `id` if it runs in this process, else null.
+  NodeRuntime* local_runtime(NodeId id) const;
+  /// Set up a runtime of this process other than a forked mode's root:
+  /// flow control, heartbeats, the fault injector, and the re-adoption and
+  /// re-home handlers.
+  void configure_local(NodeRuntime& runtime);
   /// Re-point rank routes along the old and new parent chains after a move
   /// (recovery_mutex_ held).
   void reroute_ranks_locked(const std::vector<std::uint32_t>& ranks,
                             NodeId old_parent, NodeId new_parent);
-  void apply_recovery_threaded();
   bool readopt_threaded(NodeRuntime& orphan);
   /// Graft an orphan that reached the rendezvous onto the root, on pump_
   /// (process and remote mode).
@@ -711,11 +719,15 @@ class Network {
   Topology topology_;
   FilterRegistry& registry_ = FilterRegistry::instance();
 
-  std::vector<std::unique_ptr<NodeRuntime>> runtimes_;  // index = NodeId
-  std::vector<std::unique_ptr<BackEnd>> backends_;      // index = leaf rank
-  std::vector<std::unique_ptr<DynamicLeafService>> dynamic_leaves_;
+  std::vector<std::unique_ptr<NodeRuntime>> runtimes_;  // index = static NodeId
+  /// Guards the growth of the containers dynamic back-ends join.
   mutable std::mutex dynamic_mutex_;
-  std::uint32_t next_dynamic_rank_ = 0;  // set at creation to num_leaves
+  /// Index = back-end rank; a static rank's entry is null when its leaf runs
+  /// in another process.  Dynamic back-ends append (dynamic_mutex_).
+  std::vector<std::unique_ptr<BackEnd>> backends_;
+  /// Leaf runtimes of dynamic back-ends, index = node id - num_nodes
+  /// (dynamic_mutex_).
+  std::vector<std::unique_ptr<NodeRuntime>> dynamic_runtimes_;
 
   // Reconfiguration engine state (reconfig_op_mutex_ serializes whole
   // deltas; reconfig_ack_mutex_ guards the ack rendezvous with the root
@@ -726,16 +738,6 @@ class Network {
   std::condition_variable reconfig_ack_cv_;
   std::set<std::pair<std::int64_t, NodeId>> reconfig_acks_;
   std::atomic<std::int64_t> next_reconfig_op_{1};
-  /// Engine's view of each dynamic leaf (dynamic_mutex_): where it hangs,
-  /// which child slot it occupies there, and the relink seam its BackEnd
-  /// handle sends through (swapped on planned moves).
-  struct DynamicLeafState {
-    NodeId parent = 0;
-    std::uint32_t slot = 0;
-    DynamicLeafService* service = nullptr;
-    std::shared_ptr<RelinkableLink> relink;
-  };
-  std::map<std::uint32_t, DynamicLeafState> dyn_leaf_state_;
   /// Ranks removed by planned detach (recovery_mutex_); never reused.
   std::set<std::uint32_t> detached_ranks_;
   /// Child slot of every live (parent, child) tree edge, kept current across
@@ -743,8 +745,10 @@ class Network {
   /// effective-topology chains (recovery_mutex_).
   std::map<std::pair<NodeId, NodeId>, std::uint32_t> edge_slots_;
   std::unique_ptr<RootDelegate> root_delegate_;
-  std::vector<std::unique_ptr<BackEndDelegate>> leaf_delegates_;
+  std::vector<std::unique_ptr<BackEndDelegate>> leaf_delegates_;  ///< dynamic_mutex_
   std::unique_ptr<FrontEnd> front_end_;
+  /// One per runtime of this process; dynamic back-ends append
+  /// (dynamic_mutex_).
   std::vector<std::jthread> threads_;
 
   std::mutex shutdown_mutex_;
@@ -774,11 +778,14 @@ class Network {
 
   // Recovery state (see src/recovery/).
   RecoveryOptions recovery_;
-  std::shared_ptr<FaultInjector> injector_;  ///< threaded mode
-  /// Effective parent of each node after re-adoptions (recovery_mutex_).
+  /// Shared by the runtimes configure_local sets up; null without a plan.
+  std::shared_ptr<FaultInjector> injector_;
+  /// Effective parent of each node after re-adoptions, index = NodeId,
+  /// dynamic back-ends included (recovery_mutex_).
   std::vector<NodeId> current_parent_;
-  /// Per-leaf-rank relink seam over the leaf's one upstream stack (threaded
-  /// mode), so application threads keep sending across a parent swap.
+  /// Per-leaf-rank relink seam over an in-process leaf's one upstream stack,
+  /// so application threads keep sending across a parent swap; null for a
+  /// leaf in another process (recovery_mutex_).
   std::vector<std::shared_ptr<RelinkableLink>> backend_relinks_;
   std::unique_ptr<RendezvousServer> rendezvous_;  ///< process/remote auto_readopt
   mutable std::mutex recovery_mutex_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <thread>
 
 #include "common/log.hpp"
@@ -10,44 +9,56 @@
 
 namespace tbon {
 
+namespace {
+
+/// The back-end ranks below each child slot of `id`.
+std::vector<std::vector<std::uint32_t>> child_ranks(const Topology& topology, NodeId id) {
+  std::vector<std::vector<std::uint32_t>> ranks;
+  for (const NodeId child : topology.node(id).children) {
+    ranks.push_back(topology.subtree_leaf_ranks(child));
+  }
+  return ranks;
+}
+
+}  // namespace
+
 NodeRuntime::NodeRuntime(const Topology& topology, NodeId id, FilterRegistry& registry,
                          Delegate* delegate)
-    : topology_(topology),
-      id_(id),
-      role_(topology.is_root(id)   ? NodeRole::kRoot
-            : topology.is_leaf(id) ? NodeRole::kLeaf
-                                   : NodeRole::kInternal),
+    : NodeRuntime(id,
+                  topology.is_root(id)   ? NodeRole::kRoot
+                  : topology.is_leaf(id) ? NodeRole::kLeaf
+                                         : NodeRole::kInternal,
+                  topology.is_leaf(id) ? topology.leaf_rank(id) : 0,
+                  child_ranks(topology, id), registry, delegate) {}
+
+NodeRuntime::NodeRuntime(NodeId id, std::uint32_t rank, FilterRegistry& registry,
+                         Delegate* delegate)
+    : NodeRuntime(id, NodeRole::kLeaf, rank, {}, registry, delegate) {}
+
+NodeRuntime::NodeRuntime(NodeId id, NodeRole role, std::uint32_t leaf_rank,
+                         std::vector<std::vector<std::uint32_t>> child_ranks,
+                         FilterRegistry& registry, Delegate* delegate)
+    : id_(id),
+      role_(role),
+      leaf_rank_(leaf_rank),
       registry_(registry),
       delegate_(delegate),
       inbox_(std::make_shared<Inbox>(/*capacity=*/4096)),
-      child_alive_(topology.node(id).children.size(), true),
-      child_contributing_(topology.node(id).children.size(), true),
-      child_acked_(topology.node(id).children.size(), false),
-      live_children_(topology.node(id).children.size()),
-      contributing_children_(topology.node(id).children.size()),
-      next_dynamic_slot_(
-          static_cast<std::uint32_t>(topology.node(id).children.size())) {
+      child_alive_(child_ranks.size(), true),
+      child_contributing_(child_ranks.size(), true),
+      child_acked_(child_ranks.size(), false),
+      live_children_(child_ranks.size()),
+      contributing_children_(child_ranks.size()) {
+  next_dynamic_slot_ = static_cast<std::uint32_t>(child_ranks.size());
   // Peer-message routing table: which child slot serves which back-end rank.
-  const auto& children = topology_.node(id_).children;
-  for (std::uint32_t slot = 0; slot < children.size(); ++slot) {
-    for (const std::uint32_t rank : topology_.subtree_leaf_ranks(children[slot])) {
-      rank_routes_[rank] = slot;
-    }
+  for (std::uint32_t slot = 0; slot < child_ranks.size(); ++slot) {
+    for (const std::uint32_t rank : child_ranks[slot]) rank_routes_[rank] = slot;
+    slot_ranks_[slot] = std::move(child_ranks[slot]);
   }
 }
 
 std::uint32_t NodeRuntime::reserve_child_slot() noexcept {
   return next_dynamic_slot_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void NodeRuntime::request_attach(std::uint32_t slot, std::uint32_t backend_rank,
-                                 LinkPtr link) {
-  {
-    std::lock_guard<std::mutex> lock(attach_mutex_);
-    pending_child_ops_.push_back({PendingChildOp::Kind::kAttach, slot,
-                                  backend_rank, {}, std::move(link)});
-  }
-  inbox_->push(Envelope{Origin::kParent, 0, make_attach_marker_packet()});
 }
 
 void NodeRuntime::request_adopt(std::uint32_t slot, std::vector<std::uint32_t> ranks,
@@ -76,16 +87,6 @@ void NodeRuntime::request_unroute(std::uint32_t backend_rank) {
         {PendingChildOp::Kind::kUnroute, 0, backend_rank, {}, nullptr});
   }
   inbox_->push(Envelope{Origin::kParent, 0, make_attach_marker_packet()});
-}
-
-void NodeRuntime::request_detach(std::uint32_t slot) {
-  PacketPtr marker = make_attach_marker_packet();
-  {
-    std::lock_guard<std::mutex> lock(attach_mutex_);
-    pending_child_ops_.push_back(
-        {PendingChildOp::Kind::kDetach, slot, 0, {}, nullptr, marker});
-  }
-  inbox_->push(Envelope{Origin::kParent, 0, std::move(marker)});
 }
 
 void NodeRuntime::set_flow_control(const FlowControlOptions& options) {
@@ -230,25 +231,14 @@ void NodeRuntime::set_crash_handler(std::function<void()> handler) {
   crash_handler_ = std::move(handler);
 }
 
-void NodeRuntime::process_pending_attaches(const Packet* marker) {
+void NodeRuntime::process_pending_attaches() {
   std::vector<PendingChildOp> ops;
   {
     std::lock_guard<std::mutex> lock(attach_mutex_);
-    // Everything up to the first detach whose own marker is still behind.
-    auto end = std::find_if(pending_child_ops_.begin(), pending_child_ops_.end(),
-                            [marker](const PendingChildOp& op) {
-                              return op.kind == PendingChildOp::Kind::kDetach &&
-                                     op.marker.get() != marker;
-                            });
-    ops.assign(std::make_move_iterator(pending_child_ops_.begin()),
-               std::make_move_iterator(end));
-    pending_child_ops_.erase(pending_child_ops_.begin(), end);
+    ops.swap(pending_child_ops_);
   }
-  // Strict request order.  An unroute+route pair queued by a subtree
-  // migration re-points the rank in one drain without losing it, and a
-  // detach requested after an attach of the same slot (rapid add+remove)
-  // tears down the freshly wired child instead of no-opping on an
-  // unwired slot and leaking a ghost live child.
+  // Strict request order: an unroute+route pair queued by a subtree
+  // migration re-points the rank in one drain without losing it.
   for (auto& op : ops) {
     switch (op.kind) {
       case PendingChildOp::Kind::kUnroute:
@@ -257,19 +247,9 @@ void NodeRuntime::process_pending_attaches(const Packet* marker) {
       case PendingChildOp::Kind::kRoute:
         rank_routes_[op.backend_rank] = op.slot;
         break;
-      case PendingChildOp::Kind::kDetach:
-        TBON_INFO("node " << id_ << " planned detach of child slot " << op.slot);
-        note_child_gone(op.slot);
-        break;
-      case PendingChildOp::Kind::kAttach:
-        TBON_INFO("node " << id_ << " attaching dynamic back-end rank "
-                          << op.backend_rank << " at slot " << op.slot);
-        wire_dynamic_child(op.slot, {op.backend_rank}, std::move(op.link));
-        break;
       case PendingChildOp::Kind::kAdopt:
-        TBON_INFO("node " << id_ << " adopting orphaned subtree serving "
-                          << op.ranks.size() << " back-end rank(s) at slot "
-                          << op.slot);
+        TBON_INFO("node " << id_ << " adopting a child serving " << op.ranks.size()
+                          << " back-end rank(s) at slot " << op.slot);
         wire_dynamic_child(op.slot, std::move(op.ranks), std::move(op.link));
         break;
     }
@@ -300,9 +280,9 @@ void NodeRuntime::wire_dynamic_child(std::uint32_t slot,
     notify_parent_membership(/*live=*/true);
   }
   for (const std::uint32_t rank : ranks) rank_routes_[rank] = slot;
-  dynamic_slot_ranks_[slot] = std::move(ranks);
+  slot_ranks_[slot] = std::move(ranks);
   if (liveness_) liveness_->ensure_child(slot, now_ns());
-  const auto& slot_ranks = dynamic_slot_ranks_[slot];
+  const auto& slot_ranks = slot_ranks_[slot];
   for (auto& [stream_id, stream] : streams_) {
     if (stream.slot_to_sync_index.size() <= slot) {
       stream.slot_to_sync_index.resize(slot + 1, -1);
@@ -518,7 +498,7 @@ void NodeRuntime::handle_control(const Envelope& envelope) {
       handle_subscription(envelope, /*added=*/false);
       break;
     case kTagAttachChild:
-      process_pending_attaches(envelope.packet.get());
+      process_pending_attaches();
       break;
     case kTagHeartbeat:
       // Pure liveness traffic: receipt already credited the channel.
@@ -634,33 +614,15 @@ void NodeRuntime::handle_new_stream(const StreamSpec& spec) {
   tenants_->register_stream(spec.id, spec.priority_class, spec.tenant_name,
                             spec.tenant_budget());
 
-  const auto& children = topology_.node(id_).children;
-  stream.slot_to_sync_index.assign(std::max(children.size(), child_links_.size()), -1);
-  for (std::uint32_t slot = 0; slot < children.size(); ++slot) {
-    const auto subtree_ranks = topology_.subtree_leaf_ranks(children[slot]);
+  const std::size_t slots =
+      slot_ranks_.empty() ? 0 : std::size_t{slot_ranks_.rbegin()->first} + 1;
+  stream.slot_to_sync_index.assign(std::max(slots, child_links_.size()), -1);
+  // Every child slot, static or wired since, joins by the ranks it serves.
+  for (const auto& [slot, ranks] : slot_ranks_) {
     const bool participates =
         spec.endpoints.empty() ||
-        std::any_of(subtree_ranks.begin(), subtree_ranks.end(),
+        std::any_of(ranks.begin(), ranks.end(),
                     [&](std::uint32_t rank) { return spec.contains(rank); });
-    if (participates) {
-      stream.slot_to_sync_index[slot] =
-          static_cast<std::int32_t>(stream.participating_slots.size());
-      stream.participating_slots.push_back(slot);
-    }
-  }
-  // Dynamically wired children (attached back-ends and adopted subtrees,
-  // slots beyond the static topology) join by their known rank sets; a slot
-  // with no recorded ranks joins only all-endpoints streams.
-  for (std::uint32_t slot = static_cast<std::uint32_t>(children.size());
-       slot < child_links_.size(); ++slot) {
-    if (!child_links_[slot]) continue;
-    bool participates = spec.endpoints.empty();
-    if (!participates) {
-      const auto ranks = dynamic_slot_ranks_.find(slot);
-      participates = ranks != dynamic_slot_ranks_.end() &&
-                     std::any_of(ranks->second.begin(), ranks->second.end(),
-                                 [&](std::uint32_t rank) { return spec.contains(rank); });
-    }
     if (participates) {
       stream.slot_to_sync_index[slot] =
           static_cast<std::int32_t>(stream.participating_slots.size());
@@ -762,7 +724,7 @@ bool NodeRuntime::route_down_via_rank(std::uint32_t rank, const PacketPtr& packe
 }
 
 std::vector<std::uint32_t> NodeRuntime::served_ranks() const {
-  if (role_ == NodeRole::kLeaf) return topology_.subtree_leaf_ranks(id_);
+  if (role_ == NodeRole::kLeaf) return {leaf_rank_};
   std::vector<std::uint32_t> ranks;
   for (const auto& [rank, slot] : rank_routes_) {
     if (slot < child_alive_.size() && child_alive_[slot]) ranks.push_back(rank);
@@ -783,8 +745,7 @@ void NodeRuntime::handle_detach(const Envelope& envelope) {
     return;
   }
   if (shutting_down_) return;  // departure is moot: the whole tree is leaving
-  if (role_ == NodeRole::kLeaf &&
-      topology_.subtree_leaf_ranks(id_).front() == target_rank) {
+  if (role_ == NodeRole::kLeaf && leaf_rank_ == target_rank) {
     TBON_INFO("node " << id_ << " (rank " << target_rank
                       << ") leaving on planned detach, op " << op_id);
     if (delegate_ != nullptr) delegate_->on_shutdown();
@@ -1132,7 +1093,6 @@ void NodeRuntime::apply_membership_change(StreamLocal& stream,
       sp->ctx.num_children = change.num_children;
       sp->ctx.membership = std::move(snapshot);
       ExecCompletion completion;
-      completion.stream_id = sp->spec.id;
       sp->sync->membership_changed(change, sp->ctx);
       if (!added) {
         // Failure may complete a pending wave for the survivors.
@@ -1140,10 +1100,7 @@ void NodeRuntime::apply_membership_change(StreamLocal& stream,
             run_upstream_batches(*sp, sp->sync->drain_ready(now_ns(), sp->ctx));
       }
       sp->up_filter->membership_changed(change, completion.up_outputs, sp->ctx);
-      const auto deadline = sp->sync->next_deadline();
-      executor_->set_deadline(sp->spec.id, deadline ? *deadline : -1);
-      completion.buffered = sp->sync->buffered();
-      exec_enqueue(std::move(completion));
+      exec_finish(*sp, std::move(completion));
     });
     return;
   }
@@ -1402,22 +1359,7 @@ void NodeRuntime::emit_upstream(StreamLocal& stream, std::span<const PacketPtr> 
 // order is the completion queue's FIFO order, which matches inline mode.
 
 void NodeRuntime::exec_register_stream(StreamLocal& stream) {
-  StreamLocal* sp = &stream;
-  executor_->add_stream(
-      stream.spec.id,
-      [this, sp](std::int64_t now) {
-        // Deadline poll, on the stream's own shard: the executor-mode
-        // replacement for the loop's poll_timeouts.
-        ExecCompletion completion;
-        completion.stream_id = sp->spec.id;
-        completion.up_outputs =
-            run_upstream_batches(*sp, sp->sync->drain_ready(now, sp->ctx));
-        const auto deadline = sp->sync->next_deadline();
-        executor_->set_deadline(sp->spec.id, deadline ? *deadline : -1);
-        completion.buffered = sp->sync->buffered();
-        exec_enqueue(std::move(completion));
-      },
-      tenants_->priority_of(stream.spec.id));
+  executor_->add_stream(stream.spec.id, tenants_->priority_of(stream.spec.id));
   stream.ctx.telemetry = TelemetryScope(
       &metrics_, static_cast<int>(executor_->shard_of(stream.spec.id)));
   stream.exec = true;
@@ -1437,7 +1379,6 @@ void NodeRuntime::exec_dispatch_upstream_run(StreamLocal& stream,
   executor_->post(stream.spec.id, [this, sp, sync_index, slot, credits,
                                    packets = std::move(packets)]() mutable {
     ExecCompletion completion;
-    completion.stream_id = sp->spec.id;
     if (sp->null_sync) {
       completion.up_outputs = run_upstream_filter_batch(*sp, packets);
     } else {
@@ -1447,13 +1388,10 @@ void NodeRuntime::exec_dispatch_upstream_run(StreamLocal& stream,
       completion.up_outputs =
           run_upstream_batches(*sp, sp->sync->drain_ready(now_ns(), sp->ctx));
     }
-    const auto deadline = sp->sync->next_deadline();
-    executor_->set_deadline(sp->spec.id, deadline ? *deadline : -1);
-    completion.buffered = sp->sync->buffered();
     completion.credits = credits;
     completion.credit_origin = Origin::kChild;
     completion.credit_slot = slot;
-    exec_enqueue(std::move(completion));
+    exec_finish(*sp, std::move(completion));
   });
 }
 
@@ -1463,16 +1401,32 @@ void NodeRuntime::exec_dispatch_downstream(StreamLocal& stream, PacketPtr packet
   executor_->post(stream.spec.id, [this, sp, telemetry,
                                    packet = std::move(packet)] {
     ExecCompletion completion;
-    completion.stream_id = sp->spec.id;
     completion.down_outputs = run_downstream_filter(*sp, packet);
-    // The sync policy was not touched, but the buffered mirror still needs
-    // a truthful value (reads are safe: we are on the stream's shard).
-    completion.buffered = sp->sync->buffered();
     completion.credits = telemetry ? 0 : 1;
     completion.credit_origin = Origin::kParent;
     completion.credit_slot = 0;
-    exec_enqueue(std::move(completion));
+    exec_finish(*sp, std::move(completion));
   });
+}
+
+void NodeRuntime::exec_post_deadline_drain(StreamLocal& stream) {
+  stream.exec_drain_posted = true;
+  StreamLocal* sp = &stream;
+  executor_->post(stream.spec.id, [this, sp] {
+    ExecCompletion completion;
+    completion.deadline_drain = true;
+    completion.up_outputs =
+        run_upstream_batches(*sp, sp->sync->drain_ready(now_ns(), sp->ctx));
+    exec_finish(*sp, std::move(completion));
+  });
+}
+
+void NodeRuntime::exec_finish(StreamLocal& stream, ExecCompletion&& completion) {
+  // Reads are safe: every task runs on the stream's own shard.
+  completion.stream_id = stream.spec.id;
+  completion.buffered = stream.sync->buffered();
+  completion.deadline = stream.sync->next_deadline().value_or(-1);
+  exec_enqueue(std::move(completion));
 }
 
 void NodeRuntime::exec_enqueue(ExecCompletion&& completion) {
@@ -1508,6 +1462,8 @@ void NodeRuntime::exec_deliver(ExecCompletion&& completion) {
   if (it != streams_.end()) {
     StreamLocal& stream = it->second;
     stream.exec_buffered = completion.buffered;
+    stream.exec_deadline = completion.deadline;
+    if (completion.deadline_drain) stream.exec_drain_posted = false;
     emit_upstream(stream, completion.up_outputs);
     for (const PacketPtr& packet : completion.down_outputs) {
       forward_down_to_participants(stream, packet);
@@ -1529,11 +1485,9 @@ void NodeRuntime::flush_stream(StreamLocal& stream) {
     StreamLocal* sp = &stream;
     executor_->post(stream.spec.id, [this, sp] {
       ExecCompletion completion;
-      completion.stream_id = sp->spec.id;
       completion.up_outputs = run_upstream_batches(*sp, sp->sync->flush(sp->ctx));
       sp->up_filter->flush(completion.up_outputs, sp->ctx);
-      executor_->set_deadline(sp->spec.id, -1);
-      exec_enqueue(std::move(completion));
+      exec_finish(*sp, std::move(completion));
     });
     executor_->drain_stream(stream.spec.id);
     exec_drain_completions();
@@ -1551,9 +1505,16 @@ void NodeRuntime::flush_all_streams() {
 
 void NodeRuntime::poll_timeouts(std::int64_t now) {
   for (auto& [stream_id, stream] : streams_) {
-    // Executor streams arm their deadlines on their own shard (the loop may
-    // not touch their sync policy at all).
-    if (!stream.sync || stream.exec) continue;
+    if (!stream.sync) continue;
+    if (stream.exec) {
+      // The loop may not touch an executor stream's sync policy: it drains
+      // on the stream's shard, one drain per due deadline.
+      if (!stream.exec_drain_posted && stream.exec_deadline >= 0 &&
+          stream.exec_deadline <= now) {
+        exec_post_deadline_drain(stream);
+      }
+      continue;
+    }
     const auto deadline = stream.sync->next_deadline();
     if (deadline && *deadline <= now) {
       process_batches(stream, stream.sync->drain_ready(now, stream.ctx));
@@ -1599,8 +1560,15 @@ void NodeRuntime::poll_liveness(std::int64_t now) {
 std::optional<std::int64_t> NodeRuntime::earliest_deadline() const {
   std::optional<std::int64_t> earliest;
   for (const auto& [stream_id, stream] : streams_) {
-    if (!stream.sync || stream.exec) continue;  // exec: worker-side deadlines
-    const auto deadline = stream.sync->next_deadline();
+    if (!stream.sync) continue;
+    // An executor stream's deadline is the shard's last report, and counts
+    // only until its drain is posted (the drain's completion re-reports).
+    std::optional<std::int64_t> deadline;
+    if (!stream.exec) {
+      deadline = stream.sync->next_deadline();
+    } else if (!stream.exec_drain_posted && stream.exec_deadline >= 0) {
+      deadline = stream.exec_deadline;
+    }
     if (deadline && (!earliest || *deadline < *earliest)) earliest = deadline;
   }
   if (liveness_) {

@@ -87,8 +87,13 @@ class NodeRuntime {
     virtual void on_reconfig_resume() {}
   };
 
+  /// Node `id` of a static topology: its role and the back-end ranks below
+  /// each child slot are read from `topology` here, and never again.
   NodeRuntime(const Topology& topology, NodeId id, FilterRegistry& registry,
               Delegate* delegate);
+  /// A leaf outside the static topology serving back-end `rank` (a
+  /// dynamically attached back-end); its parent adopts it like any child.
+  NodeRuntime(NodeId id, std::uint32_t rank, FilterRegistry& registry, Delegate* delegate);
 
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
@@ -98,15 +103,11 @@ class NodeRuntime {
   void add_child_link(LinkPtr link) { child_links_.push_back(std::move(link)); }
   const InboxPtr& inbox() const noexcept { return inbox_; }
 
-  /// Dynamic topology support (threaded instantiation): reserve a child
-  /// slot, then hand the runtime a link to the new child.  The runtime wires
-  /// it on its own thread when the kTagAttachChild marker arrives, replaying
-  /// existing stream announcements to the newcomer.  `backend_rank` is used
-  /// for peer-message routing.
+  /// Dynamic topology support: reserve a child slot, then hand the runtime a
+  /// link to the new child with request_adopt.
   std::uint32_t reserve_child_slot() noexcept;
-  void request_attach(std::uint32_t slot, std::uint32_t backend_rank, LinkPtr link);
 
-  /// Tell this node (an ancestor of a dynamic attach) that back-end
+  /// Tell this node (an ancestor of a newly wired child) that back-end
   /// `backend_rank` is reachable through child `slot`.
   void request_route(std::uint32_t backend_rank, std::uint32_t slot);
 
@@ -115,11 +116,6 @@ class NodeRuntime {
   /// are applied first, so an unroute+route pair re-points a rank atomically
   /// from the runtime thread's perspective.
   void request_unroute(std::uint32_t backend_rank);
-
-  /// Planned departure of child `slot` (engine-driven dynamic-leaf moves):
-  /// the runtime applies membership compensation on its own thread exactly
-  /// as if the child had acknowledged a detach.  Safe from any thread.
-  void request_detach(std::uint32_t slot);
 
   /// Called (on the runtime thread) when a kTagRehome frame targets this
   /// node: re-wire under `new_parent` and return true, or false to fail the
@@ -135,6 +131,9 @@ class NodeRuntime {
   /// subtree ranks plus dynamically attached/adopted ones, minus departed
   /// children.  A leaf returns its own rank.
   std::vector<std::uint32_t> served_ranks() const;
+
+  /// The back-end rank a leaf serves (0 for the root and interiors).
+  std::uint32_t leaf_rank() const noexcept { return leaf_rank_; }
 
   /// Children wired and alive right now (engine load gauge).
   std::size_t live_child_count() const noexcept { return live_children_; }
@@ -194,10 +193,12 @@ class NodeRuntime {
   /// simply stops the event loop.
   void set_crash_handler(std::function<void()> handler);
 
-  /// Adopt an orphaned subtree serving back-end `ranks` at child `slot`
-  /// (same marker mechanics as request_attach; safe from any thread).  The
-  /// subtree joins every stream whose endpoint set intersects `ranks`, and
-  /// existing stream announcements are replayed to it.
+  /// Wire a child serving back-end `ranks` at reserved child `slot`: an
+  /// orphaned or re-homed subtree, or a dynamically attached leaf.  Safe
+  /// from any thread: the runtime wires it on its own thread when the
+  /// kTagAttachChild marker arrives.  The child joins every stream whose
+  /// endpoint set intersects `ranks`, and existing stream announcements are
+  /// replayed to it.
   void request_adopt(std::uint32_t slot, std::vector<std::uint32_t> ranks,
                      LinkPtr link);
 
@@ -260,18 +261,26 @@ class NodeRuntime {
     /// shard once this is set (the loop dispatches tasks instead of running
     /// the machinery itself).
     bool exec = false;
-    std::uint64_t exec_buffered = 0;  ///< loop-owned mirror of sync->buffered()
+    /// Loop-owned mirrors of what the shard last reported: sync->buffered()
+    /// and sync->next_deadline() (-1 = none).  When the deadline falls due,
+    /// the loop posts one drain task to the shard; `exec_drain_posted` keeps
+    /// at most one outstanding.
+    std::uint64_t exec_buffered = 0;
+    std::int64_t exec_deadline = -1;
+    bool exec_drain_posted = false;
   };
 
   /// What a worker hands back to the event loop after running filter work:
   /// outputs to send (the loop owns all links), the stream's post-task
-  /// buffered count, and the deferred flow-control credit for the packet
-  /// that triggered the task.
+  /// buffered count and next sync deadline, and the deferred flow-control
+  /// credit for the packet that triggered the task.
   struct ExecCompletion {
     std::uint32_t stream_id = 0;
     std::vector<PacketPtr> up_outputs;    ///< toward the parent / root delegate
     std::vector<PacketPtr> down_outputs;  ///< multicast to participating children
     std::uint64_t buffered = 0;
+    std::int64_t deadline = -1;           ///< next sync deadline; -1 = none
+    bool deadline_drain = false;          ///< the loop's deadline drain task
     std::uint32_t credits = 0;     ///< credits to return on delivery (one per
                                    ///< packet the task consumed; a coalesced
                                    ///< run carries its whole count)
@@ -287,11 +296,14 @@ class NodeRuntime {
   /// subtree subscription prefix-matches the topic.
   bool topic_routed_to_slot(const StreamLocal& stream, std::uint32_t slot) const;
   void route_peer_message(const Envelope& envelope);
-  /// Apply queued topology requests on receipt of a kTagAttachChild
-  /// `marker` (see PendingChildOp).
-  void process_pending_attaches(const Packet* marker);
+  /// Apply queued topology requests on receipt of a kTagAttachChild marker
+  /// (see PendingChildOp).
+  void process_pending_attaches();
   void wire_dynamic_child(std::uint32_t slot, std::vector<std::uint32_t> ranks,
                           LinkPtr link);
+  NodeRuntime(NodeId id, NodeRole role, std::uint32_t leaf_rank,
+              std::vector<std::vector<std::uint32_t>> child_ranks,
+              FilterRegistry& registry, Delegate* delegate);
   void handle_new_stream(const StreamSpec& spec);
   void handle_delete_stream(std::uint32_t stream_id);
   void handle_detach(const Envelope& envelope);
@@ -344,6 +356,11 @@ class NodeRuntime {
                                   std::span<const PacketPtr> run, std::uint32_t slot,
                                   std::uint32_t credits);
   void exec_dispatch_downstream(StreamLocal& stream, PacketPtr packet);
+  /// On the loop: post the drain of a stream whose sync deadline is due.
+  void exec_post_deadline_drain(StreamLocal& stream);
+  /// On the shard, at the end of every task: record the stream's buffered
+  /// count and next deadline in `completion`, then enqueue it.
+  void exec_finish(StreamLocal& stream, ExecCompletion&& completion);
   void exec_enqueue(ExecCompletion&& completion);
   void exec_drain_completions();
   void exec_deliver(ExecCompletion&& completion);
@@ -373,9 +390,9 @@ class NodeRuntime {
   void maybe_finish_shutdown();
   void close_all_links();
 
-  const Topology& topology_;
   NodeId id_;
   NodeRole role_;
+  std::uint32_t leaf_rank_;
   FilterRegistry& registry_;
   Delegate* delegate_;
 
@@ -404,31 +421,24 @@ class NodeRuntime {
   /// Stream classification + tenant budgets/counters for this node.
   TenantTablePtr tenants_ = std::make_shared<TenantTable>();
 
-  /// Dynamic-attach plumbing.  All topology requests (attach, adopt, route,
-  /// unroute, detach) share ONE queue drained in request order: with separate
-  /// per-kind queues, a detach requested after an attach of the same slot
-  /// could be applied first — note_child_gone on the not-yet-wired slot is a
-  /// no-op, the removal is silently lost, and the parent later waits forever
-  /// for a shutdown ack from the already-stopped leaf.
+  /// Topology requests (adopt, route, unroute) share ONE queue drained in
+  /// request order, so an unroute+route pair re-points a rank in one drain.
   struct PendingChildOp {
-    enum class Kind { kAttach, kAdopt, kRoute, kUnroute, kDetach };
+    enum class Kind { kAdopt, kRoute, kUnroute };
     Kind kind;
-    std::uint32_t slot = 0;                 // attach/adopt/route/detach
-    std::uint32_t backend_rank = 0;         // attach/route/unroute
+    std::uint32_t slot = 0;                 // adopt/route
+    std::uint32_t backend_rank = 0;         // route/unroute
     std::vector<std::uint32_t> ranks;       // adopt
-    LinkPtr link;                           // attach/adopt
-    /// Detach: the marker that applies it.  Any marker drains the queue, but
-    /// a detach waits for its own, so it never overtakes data the departing
-    /// child pushed into the inbox before the request (the fence flush).
-    PacketPtr marker;
+    LinkPtr link;                           // adopt
   };
   std::mutex attach_mutex_;
   std::vector<PendingChildOp> pending_child_ops_;
-  std::atomic<std::uint32_t> next_dynamic_slot_;
+  std::atomic<std::uint32_t> next_dynamic_slot_{0};
 
-  /// Back-end ranks served through each dynamically wired slot (attach and
-  /// adopt); lets handle_new_stream compute endpoint membership for them.
-  std::map<std::uint32_t, std::vector<std::uint32_t>> dynamic_slot_ranks_;
+  /// Back-end ranks served through each wired child slot: the static
+  /// children's subtrees, then whatever each adoption carried.  Decides
+  /// which slots join a stream with an endpoint set.
+  std::map<std::uint32_t, std::vector<std::uint32_t>> slot_ranks_;
 
   std::map<std::uint32_t, StreamLocal> streams_;
   NodeMetrics metrics_;

@@ -51,8 +51,7 @@ void open_child(SocketPump& pump, const ChannelFactory& channels, NodeRuntime& r
               // Grants ride the raw link: exempt control frames that must
               // never wait behind a coalescer buffer.
               channels.grant_in_band(runtime, Origin::kChild, slot, raw);
-              install(std::make_unique<SharedLink>(
-                  channels.socket_stack(std::move(raw), runtime, gate)));
+              install(channels.socket_stack(std::move(raw), runtime, gate));
             });
 }
 
@@ -93,7 +92,7 @@ void Network::run_node(const net::NodeConfig& config, NodeId id, Fd parent,
   std::unique_ptr<BackEnd> backend;
   std::unique_ptr<BackEndDelegate> delegate;
   if (leaf) {
-    backend.reset(new BackEnd(topology.leaf_rank(id), nullptr));
+    backend.reset(new BackEnd(topology.leaf_rank(id)));
     delegate = std::make_unique<BackEndDelegate>(*backend);
   }
   NodeRuntime runtime(topology, id, FilterRegistry::instance(), delegate.get());
@@ -127,7 +126,7 @@ void Network::run_node(const net::NodeConfig& config, NodeId id, Fd parent,
                [&](std::shared_ptr<Link> raw) {
                  auto up = channels.socket_stack(raw, runtime, gate_up, /*app_edge=*/leaf);
                  if (!leaf) {
-                   runtime.set_parent_link(std::make_unique<SharedLink>(std::move(up)));
+                   runtime.set_parent_link(std::move(up));
                    channels.grant_in_band(runtime, Origin::kParent, 0, std::move(raw));
                  } else if (relink) {
                    relink->relink(std::move(up));
@@ -137,8 +136,8 @@ void Network::run_node(const net::NodeConfig& config, NodeId id, Fd parent,
                    // underneath both.  Grants ride the seam too, so they
                    // follow the live edge.
                    relink = std::make_shared<RelinkableLink>(std::move(up));
-                   backend->up_link_ = std::make_unique<SharedLink>(relink);
-                   runtime.set_parent_link(std::make_unique<SharedLink>(relink));
+                   backend->up_link_ = relink;
+                   runtime.set_parent_link(relink);
                    channels.grant_in_band(runtime, Origin::kParent, 0, relink);
                  }
                });
@@ -219,7 +218,6 @@ NodeRuntime& Network::make_root(const net::NodeConfig& config) {
 
 void Network::start_root(const TelemetryOptions& telemetry) {
   front_end_ = std::unique_ptr<FrontEnd>(new FrontEnd(*this));
-  next_dynamic_rank_ = static_cast<std::uint32_t>(topology_.num_leaves());
   if (rendezvous_) {
     rendezvous_->start([this](Fd connection, const OrphanHello& hello) {
       adopt_orphan(std::move(connection), hello);

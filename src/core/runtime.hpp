@@ -66,7 +66,9 @@ class Link {
   virtual void close() = 0;
 };
 
-using LinkPtr = std::unique_ptr<Link>;
+/// Links are shared: a back-end handle and its leaf runtime send through one
+/// stack, and a runtime keeps the stack its channel factory returned.
+using LinkPtr = std::shared_ptr<Link>;
 
 /// In-process link: pushes envelopes straight into the peer node's inbox.
 /// Multicast through several InprocLinks shares one immutable Packet object

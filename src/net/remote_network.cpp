@@ -35,7 +35,6 @@
 #include "common/log.hpp"
 #include "common/timer.hpp"
 #include "core/channel.hpp"
-#include "core/fd_link.hpp"
 #include "core/protocol.hpp"
 #include "net/event_loop.hpp"
 #include "net/wire.hpp"
@@ -511,7 +510,7 @@ std::unique_ptr<Network> Network::create_remote_impl(const NetworkOptions& optio
   // Every edge arrived; wire the root's children in slot order (the inbox
   // buffered anything the channels delivered meanwhile).
   for (const std::shared_ptr<Link>& channel : st->root_children) {
-    root.add_child_link(std::make_unique<SharedLink>(channel));
+    root.add_child_link(channel);
   }
   self.pump_ = std::shared_ptr<SocketPump>(state, &st->loop);
   self.child_pids_ = std::move(pids);

@@ -2,11 +2,17 @@
 // more dynamic topology model in which ... back-end processes may join
 // after the internal tree has been instantiated").
 //
-// Joins go through the typed reconfiguration API.
+// Joins go through the typed reconfiguration API.  A dynamic back-end is an
+// ordinary leaf: it heartbeats, publishes telemetry and moves like a static
+// one, which the last cases check.
 #include <gtest/gtest.h>
+
+#include <future>
+#include <thread>
 
 #include "core/network.hpp"
 #include "core/reconfig.hpp"
+#include "modes.hpp"
 
 namespace tbon {
 namespace {
@@ -169,6 +175,83 @@ TEST(DynamicAttach, ShutdownWaitsForNewcomers) {
   auto net = Network::create({.topology = Topology::flat(2)});
   for (int i = 0; i < 3; ++i) add_leaf(*net, net->topology().root());
   net->shutdown();  // must not hang or double-count acks
+}
+
+// ---- a dynamic back-end is an ordinary leaf ---------------------------------
+
+/// Forked modes attach dynamic back-ends at the root, and run the static
+/// ones' bodies in their own processes.
+class DynamicLeaves : public modes::Test {};
+
+TEST_P(DynamicLeaves, IdleLeafOutlivesTheHeartbeatTimeout) {
+  auto net = create({.topology = Topology::flat(2),
+                     .recovery = {.heartbeat_interval_ms = 20, .failure_timeout_ms = 100},
+                     .backend_main = [](BackEnd&) {}});
+  Stream& stream = net->front_end().open_stream({.up_sync = "null"});
+  BackEnd& late = add_leaf(*net, net->topology().root());
+  std::this_thread::sleep_for(600ms);  // six failure timeouts of silence
+  EXPECT_FALSE(late.shutting_down());
+  late.send(stream.id(), kTag, "i64", {std::int64_t{42}});
+  const auto result = stream.recv_for(5s);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ((*result)->get_i64(0), 42);
+  net->shutdown();
+}
+
+TEST_P(DynamicLeaves, EachPublishesATelemetryRecord) {
+  auto net = create({.topology = Topology::flat(2),
+                     .telemetry = {.enabled = true, .interval_ms = 25},
+                     .backend_main = [](BackEnd&) {}});
+  add_leaf(*net, net->topology().root());
+  add_leaf(*net, net->topology().root());
+  // Every node publishes a final record ahead of its shutdown ack, so the
+  // frozen snapshot holds every live node's.
+  net->shutdown();
+  const TreeMetricsSnapshot tree = net->front_end().metrics();
+  const NodeId first = static_cast<NodeId>(net->topology().num_nodes());
+  for (const NodeId id : {first, first + 1}) {
+    const NodeTelemetry* record = tree.find(id);
+    ASSERT_NE(record, nullptr) << "node " << id;
+    EXPECT_EQ(record->role, 2) << "node " << id;  // a leaf
+  }
+}
+
+TBON_INSTANTIATE_MODES(DynamicLeaves);
+
+// Merging interiors is threaded-only, so moves of a dynamic back-end are.
+// balanced(2,2): interiors 1 and 2; merge(1, 2) moves node 1's children,
+// the newcomer among them, under node 2.
+
+TEST(DynamicLeafMoves, ShutdownAfterAMergeReturnsPromptly) {
+  for (int run = 0; run < 20; ++run) {
+    SCOPED_TRACE("run=" + std::to_string(run));
+    auto net = Network::create({.topology = Topology::balanced(2, 2)});
+    add_leaf(*net, 1);
+    ASSERT_TRUE(net->front_end().reconfigure(TopologyDelta().merge(1, 2)).ok());
+    // Watchdog: a wedged shutdown fails the case here (the future's
+    // destructor then waits out the network's own force-close).
+    auto shutdown = std::async(std::launch::async, [&net] { net->shutdown(); });
+    ASSERT_EQ(shutdown.wait_for(5s), std::future_status::ready) << "shutdown hangs";
+  }
+}
+
+TEST(DynamicLeafMoves, KillingTheOldParentSparesTheMovedLeaf) {
+  auto net = Network::create({.topology = Topology::balanced(2, 2)});
+  FrontEnd& fe = net->front_end();
+  BackEnd& late = add_leaf(*net, 1);
+  ASSERT_TRUE(fe.reconfigure(TopologyDelta().merge(1, 2)).ok());
+  net->kill_node(1);
+  // The dead node closes its links as it exits, at once; give its EOFs
+  // ample time to reach the children it no longer has.
+  std::this_thread::sleep_for(200ms);
+  EXPECT_FALSE(late.shutting_down());
+  Stream& stream = fe.open_stream({});
+  stream.send(kTag, "str", {std::string("after")});
+  const auto packet = late.recv_for(5s);
+  ASSERT_TRUE(packet.has_value());
+  EXPECT_EQ((*packet)->get_str(0), "after");
+  EXPECT_FALSE(late.shutting_down());
+  net->shutdown();
 }
 
 }  // namespace

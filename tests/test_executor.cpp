@@ -8,11 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -45,7 +43,7 @@ TEST(ExecutorUnit, PerStreamFifoUnder8Workers) {
   // sharding contract runs strictly sequentially — no locking needed.
   std::vector<std::vector<int>> seen(kStreams);
   for (std::uint32_t s = 0; s < kStreams; ++s) {
-    exec.add_stream(s + 1, FilterExecutor::DeadlinePoll{});
+    exec.add_stream(s + 1);
   }
   for (int t = 0; t < kTasks; ++t) {
     for (std::uint32_t s = 0; s < kStreams; ++s) {
@@ -73,21 +71,29 @@ TEST(ExecutorUnit, ShardingIsStablePerStream) {
   exec.stop();
 }
 
-TEST(ExecutorUnit, DeadlinePollFiresOnIdleStream) {
-  ExecutionOptions options;
-  options.num_workers = 2;
-  FilterExecutor exec(options, nullptr);
-  std::atomic<int> polls{0};
-  exec.add_stream(7, [&polls](std::int64_t) { ++polls; });
-  // Arm an already-expired deadline from the stream's shard (a task), the
-  // only place the runtime ever arms them.
-  exec.post(7, [&exec] { exec.set_deadline(7, 1); });
-  const auto give_up = std::chrono::steady_clock::now() + 10s;
-  while (polls.load() == 0 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_GE(polls.load(), 1);
-  exec.stop();
+// ---- sync deadlines under workers -------------------------------------------
+
+// A time_out wave that never fills leaves once its window passes, with no
+// later packet to wake anything: the node loop keeps the stream's sync
+// deadline, as each completion reports it, and posts the drain to the
+// stream's shard.
+TEST(ExecutorDeadlines, PartialTimeOutWaveLeavesOnAnIdleTree) {
+  constexpr std::uint32_t kStream = 1;
+  auto net = Network::create({.topology = Topology::flat(4),
+                              .execution = {.num_workers = 2},
+                              .backend_main = [](BackEnd& be) {
+                                if (be.rank() != 0) return;
+                                be.send(kStream, kTag, "i64", {std::int64_t{7}});
+                              }});
+  Stream& stream = net->front_end().open_stream(
+      {.up_transform = "sum",
+       .up_sync = "time_out",
+       .params = FilterParams().set("window_ms", 50).to_wire()});
+  ASSERT_EQ(stream.id(), kStream);
+  const auto result = stream.recv_for(10s);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ((*result)->get_i64(0), 7);
+  net->shutdown();
 }
 
 // ---- byte-identical output: workers vs inline -------------------------------

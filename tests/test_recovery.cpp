@@ -30,6 +30,7 @@
 
 #include "core/network.hpp"
 #include "filters/time_aligned.hpp"
+#include "modes.hpp"
 #include "recovery/adoption.hpp"
 #include "recovery/fault_injector.hpp"
 #include "recovery/heartbeat.hpp"
@@ -418,17 +419,11 @@ struct FaultSplitCase {
   bool batched;
 };
 
-std::string fault_split_name(const FaultSplitCase& param) {
-  return std::string(param.mode == NetworkMode::kThreaded  ? "threaded"
-                     : param.mode == NetworkMode::kProcess ? "process"
-                                                           : "remote") +
-         (param.batched ? "_batched" : "_unbatched");
-}
-
-/// Names the case in test listings (the default prints its raw bytes,
-/// padding included).
+/// Names the case in test listings, its mode last (tests/modes.hpp's
+/// printer), so each ctest name ends in /threaded, /process or /remote.
 void PrintTo(const FaultSplitCase& param, std::ostream* os) {
-  *os << fault_split_name(param);
+  *os << (param.batched ? "batched/" : "unbatched/");
+  PrintTo(param.mode, os);
 }
 
 /// Values the front-end receives until the stream has been quiet for 500 ms.
@@ -482,10 +477,7 @@ INSTANTIATE_TEST_SUITE_P(
                       FaultSplitCase{NetworkMode::kProcess, false},
                       FaultSplitCase{NetworkMode::kProcess, true},
                       FaultSplitCase{NetworkMode::kRemote, false},
-                      FaultSplitCase{NetworkMode::kRemote, true}),
-    [](const ::testing::TestParamInfo<FaultSplitCase>& info) {
-      return fault_split_name(info.param);
-    });
+                      FaultSplitCase{NetworkMode::kRemote, true}));
 
 TEST(FaultSplitThreaded, MuteAtSixthPacketDeliversTheFirstFive) {
   // Heartbeats let the tree declare the muted node dead; without them,
@@ -721,11 +713,7 @@ TEST_P(RecoveryForked, ReadoptionsCountInNetReconnects) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, RecoveryForked,
-                         ::testing::Values(NetworkMode::kProcess, NetworkMode::kRemote),
-                         [](const ::testing::TestParamInfo<NetworkMode>& info) {
-                           return info.param == NetworkMode::kProcess ? "process"
-                                                                      : "remote";
-                         });
+                         ::testing::Values(NetworkMode::kProcess, NetworkMode::kRemote));
 
 }  // namespace
 }  // namespace tbon

@@ -160,10 +160,10 @@ TEST(TenantUnit, CreditGateBulkLeavesHeadroomForHigherClasses) {
 TEST(TenantExecutor, WeightedDrainServesFourTwoOne) {
   MetricsRegistry metrics;
   FilterExecutor exec({.num_workers = 1}, &metrics);
-  exec.add_stream(1, FilterExecutor::DeadlinePoll{}, Priority::kControl);
-  exec.add_stream(2, FilterExecutor::DeadlinePoll{}, Priority::kHigh);
-  exec.add_stream(3, FilterExecutor::DeadlinePoll{}, Priority::kNormal);
-  exec.add_stream(4, FilterExecutor::DeadlinePoll{}, Priority::kBulk);
+  exec.add_stream(1, Priority::kControl);
+  exec.add_stream(2, Priority::kHigh);
+  exec.add_stream(3, Priority::kNormal);
+  exec.add_stream(4, Priority::kBulk);
 
   std::mutex order_mutex;
   std::string order;
